@@ -14,7 +14,7 @@ from .collection import (
     validate_collection,
     write_collection,
 )
-from .corr import SlidingProfile, naive_sliding_oracle, pearson, sliding_correlations
+from .corr import SlidingProfile, pearson, sliding_correlations
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -77,7 +77,6 @@ __all__ = [
     "fit_affine",
     "from_dict",
     "load_collection",
-    "naive_sliding_oracle",
     "pearson",
     "read_report",
     "reason_report",

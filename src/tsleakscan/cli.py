@@ -3,7 +3,8 @@
 ``scan`` finds the leaks, ``explain`` adds the reason and exploitability
 verdict per leak, ``viz`` renders the match matrix as CSV plus an SVG
 heatmap. Exit codes: 0 success (also when no leaks are found), 1 input or
-I/O error, 2 bad flags.
+I/O error, 2 a bad flag, a limit broken in ``ScanConfig``/``ReasonConfig``
+or a bad ``TSLEAKSCAN_WORKERS``, all checked before any input is read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import report as rpt
 from .collection import REJECT, SPLIT_SKIP, MissingPolicy, load_collection
-from .errors import LeakScanError
+from .errors import ConfigError, LeakScanError
 from .reasons import ReasonConfig, ReasonKind, reason_report, tally
 from .scan import AUTO, ScanConfig, scan
 
@@ -28,12 +29,9 @@ def _workers(text):
     if text == AUTO:
         return AUTO
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"workers must be a positive integer or 'auto', got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("workers must be a positive integer or 'auto'")
-    return value
 
 
 def _add_common(p):
@@ -47,7 +45,8 @@ def _add_common(p):
     p.add_argument("--missing", choices=["reject", "skip"], default="reject",
                    help="missing-value policy: reject aborts, skip admits the series "
                         "and skips affected windows (default: reject)")
-    p.add_argument("--workers", type=_workers, default=None,
+    # argparse passes a string default through _workers too
+    p.add_argument("--workers", type=_workers, default=os.environ.get("TSLEAKSCAN_WORKERS", "1"),
                    help="worker process count or 'auto' "
                         "(default: $TSLEAKSCAN_WORKERS or 1)")
 
@@ -91,29 +90,10 @@ def build_parser():
     return parser
 
 
-def _validate(parser, args):
-    if not 0.0 < args.cutoff <= 1.0:
-        parser.error("cutoff must be in (0,1]")
-    if args.h < 3:
-        parser.error("h must be an integer >= 3")
-    if getattr(args, "horizon", None) is not None and args.horizon < 1:
-        parser.error("horizon must be >= 1")
-    if args.workers is None:
-        env = os.environ.get("TSLEAKSCAN_WORKERS")
-        if env is not None:
-            try:
-                args.workers = _workers(env)
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"TSLEAKSCAN_WORKERS: {exc}")
-        else:
-            args.workers = 1
-
-
 def _run_scan(args):
     policy = MissingPolicy(REJECT if args.missing == "reject" else SPLIT_SKIP)
     collection = load_collection(args.input, format=_FORMATS[args.format], policy=policy)
-    cfg = ScanConfig(h=args.h, cutoff=args.cutoff, workers=args.workers)
-    return collection, scan(collection, cfg)
+    return collection, scan(collection, args.cfg)
 
 
 def _match_line(m):
@@ -150,13 +130,12 @@ def _format_predicted(values):
 
 def cmd_explain(args) -> int:
     collection, report = _run_scan(args)
-    reasoned = reason_report(report, collection, ReasonConfig(horizon=args.horizon))
-    horizon = args.horizon if args.horizon is not None else args.h
-    matches = report.matches
+    reasoned = reason_report(report, collection, args.reason_cfg)
     if args.collapse_overlaps:
-        matches, reasoned = rpt.collapse_with_reasons(matches, reasoned)
-    for m, rm in zip(matches, reasoned):
-        line = f"{_match_line(m)}, {rm.kind.value}, {'useful' if rm.useful else 'not useful'}"
+        reasoned = rpt.collapse_overlaps(reasoned)
+    matches = [rm.base for rm in reasoned]
+    for rm in reasoned:
+        line = f"{_match_line(rm.base)}, {rm.kind.value}, {'useful' if rm.useful else 'not useful'}"
         if rm.useful:
             line += f"; predicted test: {_format_predicted(rm.predicted_test)}"
         print(line)
@@ -172,7 +151,7 @@ def cmd_explain(args) -> int:
     if args.output:
         out_report = replace(report, matches=matches)
         rpt.write_report(out_report, args.output, format=args.report_format,
-                         reasoned=reasoned, horizon=horizon)
+                         reasoned=reasoned, horizon=args.horizon)
         print(f"report written to {args.output}")
     return 0
 
@@ -194,13 +173,15 @@ def cmd_viz(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    try:
+        args.cfg = ScanConfig(h=args.h, cutoff=args.cutoff, workers=args.workers)
+        if args.command == "explain":
+            args.reason_cfg = ReasonConfig(horizon=args.horizon)
+    except ConfigError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
-    except LeakScanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LeakScanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,9 +6,6 @@ is centred on its own mean after an exact power-of-two scaling (see
 ``centre``), so r stays accurate for a low-variance window inside a
 high-variance series and at any finite scale; only an exactly constant
 window has no r. The sweep is O(n*h) per query/target pair.
-``naive_sliding_oracle`` computes r one window at a time with its own
-arithmetic and exists solely as a reference for equivalence testing and
-benchmarks.
 """
 
 from __future__ import annotations
@@ -163,35 +160,3 @@ def sliding_correlations(query, target, h, *, target_id=None, missing=()) -> Sli
     ]
     return SlidingProfile(target_id, starts[valid], r, skipped)
 
-
-def naive_sliding_oracle(query, target, h, *, target_id=None, missing=()) -> SlidingProfile:
-    """Reference sweep: one window at a time, sharing no arithmetic with the kernel.
-
-    Same contract as ``sliding_correlations``; kept deliberately dumb so the
-    optimized path can be checked against it (the two must agree within
-    1e-9 on every emitted r and produce identical offset/skip sets).
-    """
-    query, target, h, missing = _check_sweep_args(query, target, h, missing)
-    missing_set = set(missing)
-    # scale by an exact power of two before squaring, so that no square
-    # underflows or overflows; centre twice, because the first mean's
-    # rounding can be as large as the spread
-    q = np.ldexp(query, -np.frexp(np.abs(query).max())[1])
-    q = q - q.mean()
-    q = q - q.mean()
-    offsets, r_values, skipped = [], [], []
-    for s in range(len(target) - h + 1):
-        if any(p in missing_set for p in range(s, s + h)):
-            skipped.append((s + 1, MISSING_OVERLAP))
-            continue
-        w = target[s:s + h]
-        if np.all(w == w[0]):
-            skipped.append((s + 1, ZERO_VARIANCE_WINDOW))
-            continue
-        w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
-        w = w - w.mean()
-        w = w - w.mean()
-        r = float((q @ w) / np.sqrt((q @ q) * (w @ w)))
-        offsets.append(s + 1)
-        r_values.append(min(1.0, max(-1.0, r)))
-    return SlidingProfile(target_id, np.asarray(offsets, dtype=int), np.asarray(r_values), skipped)

@@ -12,7 +12,7 @@ test segment of the query series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -46,8 +46,9 @@ class ReasonConfig:
     """Classification tolerances and the forecast horizon.
 
     slope_tol compares the slope against 1; intercept_tol and affine_tol
-    are relative to scale(w) = max(1, max|w|). horizon=None means "use the
-    scan's segment length h", which is how every worked example sets it.
+    are relative to scale(w) = max|w|, so the kinds do not depend on the
+    units of the series. horizon=None means "use the scan's segment length
+    h", which is how every worked example sets it.
     """
 
     slope_tol: float = 1e-8
@@ -74,7 +75,31 @@ class ReasonedMatch:
 
 
 def scale_of(w) -> float:
-    return max(1.0, float(np.max(np.abs(w))))
+    # a matched window is never constant, so this is never zero
+    return float(np.max(np.abs(w)))
+
+
+def resolve_horizon(horizon: int | None, h: int) -> int:
+    """The forecast horizon, which defaults to the scan's segment length h."""
+    return h if horizon is None else horizon
+
+
+def _matched(match: MatchRecord, collection: SeriesCollection):
+    """The query segment, the donor series and the donor window of a match.
+
+    Raises ConsistencyError when the match names a series that is not in
+    the collection, or ends past the end of its donor.
+    """
+    for sid in (match.query_id, match.donor_id):
+        if sid not in collection:
+            raise ConsistencyError(f"match {match.query_id!r} -> {match.donor_id!r} "
+                                   f"refers to unknown series {sid!r}")
+    donor = collection.get(match.donor_id)
+    if match.end > len(donor.values):
+        raise ConsistencyError(f"match into {match.donor_id!r} ends at {match.end}, "
+                               f"series has {len(donor.values)} observations")
+    h = match.end - match.start + 1
+    return collection.get(match.query_id).values[-h:], donor, donor.values[match.start - 1:match.end]
 
 
 def fit_affine(q, w) -> AffineFit:
@@ -127,17 +152,11 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
     horizon = cfg.horizon
     if horizon is None:
         raise ConfigError("horizon not resolved; pass an explicit horizon")
-    if match.donor_id not in collection or match.query_id not in collection:
-        raise ConsistencyError(
-            f"match {match.query_id!r} -> {match.donor_id!r} refers to unknown series"
-        )
-    donor = collection.get(match.donor_id)
+    q, donor, w = _matched(match, collection)
     if not match.end + horizon <= len(donor.values):
         return False, None
     if fit is None:
-        h = match.end - match.start + 1
-        query = collection.get(match.query_id)
-        fit = fit_affine(query.values[-h:], donor.values[match.start - 1:match.end])
+        fit = fit_affine(q, w)
     continuation = donor.values[match.end:match.end + horizon]
     predicted = (continuation - fit.c) / fit.m
     missing = set(donor.missing)
@@ -149,32 +168,19 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
 def reason_report(report: LeakReport, collection: SeriesCollection,
                   cfg: ReasonConfig = ReasonConfig()) -> list[ReasonedMatch]:
     """Explain every match in the report, preserving report order."""
-    horizon = cfg.horizon if cfg.horizon is not None else report.config.h
-    resolved = ReasonConfig(cfg.slope_tol, cfg.intercept_tol, cfg.affine_tol, horizon)
+    cfg = replace(cfg, horizon=resolve_horizon(cfg.horizon, report.config.h))
     reasoned = []
     for match in report.matches:
-        for sid in (match.query_id, match.donor_id):
-            if sid not in collection:
-                raise ConsistencyError(f"report references unknown series {sid!r}")
-        query = collection.get(match.query_id)
-        donor = collection.get(match.donor_id)
-        if match.end > len(donor.values):
-            raise ConsistencyError(
-                f"match into {match.donor_id!r} ends at {match.end}, "
-                f"series has {len(donor.values)} observations"
-            )
-        h = match.end - match.start + 1
-        q = query.values[-h:]
-        w = donor.values[match.start - 1:match.end]
+        q, _, w = _matched(match, collection)
         fit = fit_affine(q, w)
-        kind = classify(fit, match.r, resolved, window_scale=scale_of(w))
-        useful, predicted = assess_usefulness(match, collection, resolved, fit)
+        kind = classify(fit, match.r, cfg, window_scale=scale_of(w))
+        useful, predicted = assess_usefulness(match, collection, cfg, fit)
         if useful:
             note = (f"donor {match.donor_id!r} has observations "
-                    f"{match.end + 1}..{match.end + horizon}")
+                    f"{match.end + 1}..{match.end + cfg.horizon}")
         else:
             note = (f"donor {match.donor_id!r} observations "
-                    f"{match.end + 1}..{match.end + horizon} are not available")
+                    f"{match.end + 1}..{match.end + cfg.horizon} are not available")
         reasoned.append(ReasonedMatch(match, fit, kind, useful, predicted, note))
     return reasoned
 

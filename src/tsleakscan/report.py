@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .collection import SeriesCollection
 from .errors import ConsistencyError
-from .reasons import ReasonedMatch, ReasonKind
+from .reasons import ReasonedMatch, resolve_horizon
 from .scan import LeakReport, MatchRecord, ScanConfig
 
 
@@ -53,67 +53,35 @@ def build_matrix(report: LeakReport, collection: SeriesCollection) -> MatchMatri
     return MatchMatrix(list(ids), list(ids), counts)
 
 
-def collapse_overlaps(matches: list[MatchRecord]) -> list[MatchRecord]:
+def collapse_overlaps(matches):
     """Merge runs of consecutive offsets per (query, donor) into one range.
 
     Readability transform only: the merged record spans the first window's
     start to the last window's end (so end-start+1 exceeds h) and carries
-    the r of the strongest member. Input order is preserved.
+    the r of the strongest member. Input order is preserved. ``matches``
+    holds MatchRecords or ReasonedMatches; a merged ReasonedMatch is the
+    explanation of the run's strongest member, with the merged record as
+    its base (the overlapping hits of one run come from the same pattern).
     """
-    collapsed: list[MatchRecord] = []
-    run: list[MatchRecord] = []
-
-    def flush():
-        if not run:
-            return
-        best = max(run, key=lambda m: abs(m.r))
-        collapsed.append(MatchRecord(run[0].query_id, run[0].donor_id,
-                                     run[0].start, run[-1].end, best.r))
-        run.clear()
-
-    for m in matches:
-        if run and (m.query_id, m.donor_id) == (run[-1].query_id, run[-1].donor_id) \
-                and m.start == run[-1].start + 1:
-            run.append(m)
+    runs: list[list] = []
+    for item in matches:
+        m, last = _record(item), _record(runs[-1][-1]) if runs else None
+        if last and (m.query_id, m.donor_id, m.start) == (last.query_id, last.donor_id, last.start + 1):
+            runs[-1].append(item)
         else:
-            flush()
-            run.append(m)
-    flush()
-    return collapsed
+            runs.append([item])
+    return [_merge(run) for run in runs]
 
 
-def collapse_with_reasons(matches: list[MatchRecord], reasoned: list[ReasonedMatch]):
-    """Collapse consecutive-offset runs while keeping reasoning aligned.
+def _record(item) -> MatchRecord:
+    return item.base if isinstance(item, ReasonedMatch) else item
 
-    Each merged range carries the explanation of its strongest member (the
-    overlapping hits of one run come from the same underlying pattern).
-    Returns (collapsed_matches, collapsed_reasoned) of equal length.
-    """
-    out_matches: list[MatchRecord] = []
-    out_reasoned: list[ReasonedMatch] = []
-    run: list[tuple[MatchRecord, ReasonedMatch]] = []
 
-    def flush():
-        if not run:
-            return
-        best_match, best_rm = max(run, key=lambda pair: abs(pair[0].r))
-        merged = MatchRecord(run[0][0].query_id, run[0][0].donor_id,
-                             run[0][0].start, run[-1][0].end, best_match.r)
-        out_matches.append(merged)
-        out_reasoned.append(ReasonedMatch(merged, best_rm.fit, best_rm.kind,
-                                          best_rm.useful, best_rm.predicted_test,
-                                          best_rm.provenance_note))
-        run.clear()
-
-    for m, rm in zip(matches, reasoned):
-        if run and (m.query_id, m.donor_id) == (run[-1][0].query_id, run[-1][0].donor_id) \
-                and m.start == run[-1][0].start + 1:
-            run.append((m, rm))
-        else:
-            flush()
-            run.append((m, rm))
-    flush()
-    return out_matches, out_reasoned
+def _merge(run):
+    first, last = _record(run[0]), _record(run[-1])
+    best = max(run, key=lambda item: abs(_record(item).r))
+    merged = MatchRecord(first.query_id, first.donor_id, first.start, last.end, _record(best).r)
+    return replace(best, base=merged) if isinstance(best, ReasonedMatch) else merged
 
 
 def _match_entry(match: MatchRecord, reasoned: ReasonedMatch | None) -> dict:
@@ -139,7 +107,7 @@ def report_payload(report: LeakReport, reasoned: list[ReasonedMatch] | None = No
     """JSON-ready dict for a report, explained or plain."""
     config = {"h": report.config.h, "cutoff": report.config.cutoff}
     if reasoned is not None:
-        config["horizon"] = horizon if horizon is not None else report.config.h
+        config["horizon"] = resolve_horizon(horizon, report.config.h)
         if len(reasoned) != len(report.matches):
             raise ConsistencyError(
                 f"{len(reasoned)} reasoned matches for {len(report.matches)} match records"

@@ -187,7 +187,7 @@ def test_criterion_5_usefulness_arithmetic_and_prediction():
             query = np.concatenate([rng.normal(size=6), m * donor[start:start + h] + c])
             coll = ts.from_dict({"q": query, "d": donor})
             report = ts.scan(coll, ts.ScanConfig(h=h, cutoff=1.0))
-            reasoned = ts.reason_report(coll and report, coll, ts.ReasonConfig(horizon=horizon))
+            reasoned = ts.reason_report(report, coll, ts.ReasonConfig(horizon=horizon))
             assert any(mr.query_id == "q" and mr.donor_id == "d" and mr.start == start + 1
                        for mr in report.matches)
             for rm in reasoned:

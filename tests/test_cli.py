@@ -21,6 +21,14 @@ def run_cli(*args, env=None):
     )
 
 
+def assert_exits_2(limit, *cases):
+    """Each case, (args, env), exits 2 with ``limit`` named on stderr."""
+    for args, env in cases:
+        proc = run_cli(*args, env=env)
+        assert proc.returncode == 2, args
+        assert limit in proc.stderr, (args, proc.stderr)
+
+
 @pytest.fixture(scope="module")
 def usage_csv(tmp_path_factory):
     c, _ = usage_style_collection()
@@ -52,14 +60,18 @@ class TestScanCommand:
         assert proc.returncode == 0
         assert "no leaks detected" in proc.stdout
 
-    def test_bad_cutoff_exits_2(self, usage_csv):
-        proc = run_cli("scan", "--input", usage_csv, "--h", "5", "--cutoff", "1.5")
-        assert proc.returncode == 2
-        assert "cutoff must be in (0,1]" in proc.stderr
+    def test_bad_cutoff_exits_2(self, usage_csv, tmp_path):
+        # limits are checked before the input is read, so a missing file is no exit 1
+        absent = str(tmp_path / "nope.csv")
+        assert_exits_2("cutoff must be in (0,1]",
+                       (("scan", "--input", usage_csv, "--h", "5", "--cutoff", "1.5"), None),
+                       (("scan", "--input", absent, "--h", "5", "--cutoff", "1.5"), None),
+                       (("viz", "--input", absent, "--h", "5", "--cutoff", "0"), None))
 
-    def test_bad_h_exits_2(self, usage_csv):
-        proc = run_cli("scan", "--input", usage_csv, "--h", "2")
-        assert proc.returncode == 2
+    def test_bad_h_exits_2(self, usage_csv, tmp_path):
+        assert_exits_2("h must be an integer >= 3",
+                       (("scan", "--input", usage_csv, "--h", "2"), None),
+                       (("explain", "--input", str(tmp_path / "nope.csv"), "--h", "2"), None))
 
     def test_missing_input_exits_1(self, tmp_path):
         proc = run_cli("scan", "--input", str(tmp_path / "nope.csv"), "--h", "5")
@@ -103,9 +115,11 @@ class TestScanCommand:
         assert "3 matches" in proc.stdout
 
     def test_bad_workers_env_exits_2(self, usage_csv):
-        proc = run_cli("scan", "--input", usage_csv, "--h", "5",
-                       env={"TSLEAKSCAN_WORKERS": "zero"})
-        assert proc.returncode == 2
+        args = ("scan", "--input", usage_csv, "--h", "5")
+        assert_exits_2("workers must be a positive integer or 'auto'",
+                       (args, {"TSLEAKSCAN_WORKERS": "zero"}),
+                       (args, {"TSLEAKSCAN_WORKERS": "0"}),
+                       (args + ("--workers", "0"), None))
 
     def test_collapse_overlaps(self, tmp_path):
         c = ts.from_dict({"a": np.arange(1.0, 11.0)})
@@ -150,9 +164,25 @@ class TestExplainCommand:
         assert payload["config"]["horizon"] == 5
         assert all("kind" in e for e in payload["matches"])
 
-    def test_bad_horizon_exits_2(self, usage_csv):
-        proc = run_cli("explain", "--input", usage_csv, "--h", "5", "--horizon", "0")
-        assert proc.returncode == 2
+    def test_bad_horizon_exits_2(self, usage_csv, tmp_path):
+        assert_exits_2("horizon must be >= 1",
+                       (("explain", "--input", usage_csv, "--h", "5", "--horizon", "0"), None),
+                       (("explain", "--input", str(tmp_path / "nope.csv"), "--h", "5",
+                         "--horizon", "0"), None))
+
+    def test_collapsed_report_file(self, tmp_path):
+        c = ts.from_dict({"a": np.arange(1.0, 11.0)})
+        data = tmp_path / "ramp.csv"
+        ts.write_collection(c, data, "long-csv")
+        out = tmp_path / "collapsed.json"
+        proc = run_cli("explain", "--input", str(data), "--h", "3", "--collapse-overlaps",
+                       "--output", str(out))
+        assert proc.returncode == 0
+        assert "a -> a: 1-9, r=1.000, add-constant, useful" in proc.stdout
+        assert "1 matches: 1 add-constant; 1 useful" in proc.stdout
+        payload = json.loads(out.read_text())
+        assert [(e["start"], e["end"], e["kind"]) for e in payload["matches"]] == \
+            [(1, 9, "add-constant")]
 
 
 class TestVizCommand:

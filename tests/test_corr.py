@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import tsleakscan as ts
 from tsleakscan.corr import MISSING_OVERLAP, ZERO_VARIANCE_WINDOW
 
-from conftest import brute_pearson, brute_sliding
+from conftest import brute_pearson, brute_sliding, naive_sliding_oracle
 
 finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -226,7 +226,7 @@ class TestSlidingCorrelations:
 
 class TestOracleEquivalence:
     def test_naive_oracle_descending_ramp(self):
-        profile = ts.naive_sliding_oracle([1, 2, 3], [3, 2, 1, 0], 3)
+        profile = naive_sliding_oracle([1, 2, 3], [3, 2, 1, 0], 3)
         assert list(profile.offsets) == [1, 2]
         assert profile.r_values == pytest.approx([-1.0, -1.0], abs=1e-12)
         assert profile.skipped == []
@@ -249,7 +249,7 @@ class TestOracleEquivalence:
             if np.all(query == query[0]):
                 continue
             fast = ts.sliding_correlations(query, target, h)
-            slow = ts.naive_sliding_oracle(query, target, h)
+            slow = naive_sliding_oracle(query, target, h)
             assert list(fast.offsets) == list(slow.offsets)
             assert fast.skipped == slow.skipped
             if len(fast.r_values):
@@ -262,7 +262,7 @@ class TestOracleEquivalence:
         query = rng.normal(size=5)
         missing = sorted(rng.choice(120, size=6, replace=False).tolist())
         fast = ts.sliding_correlations(query, target, 5, missing=missing)
-        slow = ts.naive_sliding_oracle(query, target, 5, missing=missing)
+        slow = naive_sliding_oracle(query, target, 5, missing=missing)
         assert list(fast.offsets) == list(slow.offsets)
         assert fast.skipped == slow.skipped
         assert np.max(np.abs(fast.r_values - slow.r_values)) <= 1e-9

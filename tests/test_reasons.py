@@ -181,6 +181,18 @@ class TestReasonReport:
         assert [(rm.kind, rm.fit) for rm in reasoned] == [(ReasonKind.EXACT_MATCH, ts.AffineFit(1.0, 0.0, 0.0))] * 3
         assert [rm.predicted_test for rm in reasoned if rm.useful] == [list(x[5:10] * scale)]
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_add_constant_at_extreme_scales(self, scale):
+        # the intercept tolerance is relative to the window, at any scale
+        rng = np.random.default_rng(21)
+        q = rng.normal(size=12) * scale
+        donor = np.concatenate([rng.normal(size=4), q[-5:] / scale + 3.0, rng.normal(size=3)]) * scale
+        c = ts.from_dict({"q": q, "d": donor})
+        reasoned = [rm for rm in ts.reason_report(ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0)), c)
+                    if (rm.base.query_id, rm.base.donor_id) == ("q", "d")]
+        assert [(rm.base.start, rm.kind) for rm in reasoned] == [(5, ReasonKind.ADD_CONSTANT)]
+        assert reasoned[0].fit.c == pytest.approx(3.0 * scale, rel=1e-9)
+
     def test_order_preserved(self, usage_collection):
         c, _ = usage_collection
         report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))

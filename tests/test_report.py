@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -56,6 +57,22 @@ class TestCollapse:
         collapsed = ts.collapse_overlaps(report.matches)
         assert len(collapsed) == 1
         assert (collapsed[0].start, collapsed[0].end) == (1, 9)
+
+    def test_ramp_runs_merge_with_reasons(self):
+        c = ts.from_dict({"a": np.arange(1.0, 11.0)})
+        reasoned = ts.reason_report(ts.scan(c, ts.ScanConfig(h=3, cutoff=1.0)), c)
+        assert [rm.useful for rm in reasoned] == [True] * 5 + [False] * 2
+        # every r is 1.0, so the first member is the strongest; weakening all
+        # but the last makes a member with no continuation the strongest
+        weakened = [replace(rm, base=replace(rm.base, r=0.5)) for rm in reasoned[:-1]]
+        weakened.append(reasoned[-1])
+        for members, strongest in ((reasoned, reasoned[0]), (weakened, weakened[-1])):
+            collapsed = ts.collapse_overlaps(members)
+            assert [rm.base for rm in collapsed] == ts.collapse_overlaps([rm.base for rm in members])
+            assert [(rm.base.start, rm.base.end, rm.base.r) for rm in collapsed] == [(1, 9, strongest.base.r)]
+            assert collapsed[0] == replace(strongest, base=collapsed[0].base)
+            assert (collapsed[0].kind, collapsed[0].useful, collapsed[0].predicted_test) == \
+                (strongest.kind, strongest.useful, strongest.predicted_test)
 
     def test_non_consecutive_not_merged(self):
         matches = [MatchRecord("a", "b", 1, 3, 1.0), MatchRecord("a", "b", 5, 7, 1.0)]
