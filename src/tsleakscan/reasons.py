@@ -102,20 +102,30 @@ def _matched(match: MatchRecord, collection: SeriesCollection):
     return collection.get(match.query_id).values[-h:], donor, donor.values[match.start - 1:match.end]
 
 
-def fit_affine(q, w) -> AffineFit:
-    """Fit the matched window against the query: m = cov(q,w)/var(q)."""
+def _query_terms(q):
+    """The query side of ``fit_affine``, which every match of a query shares."""
     q = np.asarray(q, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if len(q) != len(w):
-        raise ContractViolation(f"length mismatch: {len(q)} vs {len(w)}")
     if len(q) < 2 or np.all(q == q[0]):
         raise ContractViolation("query segment has zero variance")
     qc, q_exp = centre(q)
+    return q, qc, q_exp, qc @ qc, q.mean()
+
+
+def _fit(terms, w) -> AffineFit:
+    q, qc, q_exp, q_css, q_mean = terms
+    w = np.asarray(w, dtype=np.float64)
+    if len(q) != len(w):
+        raise ContractViolation(f"length mismatch: {len(q)} vs {len(w)}")
     wc, w_exp = centre(w)
-    m = float(np.ldexp((qc @ wc) / (qc @ qc), w_exp - q_exp))
-    c = float(w.mean() - m * q.mean())
+    m = float(np.ldexp((qc @ wc) / q_css, w_exp - q_exp))
+    c = float(w.mean() - m * q_mean)
     max_residual = float(np.max(np.abs(w - (m * q + c))))
     return AffineFit(m, c, max_residual)
+
+
+def fit_affine(q, w) -> AffineFit:
+    """Fit the matched window against the query: m = cov(q,w)/var(q)."""
+    return _fit(_query_terms(q), w)
 
 
 def classify(fit: AffineFit, r: float, cfg: ReasonConfig, *, window_scale: float = 1.0) -> ReasonKind:
@@ -170,9 +180,13 @@ def reason_report(report: LeakReport, collection: SeriesCollection,
     """Explain every match in the report, preserving report order."""
     cfg = replace(cfg, horizon=resolve_horizon(cfg.horizon, report.config.h))
     reasoned = []
+    terms = {}  # (query id, h) -> the query side of the fit, computed once
     for match in report.matches:
         q, _, w = _matched(match, collection)
-        fit = fit_affine(q, w)
+        key = (match.query_id, len(q))
+        if key not in terms:
+            terms[key] = _query_terms(q)
+        fit = _fit(terms[key], w)
         kind = classify(fit, match.r, cfg, window_scale=scale_of(w))
         useful, predicted = assess_usefulness(match, collection, cfg, fit)
         if useful:

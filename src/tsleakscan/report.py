@@ -123,8 +123,11 @@ def report_payload(report: LeakReport, reasoned: list[ReasonedMatch] | None = No
     }
 
 
-def _fmt12(v) -> str:
-    return format(float(v), ".12g")
+def _csv_cell(value):
+    # floats to 12 significant digits, booleans in lower case
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".12g") if isinstance(value, float) else value
 
 
 def write_report(report: LeakReport, path, format="json",
@@ -137,19 +140,15 @@ def write_report(report: LeakReport, path, format="json",
             json.dump(payload, fh, indent=1)
             fh.write("\n")
     elif format == "csv":
+        # the same entries as the JSON report, so the same consistency check
+        entries = report_payload(report, reasoned, horizon)["matches"]
+        columns = ["query_id", "donor_id", "start", "end", "r"]
+        if reasoned is not None:
+            columns += ["kind", "m", "c", "useful"]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            if reasoned is None:
-                writer.writerow(["query_id", "donor_id", "start", "end", "r"])
-                for m in report.matches:
-                    writer.writerow([m.query_id, m.donor_id, m.start, m.end, _fmt12(m.r)])
-            else:
-                writer.writerow(["query_id", "donor_id", "start", "end", "r",
-                                 "kind", "m", "c", "useful"])
-                for m, rm in zip(report.matches, reasoned):
-                    writer.writerow([m.query_id, m.donor_id, m.start, m.end, _fmt12(m.r),
-                                     rm.kind.value, _fmt12(rm.fit.m), _fmt12(rm.fit.c),
-                                     "true" if rm.useful else "false"])
+            writer.writerow(columns)
+            writer.writerows([_csv_cell(entry[c]) for c in columns] for entry in entries)
     else:
         raise ConsistencyError(f"unknown report format {format!r}")
 

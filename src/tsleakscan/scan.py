@@ -5,6 +5,10 @@ taken as the query and swept across every series in the collection
 (including its own, which picks up repeating-pattern leaks). Offsets whose
 absolute correlation clears the cutoff become match records; the single
 trivial hit of a query against its own terminal position is removed.
+
+The queries are validated and centred once, as one block, and each donor
+is swept by one ``sliding_correlations`` call against all of them. With
+workers, each process scans one contiguous block of queries.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .collection import SeriesCollection
-from .corr import MIN_WINDOW, sliding_correlations
+from .corr import MIN_WINDOW, query_block, sliding_correlations
 from .errors import ConfigError, ContractViolation
 
 TOO_SHORT = "too-short"
@@ -114,64 +119,53 @@ def _query_skip_reason(series, h):
     return None
 
 
-def _scan_query(collection, cfg, qi):
-    """All matches for query series ``qi``, or the skip reason."""
-    series = collection.entries[qi]
-    reason = _query_skip_reason(series, cfg.h)
-    if reason is not None:
-        return [], (series.id, reason)
-    query = extract_query(series.values, cfg.h, series_id=series.id)
-    matches = []
-    for donor in collection.entries:
-        if len(donor.values) < cfg.h:
+def _scan_block(collection, cfg, query_indices):
+    """Matches of the queries ``query_indices``, in (query, donor, offset)
+    order, and the skip reasons of those that cannot be scanned."""
+    h = cfg.h
+    entries = collection.entries
+    reasons = [(qi, _query_skip_reason(entries[qi], h)) for qi in query_indices]
+    skipped = [(entries[qi].id, reason) for qi, reason in reasons if reason is not None]
+    query_of = np.array([qi for qi, reason in reasons if reason is None], dtype=int)
+    if len(query_of) == 0:
+        return [], skipped
+    queries = query_block(np.stack([entries[qi].values[-h:] for qi in query_of]))
+    found = []  # per donor: (query index, donor index, start, r) of each hit
+    for di, donor in enumerate(entries):
+        if len(donor.values) < h:
             continue  # no length-h windows to match
-        profile = sliding_correlations(
-            query.values, donor.values, cfg.h, target_id=donor.id, missing=donor.missing
-        )
-        hits = np.abs(profile.r_values) >= cfg.threshold
-        for start, r in zip(profile.offsets[hits], profile.r_values[hits]):
-            end = int(start) + cfg.h - 1
-            if donor.id == series.id and end == len(series.values):
-                continue  # the query trivially matches its own position
-            matches.append(MatchRecord(series.id, donor.id, int(start), end, float(r)))
-    return matches, None
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(collection, cfg):
-    _POOL_STATE["collection"] = collection
-    _POOL_STATE["cfg"] = cfg
-
-
-def _pool_scan_query(qi):
-    return _scan_query(_POOL_STATE["collection"], _POOL_STATE["cfg"], qi)
+        profile = sliding_correlations(queries, donor.values, h, missing=donor.missing)
+        rows, cols = np.nonzero(np.abs(profile.r_values) >= cfg.threshold)
+        starts = profile.offsets[rows]
+        # the query trivially matches its own terminal position
+        keep = (query_of[cols] != di) | (starts != len(donor.values) - h + 1)
+        found.append((query_of[cols[keep]], np.full(keep.sum(), di), starts[keep],
+                      profile.r_values[rows[keep], cols[keep]]))
+    qs, ds, starts, rs = (np.concatenate(part).tolist() for part in zip(*found))
+    order = np.lexsort((starts, ds, qs)).tolist()
+    matches = [MatchRecord(entries[qs[i]].id, entries[ds[i]].id, starts[i], starts[i] + h - 1, rs[i])
+               for i in order]
+    return matches, skipped
 
 
 def scan(collection: SeriesCollection, cfg: ScanConfig) -> LeakReport:
     """Run the leak scan over the whole collection.
 
-    The scan is data-parallel over query series when cfg.workers > 1; the
-    observable output is identical for every worker count because results
-    are merged back in collection order.
+    With cfg.workers > 1 each worker process scans one contiguous block of
+    query series; the observable output is identical for every worker
+    count because the blocks are merged back in collection order.
     """
-    if len(collection) == 0:
+    n = len(collection)
+    if n == 0:
         raise ContractViolation("empty collection")
-    workers = cfg.resolved_workers()
-    indices = range(len(collection))
-    if workers == 1 or len(collection) == 1:
-        per_query = [_scan_query(collection, cfg, qi) for qi in indices]
+    workers = min(cfg.resolved_workers(), n)
+    blocks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
+    scan_block = partial(_scan_block, collection, cfg)
+    if workers == 1:
+        per_block = [scan_block(blocks[0])]
     else:
-        chunk = max(1, len(collection) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(collection, cfg)
-        ) as pool:
-            per_query = list(pool.map(_pool_scan_query, indices, chunksize=chunk))
-    matches = []
-    skipped = []
-    for match_list, skip in per_query:
-        matches.extend(match_list)
-        if skip is not None:
-            skipped.append(skip)
-    return LeakReport(cfg, matches, skipped)
+        # one task per worker, so each worker unpickles the collection once
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_block = list(pool.map(scan_block, blocks))
+    return LeakReport(cfg, [m for matches, _ in per_block for m in matches],
+                      [s for _, skipped in per_block for s in skipped])

@@ -55,7 +55,8 @@ def naive_sliding_oracle(query, target, h, *, target_id=None, missing=()) -> Sli
     optimized path can be checked against it (the two must agree within
     1e-9 on every emitted r and produce identical offset/skip sets).
     """
-    query, target, h, missing = _check_sweep_args(query, target, h, missing)
+    queries, target, h, missing = _check_sweep_args(query, target, h, missing)
+    query = queries.values
     missing_set = set(missing)
     # scale by an exact power of two before squaring, so that no square
     # underflows or overflows; centre twice, because the first mean's

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tsleakscan as ts
+from tsleakscan import corr
 from tsleakscan.corr import MISSING_OVERLAP, ZERO_VARIANCE_WINDOW
 
 from conftest import brute_pearson, brute_sliding, naive_sliding_oracle
@@ -222,6 +223,41 @@ class TestSlidingCorrelations:
         assert r[21] == r[51] == 1.0
         reference = brute_sliding(list(segment), list(target), 6)
         assert max(abs(r[o] - reference[o]) for o in r) <= 1e-9
+
+    def test_block_columns_equal_single_queries(self):
+        # k * h values per window put the windows in several blocks of the kernel
+        rng = np.random.default_rng(61)
+        h, k = 8, 40
+        target = rng.normal(loc=3.0, size=1200)
+        target[300:320] = 2.0  # constant windows
+        missing = (50, 51, 900)
+        queries = rng.normal(size=(k, h))
+        queries[5] = target[100:108]
+        queries[6] = -2.0 * target[500:508] + 7.0
+        block = ts.sliding_correlations(queries, target, h, missing=missing)
+        assert block.r_values.shape == (len(block.offsets), k)
+        assert len(block.offsets) * k * h > 4 * corr._BLOCK_VALUES
+        for j, query in enumerate(queries):
+            single = ts.sliding_correlations(query, target, h, missing=missing)
+            assert np.array_equal(single.offsets, block.offsets)
+            assert single.skipped == block.skipped
+            assert np.array_equal(single.r_values, block.r_values[:, j])
+        r = dict(zip(block.offsets.tolist(), block.r_values.tolist()))
+        assert r[101][5] == 1.0
+        assert r[501][6] == -1.0
+        one_row = ts.sliding_correlations(queries[:1], target, h, missing=missing)
+        assert np.array_equal(one_row.r_values, block.r_values[:, :1])
+
+    @pytest.mark.parametrize("block, message", [
+        ([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]], "zero variance"),
+        ([[1.0, 2.0, 3.0], [1.0, np.nan, 3.0]], "non-finite"),
+        ([[1.0, 2.0, 3.0], [1.0, np.inf, 3.0]], "non-finite"),
+        ([[1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 3.0, 2.0]], "4 observations, expected h=3"),
+        ([[[1.0, 2.0, 3.0]]], "dimensions"),
+    ])
+    def test_block_rejected(self, block, message):
+        with pytest.raises(ts.ContractViolation, match=message):
+            ts.sliding_correlations(block, [1.0, 5.0, 2.0, 8.0, 3.0], 3)
 
 
 class TestOracleEquivalence:

@@ -160,6 +160,14 @@ class TestSerialization:
         with pytest.raises(ts.ConsistencyError):
             ts.write_report(report, tmp_path / "x.json", "json", reasoned=[], horizon=5)
 
+    def test_csv_mismatched_reasoned_length_rejected(self, usage_collection, tmp_path):
+        c, _ = usage_collection
+        report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
+        assert len(report.matches) == 3
+        with pytest.raises(ts.ConsistencyError):
+            ts.write_report(report, tmp_path / "x.csv", "csv", reasoned=[], horizon=5)
+        assert not (tmp_path / "x.csv").exists()
+
     def test_matrix_csv(self, usage_collection, tmp_path):
         c, _ = usage_collection
         report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))

@@ -145,6 +145,32 @@ class TestAgainstBruteForce:
             w = values[m.donor_id][m.start - 1:m.end]
             assert abs(brute_pearson(list(q), list(w))) >= cfg.cutoff - 1e-9
 
+    def test_periodic_runs_in_order_and_collapsed(self):
+        # sines sampled a few points per period: neighbouring offsets clear
+        # 0.95 together, so the matches come in runs of consecutive offsets
+        rng = np.random.default_rng(8)
+        data = {}
+        for i, (length, period) in enumerate([(40, 12), (55, 12), (33, 12), (47, 9), (60, 9)]):
+            t = np.arange(length) + rng.integers(period)
+            data[f"p{i}"] = rng.uniform(1, 5) * np.sin(2 * np.pi * t / period) + rng.uniform(-10, 10)
+        data["noise"] = rng.normal(size=50)
+        c = ts.from_dict(data)
+        cfg = ts.ScanConfig(h=5, cutoff=0.95)
+        report = ts.scan(c, cfg)
+        keys, r_by_key = brute_scan([(s.id, list(s.values)) for s in c], 5, cfg.threshold)
+        position = {sid: i for i, sid in enumerate(c.ids())}
+        expected = [ts.MatchRecord(*key, r_by_key[key]) for key in
+                    sorted(keys, key=lambda k: (position[k[0]], position[k[1]], k[2]))]
+
+        def spans(matches):
+            return [(m.query_id, m.donor_id, m.start, m.end) for m in matches]
+
+        assert spans(report.matches) == spans(expected)
+        collapsed, expected_collapsed = ts.collapse_overlaps(report.matches), ts.collapse_overlaps(expected)
+        assert spans(collapsed) == spans(expected_collapsed)
+        assert len(collapsed) < len(report.matches)
+        assert max(abs(a.r - b.r) for a, b in zip(collapsed, expected_collapsed)) <= 1e-9
+
     def test_monotonicity_in_cutoff(self):
         rng = np.random.default_rng(11)
         c = random_collection(rng, n_series=5, length_range=(15, 35))
@@ -181,3 +207,21 @@ class TestParallel:
         two = ts.scan(c, ts.ScanConfig(h=3, cutoff=0.99, workers=2))
         assert one.matches == two.matches
         assert one.skipped_queries == two.skipped_queries
+
+    def test_more_workers_than_scannable_queries(self):
+        c = ts.from_dict({"short": [1.0, 2.0], "flat": [3.0, 3.0, 3.0, 3.0],
+                          "ok": [1.0, 4.0, 2.0, 8.0, 1.0, 4.0, 2.0]})
+        one = ts.scan(c, ts.ScanConfig(h=3, cutoff=0.99, workers=1))
+        four = ts.scan(c, ts.ScanConfig(h=3, cutoff=0.99, workers=4))
+        assert [(m.donor_id, m.start) for m in four.matches] == [("ok", 1)]
+        assert four.matches == one.matches
+        assert four.skipped_queries == one.skipped_queries == [
+            ("short", TOO_SHORT), ("flat", ZERO_VARIANCE_QUERY)]
+
+    def test_every_query_skipped_through_pool(self):
+        c = ts.from_dict({"short": [1.0, 2.0], "flat": [3.0, 3.0, 3.0, 3.0],
+                          "flat2": [5.0, 1.0, 2.0, 2.0, 2.0]})
+        report = ts.scan(c, ts.ScanConfig(h=3, cutoff=0.5, workers=2))
+        assert report.matches == []
+        assert report.skipped_queries == [
+            ("short", TOO_SHORT), ("flat", ZERO_VARIANCE_QUERY), ("flat2", ZERO_VARIANCE_QUERY)]
