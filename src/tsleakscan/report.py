@@ -10,6 +10,15 @@ The JSON schema is fixed (key order as written)::
 
 The reason fields (horizon, kind, m, c, useful, predicted_test) appear only
 in explained reports, and predicted_test only on useful matches.
+
+A JSON report holds exactly the bytes of ``json.dump(payload, fh,
+indent=1)`` and one trailing newline: every item on a line of its own,
+indented by one space per level and followed by "," when another item
+follows; ": " between key and value; strings ASCII-escaped, with
+``\\uXXXX`` for non-ASCII and control characters; floats as ``repr``
+writes them, with json's NaN and Infinity; ``[]`` and ``{}`` when empty.
+The writer streams: it lays out and writes one match entry at a time, so
+the document is never held in memory as one string.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from xml.sax.saxutils import escape
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -123,6 +132,66 @@ def report_payload(report: LeakReport, reasoned: list[ReasonedMatch] | None = No
     }
 
 
+_JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_FLOAT_NAMES.get(text, text)
+
+
+_JSON_SCALARS = {  # json's text for each scalar type, looked up by exact type
+    str: encode_basestring_ascii,
+    float: _json_float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` laid out as json.dumps(value, indent=1) lays it out at the
+    nesting level whose line prefix is ``pad`` (a newline and one space per
+    level)."""
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + " "
+        return "{" + inner + ("," + inner).join([
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in value.items()
+        ]) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + " "
+        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + pad + "]"
+    for base in (str, float, int):  # a subclass, such as numpy.float64, is written as its base
+        if isinstance(value, base):
+            return _JSON_SCALARS[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(fh, payload: dict) -> None:
+    """Write json.dump(payload, fh, indent=1) and a newline, one top-level
+    list item at a time (see the module docstring)."""
+    key_sep = "{\n "
+    for key, value in payload.items():
+        fh.write(f"{key_sep}{encode_basestring_ascii(key)}: ")
+        key_sep = ",\n "
+        if isinstance(value, list) and value:
+            item_sep = "[\n  "
+            for item in value:
+                fh.write(item_sep + _json_text(item, "\n  "))
+                item_sep = ",\n  "
+            fh.write("\n ]")
+        else:
+            fh.write(_json_text(value, "\n "))
+    fh.write("\n}\n")
+
+
 def _csv_cell(value):
     # floats to 12 significant digits, booleans in lower case
     if isinstance(value, bool):
@@ -137,8 +206,7 @@ def write_report(report: LeakReport, path, format="json",
     if format == "json":
         payload = report_payload(report, reasoned, horizon)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            _write_json(fh, payload)
     elif format == "csv":
         # the same entries as the JSON report, so the same consistency check
         entries = report_payload(report, reasoned, horizon)["matches"]
@@ -181,6 +249,11 @@ def write_matrix_csv(matrix: MatchMatrix, path) -> None:
         writer.writerow([""] + matrix.col_ids)
         for sid, row in zip(matrix.row_ids, matrix.counts):
             writer.writerow([sid] + [int(v) for v in row])
+
+
+def _escape(text: str) -> str:
+    # the XML escapes of &, > and <, in that order
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ramp(frac: float) -> str:
@@ -229,7 +302,7 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
                 style = f'fill="{_ramp(frac)}" stroke="#555555" stroke-width="0.4"'
             title = ""
             if with_titles:
-                label = escape(f"{matrix.row_ids[i]} -> {matrix.col_ids[j]}: {count}")
+                label = _escape(f"{matrix.row_ids[i]} -> {matrix.col_ids[j]}: {count}")
                 title = f"<title>{label}</title>"
             parts.append(
                 f'<rect class="cell" x="{x:.1f}" y="{y:.1f}" '
@@ -239,7 +312,7 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
         y = top + i * cell + cell / 2 + font / 3
         parts.append(
             f'<text x="{left - 4:.1f}" y="{y:.1f}" font-size="{font:.1f}" '
-            f'text-anchor="end" font-family="sans-serif">{escape(sid)}</text>'
+            f'text-anchor="end" font-family="sans-serif">{_escape(sid)}</text>'
         )
     for j, sid in enumerate(matrix.col_ids):
         x = left + j * cell + cell / 2
@@ -247,7 +320,7 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
         parts.append(
             f'<text x="{x:.1f}" y="{y:.1f}" font-size="{font:.1f}" text-anchor="start" '
             f'font-family="sans-serif" transform="rotate({-label_angle:g} {x:.1f} {y:.1f})"'
-            f'>{escape(sid)}</text>'
+            f'>{_escape(sid)}</text>'
         )
     ly = top + n_rows * cell + 18
     parts.append(

@@ -14,7 +14,6 @@ workers, each process scans one contiguous block of queries.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -164,6 +163,9 @@ def scan(collection: SeriesCollection, cfg: ScanConfig) -> LeakReport:
     if workers == 1:
         per_block = [scan_block(blocks[0])]
     else:
+        # imported here: it loads multiprocessing, which a one-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # one task per worker, so each worker unpickles the collection once
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_block = list(pool.map(scan_block, blocks))

@@ -10,6 +10,7 @@ from tsleakscan.corr import (
     ZERO_VARIANCE_WINDOW,
     SlidingProfile,
     _check_sweep_args,
+    centre,
 )
 
 
@@ -80,6 +81,42 @@ def naive_sliding_oracle(query, target, h, *, target_id=None, missing=()) -> Sli
         offsets.append(s + 1)
         r_values.append(min(1.0, max(-1.0, r)))
     return SlidingProfile(target_id, np.asarray(offsets, dtype=int), np.asarray(r_values), skipped)
+
+
+def fit_oracle(q, w) -> ts.AffineFit:
+    """Reference affine fit of one window against one query segment.
+
+    The arithmetic of fitting each match on its own: the block fit of
+    ``reason_report`` must give these bits exactly. The cross term is the
+    dot product ``qc @ wc``.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    qc, q_exp = centre(q)
+    wc, w_exp = centre(w)
+    m = float(np.ldexp((qc @ wc) / (qc @ qc), w_exp - q_exp))
+    c = float(w.mean() - m * q.mean())
+    return ts.AffineFit(m, c, float(np.max(np.abs(w - (m * q + c)))))
+
+
+def reason_oracle(match, collection, cfg):
+    """One match explained on its own: (fit, kind, useful, predicted_test).
+
+    ``cfg.horizon`` must be set. The predicted test segment is the donor
+    continuation mapped through (v - c)/m, None where the donor is missing.
+    """
+    h = match.end - match.start + 1
+    donor = collection.get(match.donor_id)
+    w = donor.values[match.start - 1:match.end]
+    fit = fit_oracle(collection.get(match.query_id).values[-h:], w)
+    kind = ts.classify(fit, match.r, cfg, window_scale=float(np.max(np.abs(w))))
+    if match.end + cfg.horizon > len(donor.values):
+        return fit, kind, False, None
+    continuation = donor.values[match.end:match.end + cfg.horizon]
+    missing = set(donor.missing)
+    predicted = [None if match.end + i in missing else float(v)
+                 for i, v in enumerate((continuation - fit.c) / fit.m)]
+    return fit, kind, True, predicted
 
 
 def brute_scan(series_list, h, threshold):

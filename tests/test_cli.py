@@ -214,3 +214,13 @@ class TestDeterminism:
             run_cli("explain", "--input", usage_csv, "--h", "5", "--output", str(out))
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_import_loads_no_pool_or_network_modules():
+    # every CLI process pays for what importing the package loads
+    heavy = {"multiprocessing", "concurrent.futures.process", "xml.sax", "urllib.request", "ssl"}
+    code = ("import sys; before = set(sys.modules); import tsleakscan.cli; "
+            f"print(sorted((set(sys.modules) - before) & set({sorted(heavy)!r})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,6 +7,8 @@ import tsleakscan as ts
 from tsleakscan.reasons import ReasonKind, scale_of
 from tsleakscan.scan import MatchRecord
 
+from conftest import fit_oracle, reason_oracle
+
 
 class TestFitAffine:
     def test_constructed_affine_image(self):
@@ -261,3 +263,77 @@ class TestForwardConsistency:
         identity = ts.fit_affine(q, q.copy())
         kind = ts.classify(identity, 1.0, ts.ReasonConfig(horizon=h), window_scale=scale_of(q))
         assert kind is ReasonKind.EXACT_MATCH
+
+
+def block_fit_collection(h, scale, seed):
+    """Random series with exact, affine, negative and noisy copies of one
+    another's terminal segments planted in them, a sine whose neighbouring
+    offsets match together (runs to collapse), and donors with a missing
+    value just past a plant, all multiplied by ``scale``."""
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=int(rng.integers(4 * h, 7 * h))) for _ in range(7)]
+    values.append(np.sin(2 * np.pi * np.arange(5 * h) / 20))
+    missing = [[] for _ in values]
+    for i in range(14):
+        qi, di = (int(v) for v in rng.integers(7, size=2))
+        donor = values[di]
+        start = int(rng.integers(0, len(donor) - 3 * h))
+        m = 1.0 if i % 3 == 0 else rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        c = 0.0 if i % 3 == 0 else rng.uniform(-3.0, 3.0)
+        donor[start:start + h] = m * values[qi][-h:] + c
+        if i % 4 == 1:
+            donor[start:start + h] += rng.normal(scale=0.05, size=h)
+        if i % 5 == 2:
+            missing[di].append(start + h + 1)
+    series = []
+    for i, (v, gaps) in enumerate(zip(values, missing)):
+        v = v * scale
+        v[gaps] = 0.0
+        series.append(ts.Series(f"s{i}", v, tuple(sorted(set(gaps)))))
+    return ts.SeriesCollection(series)
+
+
+class TestBlockFit:
+    @pytest.mark.parametrize("h", [6, 24])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-5, 1.0, 1e5, 1e200])
+    def test_equals_per_match_oracle(self, h, scale):
+        c = block_fit_collection(h, scale, seed=h)
+        scanned = ts.scan(c, ts.ScanConfig(h=h, cutoff=0.9)).matches
+        collapsed = [m for m in ts.collapse_overlaps(scanned) if m.end - m.start + 1 > h]
+        rng = np.random.default_rng(h)
+        matches = [(scanned + collapsed)[i] for i in rng.permutation(len(scanned) + len(collapsed))]
+        reasoned = ts.reason_report(ts.LeakReport(ts.ScanConfig(h=h, cutoff=0.9), matches), c)
+        assert [rm.base for rm in reasoned] == matches
+        cfg = ts.ReasonConfig(horizon=h)
+        for rm in reasoned:
+            assert (rm.fit, rm.kind, rm.useful, rm.predicted_test) == reason_oracle(rm.base, c, cfg)
+        # the cases the block path must hold on are all present
+        assert collapsed
+        assert [m.query_id for m in matches] != sorted(m.query_id for m in matches)
+        assert any(None in rm.predicted_test for rm in reasoned if rm.useful)
+        assert {rm.kind for rm in reasoned} >= {ReasonKind.EXACT_MATCH, ReasonKind.NEGATIVE_AFFINE,
+                                                ReasonKind.HIGH_CORRELATION_ONLY}
+
+    def test_fit_affine_equals_oracle(self):
+        rng = np.random.default_rng(44)
+        for h in (3, 6, 24):
+            for scale in (1e-200, 1.0, 1e200):
+                q = rng.normal(size=h) * scale
+                w = (rng.uniform(-2, 2) * q / scale + rng.normal(scale=0.1, size=h)) * scale
+                assert ts.fit_affine(q, w) == fit_oracle(q, w)
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("record", [
+        MatchRecord("y", "x", 0, 5, 1.0),   # starts before position 1
+        MatchRecord("y", "x", 5, 4, 1.0),   # ends before it starts
+        MatchRecord("y", "x", 3, 4, 1.0),   # shorter than the shortest window
+        MatchRecord("x", "z", 1, 16, 1.0),  # longer than the query series x
+    ])
+    def test_consistency_error(self, usage_collection, record):
+        c, _ = usage_collection
+        report = ts.LeakReport(ts.ScanConfig(h=5), [MatchRecord("y", "x", 1, 5, 1.0), record])
+        with pytest.raises(ts.ConsistencyError):
+            ts.reason_report(report, c)
+        with pytest.raises(ts.ConsistencyError):
+            ts.assess_usefulness(record, c, ts.ReasonConfig(horizon=5))

@@ -1,12 +1,40 @@
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tsleakscan as ts
+from tsleakscan.reasons import ReasonKind
 from tsleakscan.scan import MatchRecord
+
+# ids with quotes, backslashes, control and non-ASCII characters among any others
+json_ids = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7fé€\u2028😀'), st.characters()), max_size=6)
+json_floats = st.floats().flatmap(lambda v: st.sampled_from([v, np.float64(v)]))  # json writes both alike
+
+
+@st.composite
+def json_reports(draw):
+    """(report, reasoned, horizon) for ``write_report``, plain or explained."""
+    cfg = ts.ScanConfig(h=draw(st.integers(3, 40)), cutoff=draw(st.floats(0.01, 1.0)))
+    matches = draw(st.lists(st.builds(MatchRecord, json_ids, json_ids, st.integers(1, 10**9),
+                                      st.integers(1, 10**9), json_floats), max_size=4))
+    skipped = draw(st.lists(st.tuples(json_ids, json_ids), max_size=3))
+    report = ts.LeakReport(cfg, matches, skipped)
+    if not draw(st.booleans()):
+        return report, None, None
+    reasoned = []
+    for match in matches:
+        useful = draw(st.booleans())
+        predicted = draw(st.lists(st.one_of(st.none(), json_floats), min_size=1, max_size=4)) if useful else None
+        fit = ts.AffineFit(draw(json_floats), draw(json_floats), 0.0)
+        reasoned.append(ts.ReasonedMatch(match, fit, draw(st.sampled_from(ReasonKind)), useful, predicted, ""))
+    return report, reasoned, draw(st.one_of(st.none(), st.integers(1, 50)))
 
 
 def svg_cells(path):
@@ -135,6 +163,18 @@ class TestSerialization:
         assert payload["matches"] == []
         assert payload["skipped_queries"] == [{"id": "a", "reason": "too-short"}]
         assert payload["config"] == {"h": 3, "cutoff": 0.9}
+
+    @given(json_reports())
+    @example((ts.LeakReport(ts.ScanConfig(h=3), [], []), None, None))
+    @example((ts.LeakReport(ts.ScanConfig(h=3), [], []), [], 5))
+    @settings(max_examples=200, deadline=None)
+    def test_json_bytes_equal_stdlib(self, case):
+        report, reasoned, horizon = case
+        expected = json.dumps(ts.report_payload(report, reasoned, horizon), indent=1) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            ts.write_report(report, path, "json", reasoned=reasoned, horizon=horizon)
+            assert path.read_bytes() == expected.encode("ascii")
 
     def test_csv_reasoned_columns(self, usage_collection, tmp_path):
         c, _ = usage_collection
