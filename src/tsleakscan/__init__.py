@@ -11,7 +11,6 @@ from .collection import (
     SeriesCollection,
     from_dict,
     load_collection,
-    validate_collection,
     write_collection,
 )
 from .corr import SlidingProfile, pearson, sliding_correlations
@@ -45,7 +44,7 @@ from .report import (
     write_matrix_csv,
     write_report,
 )
-from .scan import LeakReport, MatchRecord, QuerySegment, ScanConfig, extract_query, scan
+from .scan import LeakReport, MatchRecord, ScanConfig, scan
 
 __version__ = "0.1.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "MatchMatrix",
     "MatchRecord",
     "MissingPolicy",
-    "QuerySegment",
     "ReasonConfig",
     "ReasonKind",
     "ReasonedMatch",
@@ -73,7 +71,6 @@ __all__ = [
     "build_matrix",
     "classify",
     "collapse_overlaps",
-    "extract_query",
     "fit_affine",
     "from_dict",
     "load_collection",
@@ -86,7 +83,6 @@ __all__ = [
     "scan",
     "sliding_correlations",
     "tally",
-    "validate_collection",
     "write_collection",
     "write_matrix_csv",
     "write_report",

@@ -70,8 +70,6 @@ class SeriesCollection:
     """Ordered, immutable set of named series loaded from one source."""
 
     entries: list[Series]
-    source_path: str = "<memory>"
-    created_from: str = "memory"
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -107,10 +105,10 @@ class SeriesCollection:
             raise KeyError(f"no series named {series_id!r}") from None
 
 
-def from_dict(data, source_path="<memory>", created_from="memory") -> SeriesCollection:
+def from_dict(data) -> SeriesCollection:
     """Build a collection from a mapping id -> sequence of finite reals."""
     entries = [Series(str(k), np.asarray(v, dtype=np.float64)) for k, v in data.items()]
-    return SeriesCollection(entries, source_path=source_path, created_from=created_from)
+    return SeriesCollection(entries)
 
 
 def _parse_cell(text, where):
@@ -224,7 +222,9 @@ def _load_json(path, policy):
 
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh, object_pairs_hook=reject_duplicates)
+            # every number is read as a float, as the CSV loaders read it, so an
+            # integer literal too large for a float is inf and counts as missing
+            data = json.load(fh, object_pairs_hook=reject_duplicates, parse_int=float)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(data, dict):
@@ -238,9 +238,9 @@ def _load_json(path, policy):
             if item is None:
                 values.append(0.0)
                 missing.append(i)
-            elif isinstance(item, (int, float)) and not isinstance(item, bool):
+            elif isinstance(item, float):
                 if math.isfinite(item):
-                    values.append(float(item))
+                    values.append(item)
                 else:
                     values.append(0.0)
                     missing.append(i)
@@ -268,33 +268,18 @@ def load_collection(path, format="long-csv", policy=MissingPolicy()) -> SeriesCo
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
     entries = _LOADERS[format](path, policy)
-    return SeriesCollection(entries, source_path=str(path), created_from=format)
+    return SeriesCollection(entries)
 
 
-def validate_collection(c: SeriesCollection) -> list[str]:
-    """Return advisory warnings (short series, constant series, confusable ids)."""
-    warnings = []
-    for s in c:
-        if len(s) < 3:
-            warnings.append(f"series {s.id!r}: only {len(s)} observation(s), too short for matching")
-        observed = np.delete(s.values, list(s.missing)) if s.missing else s.values
-        if len(observed) > 1 and np.all(observed == observed[0]):
-            warnings.append(f"series {s.id!r}: constant values (zero variance)")
-    normalized: dict[str, str] = {}
-    for s in c:
-        key = s.id.strip().casefold()
-        if key in normalized and normalized[key] != s.id:
-            warnings.append(
-                f"series ids {normalized[key]!r} and {s.id!r} differ only by whitespace/case"
-            )
-        else:
-            normalized[key] = s.id
-    return warnings
+def _observed(s: Series) -> list:
+    """The values of a series as floats, None at its missing positions."""
+    missing = set(s.missing)
+    return [None if i in missing else v for i, v in enumerate(s.values.tolist())]
 
 
-def _format_value(v):
+def _cell(v) -> str:
     # repr round-trips every finite double exactly
-    return repr(float(v))
+    return "" if v is None else repr(v)
 
 
 def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
@@ -305,29 +290,18 @@ def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
             writer = csv.writer(fh)
             writer.writerow(["series_id", "index", "value"])
             for s in c:
-                missing = set(s.missing)
-                for i, v in enumerate(s.values):
-                    writer.writerow([s.id, i + 1, "" if i in missing else _format_value(v)])
+                for i, v in enumerate(_observed(s)):
+                    writer.writerow([s.id, i + 1, _cell(v)])
     elif format == "wide-csv":
+        columns = [_observed(s) for s in c]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(c.ids())
-            depth = max(len(s) for s in c)
-            for i in range(depth):
-                row = []
-                for s in c:
-                    if i < len(s) and i not in s.missing:
-                        row.append(_format_value(s.values[i]))
-                    else:
-                        row.append("")
-                writer.writerow(row)
+            for i in range(max(len(col) for col in columns)):
+                writer.writerow([_cell(col[i]) if i < len(col) else "" for col in columns])
     elif format == "json":
-        payload = {
-            s.id: [None if i in set(s.missing) else float(v) for i, v in enumerate(s.values)]
-            for s in c
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump({s.id: _observed(s) for s in c}, fh, indent=1)
             fh.write("\n")
     else:
         raise ValidationError(f"unknown format {format!r}; expected one of {', '.join(FORMATS)}")

@@ -30,7 +30,7 @@ import numpy as np
 from .collection import SeriesCollection
 from .corr import MIN_WINDOW, centre
 from .errors import ConfigError, ConsistencyError, ContractViolation
-from .scan import LeakReport, MatchRecord
+from .scan import LeakReport, MatchRecord, _is_int
 
 
 class ReasonKind(str, Enum):
@@ -51,27 +51,27 @@ class AffineFit:
     max_residual: float
 
 
+# classify compares the slope against 1 within SLOPE_TOL; INTERCEPT_TOL and
+# AFFINE_TOL are relative to scale(w) = max|w|, so the kinds do not depend
+# on the units of the series
+SLOPE_TOL = 1e-8
+INTERCEPT_TOL = 1e-8
+AFFINE_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class ReasonConfig:
-    """Classification tolerances and the forecast horizon.
+    """The forecast horizon of the usefulness check.
 
-    slope_tol compares the slope against 1; intercept_tol and affine_tol
-    are relative to scale(w) = max|w|, so the kinds do not depend on the
-    units of the series. horizon=None means "use the scan's segment length
-    h", which is how every worked example sets it.
+    horizon=None means "use the scan's segment length h", which is how
+    every worked example sets it.
     """
 
-    slope_tol: float = 1e-8
-    intercept_tol: float = 1e-8
-    affine_tol: float = 1e-8
     horizon: int | None = None
 
     def __post_init__(self):
-        for name in ("slope_tol", "intercept_tol", "affine_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
-        if self.horizon is not None and self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon is not None and (not _is_int(self.horizon) or self.horizon < 1):
+            raise ConfigError(f"horizon must be >= 1 and an integer, got {self.horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -157,17 +157,18 @@ def fit_affine(q, w) -> AffineFit:
     return AffineFit(*(float(v[0]) for v in _fit_rows(_query_terms(q), w)))
 
 
-def classify(fit: AffineFit, r: float, cfg: ReasonConfig, *, window_scale: float = 1.0) -> ReasonKind:
+def classify(fit: AffineFit, *, window_scale: float) -> ReasonKind:
     """Total classification of a fit into exactly one ReasonKind.
 
-    ``r`` is the match correlation the fit came from; whenever |r| is 1 the
-    residual is negligible and one of the affine kinds applies, so the
-    residual branch below is only reachable for cutoffs below 1.
+    ``window_scale`` is max|w| of the matched window. Whenever the match
+    correlation |r| is 1 the residual is negligible and one of the affine
+    kinds applies, so the residual branch below is only reachable for
+    cutoffs below 1.
     """
-    if fit.max_residual > cfg.affine_tol * window_scale:
+    if fit.max_residual > AFFINE_TOL * window_scale:
         return ReasonKind.HIGH_CORRELATION_ONLY
-    slope_is_one = abs(fit.m - 1.0) <= cfg.slope_tol
-    intercept_is_zero = abs(fit.c) <= cfg.intercept_tol * window_scale
+    slope_is_one = abs(fit.m - 1.0) <= SLOPE_TOL
+    intercept_is_zero = abs(fit.c) <= INTERCEPT_TOL * window_scale
     if slope_is_one and intercept_is_zero:
         return ReasonKind.EXACT_MATCH
     if slope_is_one:
@@ -199,8 +200,7 @@ def _predictions(matches, donors, horizon: int, m, c) -> list[list]:
     return rows
 
 
-def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: ReasonConfig,
-                      fit: AffineFit | None = None):
+def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: ReasonConfig):
     """Decide exploitability and build the predicted test segment.
 
     useful <=> end + horizon <= len(donor): pure index arithmetic. When
@@ -214,8 +214,7 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
     q, donor, w = _matched(match, collection)
     if not _is_useful(match, donor, horizon):
         return False, None
-    if fit is None:
-        fit = fit_affine(q, w)
+    fit = fit_affine(q, w)
     return True, _predictions([match], [donor], horizon, np.array([fit.m]), np.array([fit.c]))[0]
 
 
@@ -239,7 +238,7 @@ def _reason_block(matches, located, cfg: ReasonConfig) -> list[ReasonedMatch]:
         else:
             note = (f"donor {match.donor_id!r} observations "
                     f"{match.end + 1}..{match.end + cfg.horizon} are not available")
-        reasoned.append(ReasonedMatch(match, fit, classify(fit, match.r, cfg, window_scale=scale),
+        reasoned.append(ReasonedMatch(match, fit, classify(fit, window_scale=scale),
                                       is_useful, next(predicted) if is_useful else None, note))
     return reasoned
 

@@ -230,8 +230,8 @@ def read_report(path) -> dict:
 def report_from_payload(payload: dict) -> LeakReport:
     """Rebuild a LeakReport from a parsed JSON payload.
 
-    Only the serialized fields are recovered; unserialized config knobs
-    (cutoff_tolerance, workers) come back as defaults.
+    Only the serialized fields are recovered: the config keeps h and cutoff,
+    and workers, which a report does not record, comes back as its default.
     """
     cfg = ScanConfig(h=int(payload["config"]["h"]), cutoff=float(payload["config"]["cutoff"]))
     matches = [

@@ -29,51 +29,45 @@ MISSING_IN_QUERY = "missing-in-query"
 
 AUTO = "auto"
 
+# |r| >= cutoff - CUTOFF_TOLERANCE counts as a match: the tolerance keeps
+# exact copies detectable at cutoff=1 despite floating-point roundoff
+CUTOFF_TOLERANCE = 1e-10
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class ScanConfig:
     """Scan parameters: segment length, correlation cutoff, worker count.
 
-    The cutoff comparison is |r| >= cutoff - cutoff_tolerance; the
-    tolerance keeps exact copies detectable at cutoff=1 despite
-    floating-point roundoff.
+    A window matches when |r| >= cutoff - CUTOFF_TOLERANCE, so the cutoff
+    must lie in (0,1] and exceed CUTOFF_TOLERANCE.
     """
 
     h: int
     cutoff: float = 1.0
-    cutoff_tolerance: float = 1e-10
     workers: int | str = 1
 
     def __post_init__(self):
-        if not isinstance(self.h, (int, np.integer)) or self.h < MIN_WINDOW:
+        if not _is_int(self.h) or self.h < MIN_WINDOW:
             raise ConfigError(f"h must be an integer >= {MIN_WINDOW}, got {self.h!r}")
         if not 0.0 < self.cutoff <= 1.0:
             raise ConfigError("cutoff must be in (0,1]")
-        if self.cutoff_tolerance < 0.0:
-            raise ConfigError("cutoff_tolerance must be non-negative")
-        if self.cutoff - self.cutoff_tolerance <= 0.0:
-            raise ConfigError("cutoff_tolerance must leave the effective cutoff positive")
-        if self.workers != AUTO and (not isinstance(self.workers, int) or self.workers < 1):
+        if self.cutoff <= CUTOFF_TOLERANCE:
+            raise ConfigError(f"cutoff must exceed CUTOFF_TOLERANCE = {CUTOFF_TOLERANCE:g}")
+        if self.workers != AUTO and (not _is_int(self.workers) or self.workers < 1):
             raise ConfigError(f"workers must be a positive integer or {AUTO!r}, got {self.workers!r}")
 
     @property
     def threshold(self) -> float:
-        return self.cutoff - self.cutoff_tolerance
+        return self.cutoff - CUTOFF_TOLERANCE
 
     def resolved_workers(self) -> int:
         if self.workers == AUTO:
             return os.cpu_count() or 1
         return self.workers
-
-
-@dataclass(frozen=True)
-class QuerySegment:
-    """The last h observations of a series, with their 1-based positions."""
-
-    series_id: str
-    values: np.ndarray
-    start: int
-    end: int
 
 
 @dataclass(frozen=True)
@@ -95,15 +89,6 @@ class LeakReport:
     config: ScanConfig
     matches: list[MatchRecord]
     skipped_queries: list[tuple[str, str]] = field(default_factory=list)
-
-
-def extract_query(values, h, *, series_id="") -> QuerySegment | None:
-    """Terminal length-h segment of a series, or None when it is too short."""
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    if n < h:
-        return None
-    return QuerySegment(series_id, values[n - h:], n - h + 1, n)
 
 
 def _query_skip_reason(series, h):

@@ -109,7 +109,7 @@ def reason_oracle(match, collection, cfg):
     donor = collection.get(match.donor_id)
     w = donor.values[match.start - 1:match.end]
     fit = fit_oracle(collection.get(match.query_id).values[-h:], w)
-    kind = ts.classify(fit, match.r, cfg, window_scale=float(np.max(np.abs(w))))
+    kind = ts.classify(fit, window_scale=float(np.max(np.abs(w))))
     if match.end + cfg.horizon > len(donor.values):
         return fit, kind, False, None
     continuation = donor.values[match.end:match.end + cfg.horizon]

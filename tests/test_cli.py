@@ -73,6 +73,21 @@ class TestScanCommand:
                        (("scan", "--input", usage_csv, "--h", "2"), None),
                        (("explain", "--input", str(tmp_path / "nope.csv"), "--h", "2"), None))
 
+    def test_cutoff_below_tolerance_exits_2(self, usage_csv):
+        assert_exits_2("cutoff must exceed CUTOFF_TOLERANCE",
+                       (("scan", "--input", usage_csv, "--h", "5", "--cutoff", "1e-12"), None))
+
+    def test_integer_too_large_for_a_float_exits_1(self, tmp_path):
+        data = tmp_path / "huge.json"
+        data.write_text('{"x": [1, 2, 1' + "0" * 400 + ', 4, 3, 5]}')
+        proc = run_cli("scan", "--input", str(data), "--format", "json", "--h", "3")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "position 3" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        skip = run_cli("scan", "--input", str(data), "--format", "json", "--h", "3",
+                       "--missing", "skip")
+        assert skip.returncode == 0, skip.stderr
+
     def test_missing_input_exits_1(self, tmp_path):
         proc = run_cli("scan", "--input", str(tmp_path / "nope.csv"), "--h", "5")
         assert proc.returncode == 1

@@ -19,7 +19,6 @@ class TestLongCsv:
         assert c.ids() == ["x", "y"]
         assert list(c.get("x").values) == [0.5, 0.7]
         assert list(c.get("y").values) == [1.0]
-        assert c.created_from == "long-csv"
 
     def test_interleaved_rows_keep_first_appearance_order(self, tmp_path):
         p = write(tmp_path / "c.csv", "series_id,index,value\nb,1,1\na,1,2\nb,2,3\n")
@@ -103,6 +102,26 @@ class TestJson:
         c = ts.load_collection(p, "json", ts.MissingPolicy(SPLIT_SKIP))
         assert c.get("x").missing == (1,)
 
+    # float() reads both literals as inf; the second is also longer than the
+    # 4300 digits Python converts to an int by default
+    @pytest.mark.parametrize("huge", ["1" + "0" * 400, "7" * 5000], ids=["401-digits", "5000-digits"])
+    def test_integer_too_large_for_a_float_is_missing(self, tmp_path, huge):
+        files = {
+            "long-csv": write(tmp_path / "long.csv", "series_id,index,value\n"
+                              f"x,1,0.5\nx,2,{huge}\nx,3,0.7\ny,1,2\n"),
+            "wide-csv": write(tmp_path / "wide.csv", f"x,y\n0.5,2\n{huge},\n0.7,\n"),
+            "json": write(tmp_path / "c.json", f'{{"x": [0.5, {huge}, 0.7], "y": [2]}}'),
+        }
+        loaded = []
+        for fmt, p in files.items():
+            with pytest.raises(ts.ValidationError, match="position 2"):
+                ts.load_collection(p, fmt)
+            loaded.append(ts.load_collection(p, fmt, ts.MissingPolicy(SPLIT_SKIP)))
+        for c in loaded:
+            assert c.ids() == ["x", "y"]
+            assert [list(s.values) for s in c] == [[0.5, 0.0, 0.7], [2.0]]
+            assert [s.missing for s in c] == [(1,), ()]
+
     def test_invalid_json_is_format_error(self, tmp_path):
         p = write(tmp_path / "c.json", '{"x": [1, 2')
         with pytest.raises(ts.FormatError):
@@ -112,36 +131,6 @@ class TestJson:
         p = write(tmp_path / "c.json", '{"x": [1, "two"]}')
         with pytest.raises(ts.FormatError, match="element 2"):
             ts.load_collection(p, "json")
-
-
-class TestValidate:
-    def test_constant_series_warning(self):
-        c = ts.from_dict({"a": [1, 1, 1, 1]})
-        warnings = ts.validate_collection(c)
-        assert len(warnings) == 1
-        assert "constant" in warnings[0]
-
-    def test_too_short_warnings(self):
-        c = ts.from_dict({"a": [1, 2], "b": [3]})
-        warnings = ts.validate_collection(c)
-        assert len(warnings) == 2
-        assert all("too short" in w for w in warnings)
-
-    def test_usage_style_collection_is_clean(self, usage_collection):
-        c, _ = usage_collection
-        assert ts.validate_collection(c) == []
-
-    def test_confusable_ids(self):
-        c = ts.from_dict({"abc": [1, 2, 3], "ABC ": [4, 5, 6]})
-        warnings = ts.validate_collection(c)
-        assert any("whitespace/case" in w for w in warnings)
-
-    def test_validate_does_not_mutate(self):
-        c = ts.from_dict({"a": [1, 1, 1]})
-        before = [s.values.copy() for s in c]
-        ts.validate_collection(c)
-        for s, b in zip(c, before):
-            assert np.array_equal(s.values, b)
 
 
 class TestRoundTrip:

@@ -55,10 +55,8 @@ class TestFitAffine:
 
 
 class TestClassify:
-    cfg = ts.ReasonConfig(horizon=5)
-
     def kind_of(self, m, c, residual=0.0, scale=1.0):
-        return ts.classify(ts.AffineFit(m, c, residual), 1.0, self.cfg, window_scale=scale)
+        return ts.classify(ts.AffineFit(m, c, residual), window_scale=scale)
 
     def test_exact(self):
         assert self.kind_of(1.0, 0.0) is ReasonKind.EXACT_MATCH
@@ -143,8 +141,10 @@ class TestUsefulness:
             ts.assess_usefulness(MatchRecord("y", "x", 1, 5, 1.0), c, ts.ReasonConfig())
 
     def test_horizon_validation(self):
-        with pytest.raises(ts.ConfigError):
-            ts.ReasonConfig(horizon=0)
+        for horizon in (0, 2.5, True, "3"):
+            with pytest.raises(ts.ConfigError, match="horizon must be >= 1"):
+                ts.ReasonConfig(horizon=horizon)
+        assert ts.ReasonConfig(horizon=np.int64(3)).horizon == 3
 
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=10))
     @settings(max_examples=80)
@@ -261,7 +261,7 @@ class TestForwardConsistency:
         assert fit.m * q + fit.c == pytest.approx(w, abs=1e-8 * scale_of(w))
         # exact-match kind implies element-wise equality
         identity = ts.fit_affine(q, q.copy())
-        kind = ts.classify(identity, 1.0, ts.ReasonConfig(horizon=h), window_scale=scale_of(q))
+        kind = ts.classify(identity, window_scale=scale_of(q))
         assert kind is ReasonKind.EXACT_MATCH
 
 

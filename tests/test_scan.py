@@ -12,20 +12,6 @@ from tsleakscan.scan import MISSING_IN_QUERY, TOO_SHORT, ZERO_VARIANCE_QUERY
 from conftest import brute_pearson, brute_scan, random_collection
 
 
-class TestExtractQuery:
-    def test_definition(self):
-        q = ts.extract_query([10, 20, 30, 40, 50], 3, series_id="a")
-        assert list(q.values) == [30, 40, 50]
-        assert (q.start, q.end) == (3, 5)
-
-    def test_length_15_h_5(self):
-        q = ts.extract_query(np.arange(15.0), 5)
-        assert (q.start, q.end) == (11, 15)
-
-    def test_too_short_returns_none(self):
-        assert ts.extract_query([1, 2, 3, 4], 5) is None
-
-
 class TestScanConfig:
     def test_h_minimum(self):
         with pytest.raises(ts.ConfigError):
@@ -38,12 +24,14 @@ class TestScanConfig:
             ts.ScanConfig(h=5, cutoff=0.0)
 
     def test_tolerance_must_leave_positive_threshold(self):
-        with pytest.raises(ts.ConfigError):
-            ts.ScanConfig(h=5, cutoff=1e-12, cutoff_tolerance=1e-10)
+        with pytest.raises(ts.ConfigError, match="cutoff must exceed CUTOFF_TOLERANCE"):
+            ts.ScanConfig(h=5, cutoff=1e-12)
 
     def test_workers_validation(self):
-        with pytest.raises(ts.ConfigError):
-            ts.ScanConfig(h=5, workers=0)
+        for workers in (0, True, 2.0, "2"):
+            with pytest.raises(ts.ConfigError, match="workers must be a positive integer"):
+                ts.ScanConfig(h=5, workers=workers)
+        assert ts.ScanConfig(h=5, workers=np.int64(2)).resolved_workers() == 2
         assert ts.ScanConfig(h=5, workers="auto").resolved_workers() >= 1
 
 
