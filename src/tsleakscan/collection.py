@@ -20,6 +20,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -143,28 +144,29 @@ def _load_wide_csv(path, policy):
     header = [h.strip() for h in rows[0]]
     if any(h == "" for h in header):
         raise FormatError(f"{path}:1: empty column name in header")
-    columns = [[] for _ in header]
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) > len(header):
             raise FormatError(f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}")
-        for j in range(len(header)):
-            columns[j].append(row[j] if j < len(row) else "")
+    columns = list(zip_longest(*rows[1:], fillvalue=""))
+    columns += [()] * (len(header) - len(columns))
     entries = []
     for sid, cells in zip(header, columns):
         # trailing empty cells are padding, not missing values
-        last = None
-        for i, cell in enumerate(cells):
-            if cell.strip() != "":
-                last = i
-        if last is None:
+        last = len(cells)
+        while last and cells[last - 1].strip() == "":
+            last -= 1
+        if last == 0:
             raise ValidationError(f"{path}: series {sid!r} has no observations")
-        values, missing = [], []
-        for i in range(last + 1):
-            v, is_missing = _parse_cell(cells[i], f"{path}:{i + 2}")
-            values.append(v)
-            if is_missing:
-                missing.append(i)
-        entries.append(_finish_series(sid, values, missing, policy, path))
+        cells = cells[:last]
+        try:
+            values = np.array([float(c) if c.strip() else math.nan for c in cells])
+        except ValueError:
+            for i, cell in enumerate(cells):
+                _parse_cell(cell, f"{path}:{i + 2}")  # raises the FormatError for the first bad cell
+            raise
+        gaps = ~np.isfinite(values)  # nan/inf literals count as missing
+        values[gaps] = 0.0
+        entries.append(_finish_series(sid, values, np.flatnonzero(gaps).tolist(), policy, path))
     return entries
 
 
@@ -297,7 +299,7 @@ def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(c.ids())
-            for i in range(max(len(col) for col in columns)):
+            for i in range(max((len(col) for col in columns), default=0)):
                 writer.writerow([_cell(col[i]) if i < len(col) else "" for col in columns])
     elif format == "json":
         with open(path, "w", encoding="utf-8") as fh:

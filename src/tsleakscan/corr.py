@@ -7,6 +7,12 @@ is centred on its own mean after an exact power-of-two scaling (see
 ``centre``), so r stays accurate for a low-variance window inside a
 high-variance series and at any finite scale; only an exactly constant
 window has no r.
+
+Given a ``threshold``, the sweep first rules windows out with a BLAS matrix
+product of unit rows, an approximate r that provably lies within
+``prefilter_slack(h)`` of the kernel's (a lower-bound pruning in the style
+of the UCR suite), and runs the exact kernel on the remaining windows only.
+Every r it returns is the kernel's, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,15 @@ MIN_WINDOW = 3  # below this every non-constant window correlates at +-1
 ZERO_VARIANCE_WINDOW = "zero-variance-window"
 MISSING_OVERLAP = "missing-overlap"
 
-_BLOCK_VALUES = 1 << 16  # 512 KiB of the (windows, queries, h) product at a time
+# values held at a time, 128 KiB: the kernel's (windows, queries, h) product,
+# or a block of the prefilter's windows, whose temporaries then stay in cache
+_BLOCK_VALUES = 1 << 14
+
+# multiply-adds per prefilter matrix product. OpenBLAS, the BLAS of numpy's
+# wheels, runs a product this small on the calling thread; a larger one wakes
+# its worker threads, which then spin on the CPUs that scan workers need: on
+# 2 CPUs, 1428 random walks scanned in 0.6 s with one worker, 2-19 s with two
+_PRODUCT_SIZE = 1 << 18
 
 
 @dataclass
@@ -32,8 +46,12 @@ class SlidingProfile:
     ``offsets`` are 1-based window start indices, aligned with ``r_values``
     (one column per query of a block); ``skipped`` holds (offset, reason)
     pairs for windows where Pearson is undefined (constant window) or that
-    overlap a missing observation. Offsets and skips together cover every
-    start 1..len(target)-h+1.
+    overlap a missing observation. Without a threshold, offsets and skips
+    together cover every start 1..len(target)-h+1. With one, ``offsets``
+    holds only the windows the prefilter could not rule out: every window
+    with |r| >= threshold against some query, and perhaps a few whose
+    largest |r| falls short of it by less than twice ``prefilter_slack(h)``.
+    Each row of ``r_values`` is the same in both cases.
     """
 
     target_id: str | None
@@ -74,6 +92,7 @@ class QueryBlock:
     values: np.ndarray  # as given: one segment, or a (k, h) block of them
     rows: np.ndarray    # each row centred (see ``centre``)
     css: np.ndarray     # the sum of squares of each centred row
+    unit: np.ndarray    # each centred row over its norm, for the prefilter
 
 
 def query_block(query) -> QueryBlock:
@@ -83,7 +102,8 @@ def query_block(query) -> QueryBlock:
     if (rows == rows[:, :1]).all(axis=1).any():
         raise ContractViolation("query has zero variance")
     rows, _ = centre(rows)
-    return QueryBlock(query, rows, (rows * rows).sum(axis=1))
+    css = (rows * rows).sum(axis=1)
+    return QueryBlock(query, rows, css, rows / np.sqrt(css)[:, None])
 
 
 def _correlate(windows, queries: QueryBlock):
@@ -101,6 +121,65 @@ def _correlate(windows, queries: QueryBlock):
     for i in range(0, len(w), step):
         cross[i:i + step] = (w[i:i + step, None, :] * q).sum(axis=2)
     return np.clip(cross / np.sqrt(css_w[:, None] * queries.css), -1.0, 1.0)
+
+
+def prefilter_slack(h) -> float:
+    """How far the prefilter's r~ may lie from the kernel's r, for length h.
+
+    Let w and q be a window and a query as ``centre`` leaves them, u = eps/2
+    the unit roundoff and rho = <w,q> / (|w| |q|) in exact arithmetic. Both
+    sides start from these same rows: ``centre`` works row by row, so a
+    window's centred row has the same bits in any block. A sum of h products
+    computed in any order, with or without fused multiply-adds, is within
+    gamma_h * sum|x_i y_i| of the exact sum, gamma_h = h*u / (1 - h*u), and
+    by Cauchy-Schwarz sum|w_i q_i| <= |w| |q|. To first order in u:
+
+    * kernel (``_correlate``): the cross term is within h*u * |w||q| of
+      <w,q>; each sum of squares within a factor 1 +- h*u, their product
+      and the square root add u each, so the denominator is within a factor
+      1 +- (h + 1.5)*u of |w||q|; the division adds u. So
+      |r - rho| <= (2h + 2.5)*u, and clipping to [-1, 1] cannot move r
+      away from rho, which lies in [-1, 1].
+    * prefilter (``_candidates``): each norm is within a factor
+      1 +- (h/2 + 1)*u, so each unit entry w_i/|w| and q_i/|q| is within a
+      factor 1 +- (h/2 + 2)*u; the BLAS dot product of the unit rows adds
+      h*u relative to each product. With sum |w_i q_i| / (|w||q|) <= 1,
+      |r~ - rho| <= (2h + 4)*u.
+
+    Together |r~ - r| <= (4h + 6.5)*u = (2h + 3.25)*eps, so |r| >= t
+    implies |r~| >= t - (2h + 3.25)*eps. The slack returned, 4*(h + 2)*eps,
+    is twice that bound rounded up; the rest covers the terms of order
+    (h*u)**2, the rounding of ``threshold - slack``, and underflow: a
+    non-constant row scaled into [0.5, 1) keeps a centred norm above about
+    2**-56, so underflowing products move r by hundreds of orders of
+    magnitude less than eps. The bound assumes a conventional matrix
+    product, one sum of h products per entry; a Strassen-type one would not
+    be covered.
+    """
+    return 4 * (h + 2) * float(np.finfo(np.float64).eps)
+
+
+def _candidates(windows, queries: QueryBlock, bound):
+    """Mask of the windows whose r~ against some query has |r~| >= bound.
+
+    Centres blocks of at most ``_BLOCK_VALUES`` window values, and multiplies
+    each block by the queries in products of at most ``_PRODUCT_SIZE``
+    multiply-adds (where one window row allows), so an r~ chunk is never
+    larger than the (windows, queries) array of r that a sweep without a
+    threshold returns. No row may be constant.
+    """
+    keep = np.empty(len(windows), dtype=bool)
+    h, k = windows.shape[1], len(queries.unit)
+    step = max(1, _BLOCK_VALUES // h)
+    rows = max(1, min(step, _PRODUCT_SIZE // (h * k)))
+    for i in range(0, len(windows), step):
+        w, _ = centre(windows[i:i + step])
+        w /= np.sqrt((w * w).sum(axis=1))[:, None]
+        kept = keep[i:i + step]
+        for j in range(0, len(w), rows):
+            approx = w[j:j + rows] @ queries.unit.T
+            kept[j:j + rows] = np.maximum(approx.max(axis=1), -approx.min(axis=1)) >= bound
+    return keep
 
 
 def pearson(a, b) -> float | None:
@@ -136,7 +215,8 @@ def _check_sweep_args(query, target, h, missing):
     return queries, target, h, missing
 
 
-def sliding_correlations(query, target, h, *, target_id=None, missing=()) -> SlidingProfile:
+def sliding_correlations(query, target, h, *, target_id=None, missing=(),
+                         threshold=None) -> SlidingProfile:
     """Correlate ``query`` with every length-``h`` window of ``target``.
 
     Parameters
@@ -152,6 +232,12 @@ def sliding_correlations(query, target, h, *, target_id=None, missing=()) -> Sli
     missing : iterable of int, optional
         0-based positions of missing observations in ``target``; any
         window overlapping one is skipped.
+    threshold : float, optional
+        Return only the windows the prefilter cannot rule out: those with
+        |r~| >= threshold - ``prefilter_slack(h)`` against some query. That
+        keeps every window with |r| >= threshold against some query, and
+        its row of ``r_values`` is exactly the row a sweep without a
+        threshold gives. When threshold - slack <= 0 every window is kept.
 
     Returns
     -------
@@ -165,9 +251,13 @@ def sliding_correlations(query, target, h, *, target_id=None, missing=()) -> Sli
     gaps[missing] = True
     overlaps = gaps[index].any(axis=1)
     valid = ~(windows == windows[:, :1]).all(axis=1) & ~overlaps
-    r = _correlate(windows[valid], queries)
     starts = np.arange(1, m + 1)
     skipped = [(int(s), MISSING_OVERLAP if overlaps[s - 1] else ZERO_VARIANCE_WINDOW)
                for s in starts[~valid]]
-    return SlidingProfile(target_id, starts[valid], r if queries.values.ndim == 2 else r[:, 0], skipped)
+    windows, offsets = windows[valid], starts[valid]
+    if threshold is not None and threshold > prefilter_slack(h):
+        keep = _candidates(windows, queries, threshold - prefilter_slack(h))
+        windows, offsets = windows[keep], offsets[keep]
+    r = _correlate(windows, queries)
+    return SlidingProfile(target_id, offsets, r if queries.values.ndim == 2 else r[:, 0], skipped)
 

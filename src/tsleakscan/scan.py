@@ -7,12 +7,16 @@ absolute correlation clears the cutoff become match records; the single
 trivial hit of a query against its own terminal position is removed.
 
 The queries are validated and centred once, as one block, and each donor
-is swept by one ``sliding_correlations`` call against all of them. With
-workers, each process scans one contiguous block of queries.
+is swept by one ``sliding_correlations`` call against all of them. The call
+passes the threshold, so the sweep returns only the windows its BLAS
+prefilter cannot rule out, each with the exact kernel's r; the match set
+and every r are those of an exhaustive sweep. With workers, each process
+scans one contiguous block of queries.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -38,12 +42,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Scan parameters: segment length, correlation cutoff, worker count.
 
     A window matches when |r| >= cutoff - CUTOFF_TOLERANCE, so the cutoff
-    must lie in (0,1] and exceed CUTOFF_TOLERANCE.
+    must be a real number in (0,1] that exceeds CUTOFF_TOLERANCE.
     """
 
     h: int
@@ -53,6 +61,8 @@ class ScanConfig:
     def __post_init__(self):
         if not _is_int(self.h) or self.h < MIN_WINDOW:
             raise ConfigError(f"h must be an integer >= {MIN_WINDOW}, got {self.h!r}")
+        if not _is_real(self.cutoff):
+            raise ConfigError(f"cutoff must be a real number, got {self.cutoff!r}")
         if not 0.0 < self.cutoff <= 1.0:
             raise ConfigError("cutoff must be in (0,1]")
         if self.cutoff <= CUTOFF_TOLERANCE:
@@ -118,7 +128,8 @@ def _scan_block(collection, cfg, query_indices):
     for di, donor in enumerate(entries):
         if len(donor.values) < h:
             continue  # no length-h windows to match
-        profile = sliding_correlations(queries, donor.values, h, missing=donor.missing)
+        profile = sliding_correlations(queries, donor.values, h, missing=donor.missing,
+                                       threshold=cfg.threshold)
         rows, cols = np.nonzero(np.abs(profile.r_values) >= cfg.threshold)
         starts = profile.offsets[rows]
         # the query trivially matches its own terminal position

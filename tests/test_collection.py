@@ -83,6 +83,30 @@ class TestWideCsv:
         with pytest.raises(ts.ValidationError, match="'y'"):
             ts.load_collection(p, "wide-csv")
 
+    def test_header_wider_than_every_row(self, tmp_path):
+        p = write(tmp_path / "c.csv", "x,y,z\n1,2\n3\n")
+        with pytest.raises(ts.ValidationError, match="'z' has no observations"):
+            ts.load_collection(p, "wide-csv")
+
+    def test_unparsable_value_names_line(self, tmp_path):
+        p = write(tmp_path / "c.csv", "x,y\n1,2\n3,abc\n4,\n5,1e5x\n")
+        with pytest.raises(ts.FormatError, match=r"c\.csv:3: cannot parse 'abc'"):
+            ts.load_collection(p, "wide-csv")
+
+    def test_cells_read_as_the_long_csv_reads_them(self, tmp_path):
+        cells = {"x": [" 1.5 ", "nan", "-0.0", "\t7\t", "inf", "2e-310", "-1e300"],
+                 "y": ["3", " ", "1e999", "-inf", "NaN", "4_0"]}
+        wide = write(tmp_path / "w.csv", "x,y\n" + "".join(
+            ",".join(column[i] if i < len(column) else "" for column in cells.values()) + "\n"
+            for i in range(7)))
+        long = write(tmp_path / "l.csv", "series_id,index,value\n" + "".join(
+            f"{sid},{i + 1},{v}\n" for sid, column in cells.items() for i, v in enumerate(column)))
+        policy = ts.MissingPolicy(SPLIT_SKIP)
+        a, b = ts.load_collection(wide, "wide-csv", policy), ts.load_collection(long, "long-csv", policy)
+        assert a.get("y").missing == (1, 2, 3, 4)
+        for s, t in zip(a, b):
+            assert (s.id, s.values.tobytes(), s.missing) == (t.id, t.values.tobytes(), t.missing)
+
 
 class TestJson:
     def test_basic(self, tmp_path):
@@ -161,6 +185,12 @@ class TestRoundTrip:
         back = ts.load_collection(p, "wide-csv")
         assert [len(s) for s in back] == [3, 1]
         assert list(back.get("y").values) == [9.0]
+
+    @pytest.mark.parametrize("fmt", ["long-csv", "json", "wide-csv"])
+    def test_empty_collection_round_trip(self, tmp_path, fmt):
+        p = tmp_path / f"empty.{fmt}"
+        ts.write_collection(ts.SeriesCollection([]), p, fmt)
+        assert len(ts.load_collection(p, fmt)) == 0
 
     def test_missing_positions_survive_round_trip(self, tmp_path):
         c = ts.SeriesCollection([ts.Series("x", np.array([1.0, 0.0, 3.0]), missing=(1,))])

@@ -260,6 +260,81 @@ class TestSlidingCorrelations:
             ts.sliding_correlations(block, [1.0, 5.0, 2.0, 8.0, 3.0], 3)
 
 
+def prefilter_target(rng, h, scale, queries):
+    """A target holding copies, affine images and noisy copies of the
+    queries, exactly constant runs, and low-variance stretches."""
+    target = rng.normal(size=int(rng.integers(h, 160)))
+    for q in queries:
+        if len(target) < 3 * h:
+            break
+        at = int(rng.integers(0, len(target) - h + 1))
+        kind = rng.integers(4)
+        target[at:at + h] = [q, -0.5 * q + 2.0, q + 0.3 * rng.normal(size=h), 5.0 + 1e-6 * q][kind]
+    for _ in range(int(rng.integers(0, 3))):
+        at, width = int(rng.integers(0, len(target))), int(rng.integers(1, 2 * h))
+        target[at:at + width] = rng.choice([target[at], 7.0 + 1e-7 * rng.normal()])
+    return target * scale
+
+
+class TestPrefilter:
+    @given(seed=st.integers(0, 2**32 - 1), h=st.sampled_from([3, 6, 18]),
+           scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
+           cutoff=st.sampled_from([1.0, 0.95, 0.5, 1e-9]), k=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_at_threshold_equal_the_full_profile(self, seed, h, scale, cutoff, k):
+        rng = np.random.default_rng(seed)
+        queries = rng.normal(size=(k, h))
+        target = prefilter_target(rng, h, scale, queries)
+        queries *= scale
+        missing = sorted(set(rng.integers(0, len(target), size=int(rng.integers(0, 4))).tolist()))
+        threshold = ts.ScanConfig(h=h, cutoff=cutoff).threshold
+        full = ts.sliding_correlations(queries, target, h, missing=missing)
+        cut = ts.sliding_correlations(queries, target, h, missing=missing, threshold=threshold)
+        assert cut.skipped == full.skipped
+        row = {o: r for o, r in zip(full.offsets.tolist(), full.r_values)}
+        for offset, r in zip(cut.offsets.tolist(), cut.r_values):
+            assert np.array_equal(r, row[offset])
+        reached = full.offsets[np.abs(full.r_values).max(axis=1) >= threshold]
+        assert set(reached.tolist()) <= set(cut.offsets.tolist())
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_threshold_at_a_windows_own_r_keeps_it(self, scale):
+        # r~ falls below r about half the time; the slack must cover it
+        rng = np.random.default_rng(23)
+        h = 12
+        queries = rng.normal(size=(5, h)) * scale
+        target = prefilter_target(rng, h, scale, queries / scale)
+        full = ts.sliding_correlations(queries, target, h)
+        for offset, r in zip(full.offsets.tolist(), np.abs(full.r_values).max(axis=1)):
+            cut = ts.sliding_correlations(queries, target, h, threshold=r)
+            assert offset in cut.offsets.tolist()
+
+    def test_threshold_within_slack_of_zero_keeps_every_window(self):
+        rng = np.random.default_rng(4)
+        target = rng.normal(size=50)
+        target[10:20] = 1.0
+        queries = rng.normal(size=(3, 5))
+        full = ts.sliding_correlations(queries, target, 5, missing=(30,))
+        for threshold in (0.0, corr.prefilter_slack(5)):
+            cut = ts.sliding_correlations(queries, target, 5, missing=(30,), threshold=threshold)
+            assert np.array_equal(cut.offsets, full.offsets)
+            assert np.array_equal(cut.r_values, full.r_values)
+            assert cut.skipped == full.skipped
+
+    def test_candidates_span_several_blocks_and_products(self):
+        rng = np.random.default_rng(9)
+        h = 16
+        n = 3 * corr._BLOCK_VALUES // h
+        target = rng.normal(size=n)
+        middle = n // 2
+        queries = rng.normal(size=(60, h))
+        queries[:3] = [target[100:116], target[-16:], -target[middle:middle + 16]]
+        assert len(queries) * corr._BLOCK_VALUES > 2 * corr._PRODUCT_SIZE  # several products a block
+        cut = ts.sliding_correlations(queries, target, h, threshold=1.0 - 1e-10)
+        assert cut.offsets.tolist() == [101, middle + 1, n - 15]
+        assert np.array_equal(np.abs(cut.r_values).max(axis=1), [1.0, 1.0, 1.0])
+
+
 class TestOracleEquivalence:
     def test_naive_oracle_descending_ramp(self):
         profile = naive_sliding_oracle([1, 2, 3], [3, 2, 1, 0], 3)

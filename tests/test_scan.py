@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import tsleakscan as ts
 from tsleakscan.collection import SPLIT_SKIP
-from tsleakscan.scan import MISSING_IN_QUERY, TOO_SHORT, ZERO_VARIANCE_QUERY
+from tsleakscan.scan import CUTOFF_TOLERANCE, MISSING_IN_QUERY, TOO_SHORT, ZERO_VARIANCE_QUERY
 
 from conftest import brute_pearson, brute_scan, random_collection
 
@@ -26,6 +27,12 @@ class TestScanConfig:
     def test_tolerance_must_leave_positive_threshold(self):
         with pytest.raises(ts.ConfigError, match="cutoff must exceed CUTOFF_TOLERANCE"):
             ts.ScanConfig(h=5, cutoff=1e-12)
+
+    def test_cutoff_must_be_a_real_number(self):
+        for cutoff in (True, "1", None):
+            with pytest.raises(ts.ConfigError, match="cutoff must be a real number"):
+                ts.ScanConfig(h=5, cutoff=cutoff)
+        assert ts.ScanConfig(h=5, cutoff=np.float64(0.9)).cutoff == 0.9
 
     def test_workers_validation(self):
         for workers in (0, True, 2.0, "2"):
@@ -96,6 +103,53 @@ class TestScan:
         terminal = [(m.query_id, m.donor_id, m.end) for m in report.matches
                     if m.query_id == m.donor_id and m.end == len(c.get(m.query_id).values)]
         assert terminal == []
+
+
+class TestPrefilter:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cutoff_ulps_around_a_planted_r(self, sign):
+        # a noisy copy has an r short of 1; cutoffs a few ulps either side
+        # of r + CUTOFF_TOLERANCE put the threshold just above and below it
+        rng = np.random.default_rng(314)
+        h = 8
+        query = rng.normal(size=40)
+        donor = rng.normal(size=60)
+        donor[20:28] = sign * (query[-h:] + 0.15 * rng.normal(size=h)) + 3.0
+        c = ts.from_dict({"q": query, "d": donor})
+        r = ts.sliding_correlations(query[-h:], donor, h).r_values[20]
+        assert 0.9 < abs(r) < 1.0
+        cutoff = abs(r) + CUTOFF_TOLERANCE
+        cutoffs = [cutoff]
+        for _ in range(4):
+            cutoffs = [np.nextafter(cutoffs[0], 0.0), *cutoffs, np.nextafter(cutoffs[-1], 2.0)]
+        found = []
+        for cutoff in cutoffs:
+            cfg = ts.ScanConfig(h=h, cutoff=float(cutoff))
+            hits = [m.r for m in ts.scan(c, cfg).matches if (m.query_id, m.donor_id, m.start) == ("q", "d", 21)]
+            assert hits == ([r] if abs(r) >= cfg.threshold else [])
+            found.append(bool(hits))
+        assert found[0] and not found[-1]
+
+    def test_one_module_global_sweep_per_donor(self, monkeypatch):
+        # the benchmark's tracer wraps tsleakscan.scan.sliding_correlations and
+        # reads three positional arguments and the profile's offsets and skips
+        scan_module = importlib.import_module("tsleakscan.scan")
+        sweep = scan_module.sliding_correlations
+        calls = []
+
+        def spy(*args, **kwargs):
+            profile = sweep(*args, **kwargs)
+            calls.append((len(args), kwargs["threshold"], len(profile.skipped)))
+            return profile
+
+        monkeypatch.setattr(scan_module, "sliding_correlations", spy)
+        rng = np.random.default_rng(5)
+        c = ts.from_dict({"a": rng.normal(size=30), "short": [1.0, 2.0], "b": rng.normal(size=25),
+                          "flat": [4.0] * 12})
+        cfg = ts.ScanConfig(h=5, cutoff=0.9)
+        ts.scan(c, cfg)
+        assert [call[:2] for call in calls] == [(3, cfg.threshold)] * 3
+        assert calls[2][2] == 8  # every window of "flat" is constant
 
 
 class TestAgainstBruteForce:
