@@ -3,8 +3,11 @@
 ``scan`` finds the leaks, ``explain`` adds the reason and exploitability
 verdict per leak, ``viz`` renders the match matrix as CSV plus an SVG
 heatmap. Exit codes: 0 success (also when no leaks are found), 1 input or
-I/O error, 2 a bad flag, a limit broken in ``ScanConfig``/``ReasonConfig``
-or a bad ``TSLEAKSCAN_WORKERS``, all checked before any input is read.
+I/O error, 2 a bad flag, a limit broken in ``ScanConfig``/``ReasonConfig``,
+a bad ``TSLEAKSCAN_WORKERS``, or an output path that would overwrite the
+input or another output of the same command (viz writes its matrix CSV
+next to the heatmap, with the suffix ``.csv``), all checked before any
+input is read.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .scan import AUTO, ScanConfig, scan
 
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
 _FOOTER_LABELS = {ReasonKind.EXACT_MATCH: "exact"}
+_LINES_PER_WRITE = 1024  # explain joins its match lines into writes of this many
 
 
 def _workers(text):
@@ -125,7 +129,18 @@ def cmd_scan(args) -> int:
 
 
 def _format_predicted(values):
-    return " ".join("?" if v is None else format(v, ".6g") for v in values)
+    # one format over the whole row; a row with a missing donor value (None,
+    # printed "?") is formatted one value at a time
+    if None in values:
+        return " ".join(["?" if v is None else format(v, ".6g") for v in values])
+    return " ".join(["{:.6g}"] * len(values)).format(*values)
+
+
+def _explain_line(rm):
+    line = f"{_match_line(rm.base)}, {rm.kind.value}, "
+    if not rm.useful:
+        return line + "not useful\n"
+    return f"{line}useful; predicted test: {_format_predicted(rm.predicted_test)}\n"
 
 
 def cmd_explain(args) -> int:
@@ -134,11 +149,8 @@ def cmd_explain(args) -> int:
     if args.collapse_overlaps:
         reasoned = rpt.collapse_overlaps(reasoned)
     matches = [rm.base for rm in reasoned]
-    for rm in reasoned:
-        line = f"{_match_line(rm.base)}, {rm.kind.value}, {'useful' if rm.useful else 'not useful'}"
-        if rm.useful:
-            line += f"; predicted test: {_format_predicted(rm.predicted_test)}"
-        print(line)
+    for i in range(0, len(reasoned), _LINES_PER_WRITE):
+        sys.stdout.write("".join([_explain_line(rm) for rm in reasoned[i:i + _LINES_PER_WRITE]]))
     _print_skips(report)
     kinds, useful = tally(reasoned)
     if not matches:
@@ -156,11 +168,31 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _outputs(args):
+    """(what, path) of each file the command writes; viz writes the matrix
+    CSV next to the heatmap."""
+    if args.command == "viz":
+        heatmap = Path(args.output)
+        if not heatmap.name:
+            raise ConfigError(f"the heatmap path {args.output!r} names no file")
+        return [("heatmap", heatmap), ("matrix CSV", heatmap.with_suffix(".csv"))]
+    return [("report", Path(args.output))] if args.output else []
+
+
+def _check_outputs(args):
+    """Reject an output path that is the input's or another output's file."""
+    written = {Path(args.input).resolve(): "input"}
+    for what, path in _outputs(args):
+        key = path.resolve()
+        if key in written:
+            raise ConfigError(f"the {what} {str(path)!r} would overwrite the {written[key]}")
+        written[key] = what
+
+
 def cmd_viz(args) -> int:
     collection, report = _run_scan(args)
     matrix = rpt.build_matrix(report, collection)
-    svg_path = Path(args.output)
-    csv_path = svg_path.with_suffix(".csv")
+    (_, svg_path), (_, csv_path) = _outputs(args)
     rpt.write_matrix_csv(matrix, csv_path)
     rpt.render_heatmap(matrix, svg_path, label_angle=args.ang)
     print(f"{matrix.total()} match{'es' if matrix.total() != 1 else ''} "
@@ -177,6 +209,7 @@ def main(argv=None) -> int:
         args.cfg = ScanConfig(h=args.h, cutoff=args.cutoff, workers=args.workers)
         if args.command == "explain":
             args.reason_cfg = ReasonConfig(horizon=args.horizon)
+        _check_outputs(args)
     except ConfigError as exc:
         parser.error(str(exc))
     try:

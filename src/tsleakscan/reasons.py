@@ -9,11 +9,19 @@ window to cover the query's forecast horizon; in that case the donor
 continuation, mapped back through the inverse transform, is the predicted
 test segment of the query series.
 
-``reason_report`` fits all matches of one query segment together: their
-donor windows are stacked into a (k, h) block, each row is centred once,
-and every slope, intercept, residual and window scale is an array
-operation over the block. ``fit_affine`` is the one-row case of the same
-code. Each row gets the bits a fit of its match alone would get: the
+``reason_report`` works in two passes over the whole report. First it
+checks every match at once, with array comparisons, for what ``_matched``
+checks of one: both ids name series of the collection, the window starts
+at position 1 or later, spans at least MIN_WINDOW observations, is no
+longer than its query series and ends within its donor. Only when a check
+fails does it call ``_matched``, in report order, which raises the error
+of the first failing match. Then it fits all matches of one query segment
+together: their donor windows are gathered into a (k, h) block by one
+fancy index into the collection's values laid end to end, each row is
+centred once, and every slope, intercept, residual and window scale is an
+array operation over the block. The continuations of every useful match
+are one more fancy index. ``fit_affine`` is the one-row case of the same
+fit. Each row gets the bits a fit of its match alone would get: the
 reductions run along the last axis of each row, and the cross term is a
 matmul of each row with the query, which gives the bits of the dot
 product ``qc @ wc``; a row sum would not.
@@ -21,9 +29,8 @@ product ``qc @ wc``; a row sum would not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 
 import numpy as np
 
@@ -180,23 +187,13 @@ def classify(fit: AffineFit, *, window_scale: float) -> ReasonKind:
     return ReasonKind.AFFINE_TRANSFORM
 
 
-def _is_useful(match: MatchRecord, donor, horizon: int) -> bool:
-    # pure index arithmetic: the donor continues for the whole horizon
-    return match.end + horizon <= len(donor.values)
-
-
-def _predictions(matches, donors, horizon: int, m, c) -> list[list]:
-    """The predicted test segment of each useful match from the m and c of
-    its fit, as ``assess_usefulness`` describes it."""
-    if not matches:
-        return []
-    continuations = np.stack([donor.values[match.end:match.end + horizon]
-                              for match, donor in zip(matches, donors)])
+def _predictions(continuations, missing, m, c) -> list[list]:
+    """The predicted test segment of each row of the (k, horizon) block of
+    donor continuations, from the m and c of its fit, as
+    ``assess_usefulness`` describes it; None where ``missing`` is set."""
     rows = ((continuations - c[:, None]) / m[:, None]).tolist()
-    for match, donor, row in zip(matches, donors, rows):
-        for p in donor.missing:
-            if match.end <= p < match.end + horizon:
-                row[p - match.end] = None
+    for i, j in zip(*np.nonzero(missing)):
+        rows[i][j] = None
     return rows
 
 
@@ -212,55 +209,87 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
     if horizon is None:
         raise ConfigError("horizon not resolved; pass an explicit horizon")
     q, donor, w = _matched(match, collection)
-    if not _is_useful(match, donor, horizon):
+    if match.end + horizon > len(donor.values):
         return False, None
     fit = fit_affine(q, w)
-    return True, _predictions([match], [donor], horizon, np.array([fit.m]), np.array([fit.c]))[0]
+    after = np.arange(match.end, match.end + horizon)  # 0-based continuation positions
+    return True, _predictions(donor.values[after][None], np.isin(after, donor.missing)[None],
+                              np.array([fit.m]), np.array([fit.c]))[0]
 
 
-def _reason_block(matches, located, cfg: ReasonConfig) -> list[ReasonedMatch]:
-    """Explain the matches of one query segment, given what ``_matched``
-    found for each, with one fit over the block of their windows."""
-    windows = np.stack([w for _, _, w in located])
-    donors = [donor for _, donor, _ in located]
-    m, c, max_residual = _fit_rows(_query_terms(located[0][0]), windows)
-    useful = [_is_useful(match, donor, cfg.horizon) for match, donor in zip(matches, donors)]
-    mask = np.array(useful, dtype=bool)
-    predicted = iter(_predictions(list(compress(matches, useful)), list(compress(donors, useful)),
-                                  cfg.horizon, m[mask], c[mask]))
-    reasoned = []
-    for match, fit_m, fit_c, residual, scale, is_useful in zip(
-            matches, m.tolist(), c.tolist(), max_residual.tolist(), scale_of(windows).tolist(), useful):
-        fit = AffineFit(fit_m, fit_c, residual)
-        if is_useful:
-            note = (f"donor {match.donor_id!r} has observations "
-                    f"{match.end + 1}..{match.end + cfg.horizon}")
-        else:
-            note = (f"donor {match.donor_id!r} observations "
-                    f"{match.end + 1}..{match.end + cfg.horizon} are not available")
-        reasoned.append(ReasonedMatch(match, fit, classify(fit, window_scale=scale),
-                                      is_useful, next(predicted) if is_useful else None, note))
-    return reasoned
+def _gather(flat, first, width):
+    """The (k, width) block of ``flat[first[i]:first[i] + width]`` rows."""
+    return flat[first[:, None] + np.arange(width)]
+
+
+def _locate(matches, collection: SeriesCollection):
+    """The series lengths, and the query index, donor index, start and end
+    of each match, as arrays, once every match passes ``_matched``'s checks.
+
+    The checks run on all matches at once; when one fails, ``_matched``
+    raises the error of the first failing match in report order.
+    """
+    index = {s.id: i for i, s in enumerate(collection.entries)}
+    # an unknown id gets index -1, which picks the sentinel length 0
+    lengths = np.array([len(s.values) for s in collection.entries] + [0])
+    qi = np.array([index.get(m.query_id, -1) for m in matches])
+    di = np.array([index.get(m.donor_id, -1) for m in matches])
+    start = np.array([m.start for m in matches])
+    end = np.array([m.end for m in matches])
+    span = end - start + 1
+    valid = ((qi >= 0) & (di >= 0) & (start >= 1) & (span >= MIN_WINDOW)
+             & (span <= lengths[qi]) & (end <= lengths[di]))
+    for i in np.flatnonzero(~valid):
+        _matched(matches[i], collection)  # raises
+    return lengths[:-1], qi, di, start, end
 
 
 def reason_report(report: LeakReport, collection: SeriesCollection,
                   cfg: ReasonConfig = ReasonConfig()) -> list[ReasonedMatch]:
     """Explain every match in the report, preserving report order.
 
-    The matches of each query segment, keyed by query id and span, are
-    fitted as one block.
+    Raises ``_matched``'s ConsistencyError for the first malformed match in
+    report order. The matches of each query segment, keyed by query id and
+    span, are fitted as one block (see the module docstring).
     """
-    cfg = replace(cfg, horizon=resolve_horizon(cfg.horizon, report.config.h))
-    located = [_matched(match, collection) for match in report.matches]
-    blocks: dict[tuple[str, int], list[int]] = {}  # (query id, span) -> report positions
-    for i, match in enumerate(report.matches):
-        blocks.setdefault((match.query_id, match.end - match.start + 1), []).append(i)
-    reasoned: list = [None] * len(located)
-    for positions in blocks.values():
-        explained = _reason_block([report.matches[i] for i in positions],
-                                  [located[i] for i in positions], cfg)
-        for i, rm in zip(positions, explained):
-            reasoned[i] = rm
+    horizon = resolve_horizon(cfg.horizon, report.config.h)
+    matches = report.matches
+    if not matches:
+        return []
+    entries = collection.entries
+    lengths, qi, di, start, end = _locate(matches, collection)
+    span = end - start + 1
+    flat = np.concatenate([s.values for s in entries])
+    first = np.cumsum(lengths) - lengths  # of each series in ``flat``
+    window_first = first[di] + start - 1
+    m, c, max_residual, scale = (np.empty(len(matches)) for _ in range(4))
+    order = np.lexsort((span, qi))  # stable: each block in report order
+    bounds = np.flatnonzero(np.diff(qi[order]) | np.diff(span[order])) + 1
+    for block in np.split(order, bounds):
+        q, h = entries[qi[block[0]]], span[block[0]]
+        windows = _gather(flat, window_first[block], h)
+        m[block], c[block], max_residual[block] = _fit_rows(_query_terms(q.values[-h:]), windows)
+        scale[block] = scale_of(windows)
+
+    useful = end + horizon <= lengths[di]
+    continuation_first = first[di[useful]] + end[useful]
+    missing = np.zeros(len(flat), dtype=bool)
+    missing[[first[i] + p for i, s in enumerate(entries) for p in s.missing]] = True
+    predicted = iter(_predictions(_gather(flat, continuation_first, horizon),
+                                  _gather(missing, continuation_first, horizon),
+                                  m[useful], c[useful]))
+    reasoned = []
+    for match, fit_m, fit_c, residual, window_scale, is_useful in zip(
+            matches, m.tolist(), c.tolist(), max_residual.tolist(), scale.tolist(), useful.tolist()):
+        fit = AffineFit(fit_m, fit_c, residual)
+        if is_useful:
+            note = (f"donor {match.donor_id!r} has observations "
+                    f"{match.end + 1}..{match.end + horizon}")
+        else:
+            note = (f"donor {match.donor_id!r} observations "
+                    f"{match.end + 1}..{match.end + horizon} are not available")
+        reasoned.append(ReasonedMatch(match, fit, classify(fit, window_scale=window_scale),
+                                      is_useful, next(predicted) if is_useful else None, note))
     return reasoned
 
 

@@ -11,14 +11,23 @@ The JSON schema is fixed (key order as written)::
 The reason fields (horizon, kind, m, c, useful, predicted_test) appear only
 in explained reports, and predicted_test only on useful matches.
 
-A JSON report holds exactly the bytes of ``json.dump(payload, fh,
-indent=1)`` and one trailing newline: every item on a line of its own,
+A JSON report holds exactly the bytes of ``json.dump(report_payload(..),
+fh, indent=1)`` and one trailing newline: every item on a line of its own,
 indented by one space per level and followed by "," when another item
 follows; ": " between key and value; strings ASCII-escaped, with
 ``\\uXXXX`` for non-ASCII and control characters; floats as ``repr``
 writes them, with json's NaN and Infinity; ``[]`` and ``{}`` when empty.
-The writer streams: it lays out and writes one match entry at a time, so
-the document is never held in memory as one string.
+
+The writer lays out this fixed schema itself, one f-string per match
+entry, and builds no payload dict. It streams: it writes one match entry
+at a time, so the document is never held in memory as one string. It
+takes the field types the dataclasses declare: ids, kinds and skip reasons
+are str; start and end are int; r, m, c and each predicted value are a
+float (a subclass such as numpy.float64 is written as its float), and None
+marks a missing predicted value. The config's numbers go through
+``json.dumps``, so any number a ``ScanConfig`` admits is written, or
+rejected, as ``json.dump`` would. ``report_payload`` is the dict this
+layout follows; the CSV writer uses it, and the tests compare against it.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -111,16 +121,27 @@ def _match_entry(match: MatchRecord, reasoned: ReasonedMatch | None) -> dict:
     return entry
 
 
+def _explained_horizon(report: LeakReport, reasoned: list[ReasonedMatch] | None,
+                       horizon: int | None) -> int | None:
+    """The horizon an explained report records, None for a plain report.
+
+    Raises ConsistencyError when the reasons do not pair up with the matches.
+    """
+    if reasoned is None:
+        return None
+    if len(reasoned) != len(report.matches):
+        raise ConsistencyError(
+            f"{len(reasoned)} reasoned matches for {len(report.matches)} match records"
+        )
+    return resolve_horizon(horizon, report.config.h)
+
+
 def report_payload(report: LeakReport, reasoned: list[ReasonedMatch] | None = None,
                    horizon: int | None = None) -> dict:
     """JSON-ready dict for a report, explained or plain."""
     config = {"h": report.config.h, "cutoff": report.config.cutoff}
     if reasoned is not None:
-        config["horizon"] = resolve_horizon(horizon, report.config.h)
-        if len(reasoned) != len(report.matches):
-            raise ConsistencyError(
-                f"{len(reasoned)} reasoned matches for {len(report.matches)} match records"
-            )
+        config["horizon"] = _explained_horizon(report, reasoned, horizon)
     return {
         "config": config,
         "skipped_queries": [{"id": sid, "reason": reason}
@@ -140,56 +161,50 @@ def _json_float(value: float) -> str:
     return _JSON_FLOAT_NAMES.get(text, text)
 
 
-_JSON_SCALARS = {  # json's text for each scalar type, looked up by exact type
-    str: encode_basestring_ascii,
-    float: _json_float,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda value: "null",
-}
+def _json_prediction(values) -> str:
+    # the predicted_test list, one level below the entry's keys; a row with
+    # None, NaN or an infinity ("n" is in no finite float's repr) is laid
+    # out again one value at a time
+    if values is None:
+        return "null"
+    if not values:
+        return "[]"
+    text = None if None in values else ",\n    ".join(map(float.__repr__, values))
+    if text is None or "n" in text:
+        text = ",\n    ".join(["null" if v is None else _json_float(v) for v in values])
+    return "[\n    " + text + "\n   ]"
 
 
-def _json_text(value, pad: str) -> str:
-    """``value`` laid out as json.dumps(value, indent=1) lays it out at the
-    nesting level whose line prefix is ``pad`` (a newline and one space per
-    level)."""
-    encode = _JSON_SCALARS.get(type(value))
-    if encode is not None:
-        return encode(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + " "
-        return "{" + inner + ("," + inner).join([
-            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in value.items()
-        ]) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + " "
-        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + pad + "]"
-    for base in (str, float, int):  # a subclass, such as numpy.float64, is written as its base
-        if isinstance(value, base):
-            return _JSON_SCALARS[base](value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _json_entry(match: MatchRecord, reasoned: ReasonedMatch | None) -> str:
+    """The "matches" item of one match: ``_match_entry``'s dict as
+    json.dump(indent=1) lays it out at that depth."""
+    text = (f'  {{\n   "query_id": {encode_basestring_ascii(match.query_id)},'
+            f'\n   "donor_id": {encode_basestring_ascii(match.donor_id)},'
+            f'\n   "start": {match.start},\n   "end": {match.end},'
+            f'\n   "r": {_json_float(match.r)}')
+    if reasoned is None:
+        return text + "\n  }"
+    fit = reasoned.fit
+    text += (f',\n   "kind": {encode_basestring_ascii(reasoned.kind.value)},'
+             f'\n   "m": {_json_float(fit.m)},\n   "c": {_json_float(fit.c)}')
+    if not reasoned.useful:
+        return text + ',\n   "useful": false\n  }'
+    return (f'{text},\n   "useful": true,'
+            f'\n   "predicted_test": {_json_prediction(reasoned.predicted_test)}\n  }}')
 
 
-def _write_json(fh, payload: dict) -> None:
-    """Write json.dump(payload, fh, indent=1) and a newline, one top-level
-    list item at a time (see the module docstring)."""
-    key_sep = "{\n "
-    for key, value in payload.items():
-        fh.write(f"{key_sep}{encode_basestring_ascii(key)}: ")
-        key_sep = ",\n "
-        if isinstance(value, list) and value:
-            item_sep = "[\n  "
-            for item in value:
-                fh.write(item_sep + _json_text(item, "\n  "))
-                item_sep = ",\n  "
-            fh.write("\n ]")
-        else:
-            fh.write(_json_text(value, "\n "))
-    fh.write("\n}\n")
+def _json_head(report: LeakReport, horizon: int | None) -> str:
+    """The document up to the value of "matches": the config, with the
+    horizon when it is not None, and the skipped queries."""
+    cfg = report.config
+    config = f'{{\n  "h": {json.dumps(cfg.h)},\n  "cutoff": {json.dumps(cfg.cutoff)}'
+    if horizon is not None:
+        config += f',\n  "horizon": {json.dumps(horizon)}'
+    skipped = ",\n".join([f'  {{\n   "id": {encode_basestring_ascii(sid)},'
+                          f'\n   "reason": {encode_basestring_ascii(reason)}\n  }}'
+                          for sid, reason in report.skipped_queries])
+    skipped = f"[\n{skipped}\n ]" if skipped else "[]"
+    return f'{{\n "config": {config}\n }},\n "skipped_queries": {skipped},\n "matches": '
 
 
 def _csv_cell(value):
@@ -204,9 +219,14 @@ def write_report(report: LeakReport, path, format="json",
                  horizon: int | None = None) -> None:
     """Serialize a (possibly explained) report to JSON or flat CSV."""
     if format == "json":
-        payload = report_payload(report, reasoned, horizon)
+        horizon = _explained_horizon(report, reasoned, horizon)
         with open(path, "w", encoding="utf-8") as fh:
-            _write_json(fh, payload)
+            fh.write(_json_head(report, horizon))
+            sep = "[\n"
+            for match, rm in zip(report.matches, repeat(None) if reasoned is None else reasoned):
+                fh.write(sep + _json_entry(match, rm))
+                sep = ",\n"
+            fh.write("\n ]\n}\n" if report.matches else "[]\n}\n")
     elif format == "csv":
         # the same entries as the JSON report, so the same consistency check
         entries = report_payload(report, reasoned, horizon)["matches"]

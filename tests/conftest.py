@@ -156,6 +156,34 @@ def usage_style_collection(seed=2024):
     return ts.from_dict({"x": x, "y": y, "z": z}), x
 
 
+def block_fit_collection(h, scale, seed):
+    """Random series with exact, affine, negative and noisy copies of one
+    another's terminal segments planted in them, a sine whose neighbouring
+    offsets match together (runs to collapse), and donors with a missing
+    value just past a plant, all multiplied by ``scale``."""
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=int(rng.integers(4 * h, 7 * h))) for _ in range(7)]
+    values.append(np.sin(2 * np.pi * np.arange(5 * h) / 20))
+    missing = [[] for _ in values]
+    for i in range(14):
+        qi, di = (int(v) for v in rng.integers(7, size=2))
+        donor = values[di]
+        start = int(rng.integers(0, len(donor) - 3 * h))
+        m = 1.0 if i % 3 == 0 else rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        c = 0.0 if i % 3 == 0 else rng.uniform(-3.0, 3.0)
+        donor[start:start + h] = m * values[qi][-h:] + c
+        if i % 4 == 1:
+            donor[start:start + h] += rng.normal(scale=0.05, size=h)
+        if i % 5 == 2:
+            missing[di].append(start + h + 1)
+    series = []
+    for i, (v, gaps) in enumerate(zip(values, missing)):
+        v = v * scale
+        v[gaps] = 0.0
+        series.append(ts.Series(f"s{i}", v, tuple(sorted(set(gaps)))))
+    return ts.SeriesCollection(series)
+
+
 def random_collection(rng, n_series=None, length_range=(20, 120)):
     n = n_series if n_series is not None else int(rng.integers(3, 11))
     data = {}

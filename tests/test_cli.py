@@ -1,23 +1,29 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import tsleakscan as ts
+from tsleakscan.collection import SPLIT_SKIP
+from tsleakscan.reasons import ReasonKind
 
-from conftest import usage_style_collection
+from conftest import block_fit_collection, usage_style_collection
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, cwd=None):
     import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    if cwd is not None:  # the child no longer finds the package through a relative path
+        full_env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(p) for p in full_env.get("PYTHONPATH", "").split(os.pathsep) if p)
     return subprocess.run(
         [sys.executable, "-m", "tsleakscan", *args],
-        capture_output=True, text=True, env=full_env,
+        capture_output=True, text=True, env=full_env, cwd=cwd,
     )
 
 
@@ -200,6 +206,91 @@ class TestExplainCommand:
             [(1, 9, "add-constant")]
 
 
+def explain_stdout(report, reasoned):
+    """The stdout explain prints for ``reasoned``, laid out line by line."""
+    lines = []
+    for rm in reasoned:
+        m = rm.base
+        line = f"{m.query_id} -> {m.donor_id}: {m.start}-{m.end}, r={m.r:.3f}, {rm.kind.value}, "
+        if rm.useful:
+            predicted = " ".join("?" if v is None else f"{v:.6g}" for v in rm.predicted_test)
+            line += f"useful; predicted test: {predicted}"
+        else:
+            line += "not useful"
+        lines.append(line)
+    lines += [f"skipped query {sid}: {reason}" for sid, reason in report.skipped_queries]
+    kinds = Counter(rm.kind for rm in reasoned)
+    by_kind = ", ".join(f"{kinds[k]} {'exact' if k is ReasonKind.EXACT_MATCH else k.value}"
+                        for k in ReasonKind if kinds[k])
+    lines.append(f"{len(reasoned)} matches: {by_kind}; {sum(rm.useful for rm in reasoned)} useful")
+    return "\n".join(lines) + "\n"
+
+
+class TestExplainStdout:
+    ARGS = ("--format", "json", "--h", "6", "--cutoff", "0.9", "--missing", "skip")
+
+    @pytest.fixture(scope="class")
+    def planted_json(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("data") / "planted.json"
+        ts.write_collection(block_fit_collection(6, 1.0, seed=6), path, "json")
+        return str(path)
+
+    @staticmethod
+    def reference(path, collapse):
+        c = ts.load_collection(path, format="json", policy=ts.MissingPolicy(SPLIT_SKIP))
+        report = ts.scan(c, ts.ScanConfig(h=6, cutoff=0.9))
+        reasoned = ts.reason_report(report, c)
+        if collapse:
+            reasoned = ts.collapse_overlaps(reasoned)
+            assert len(reasoned) < len(report.matches)
+        # the lines the layout must hold on are all present
+        assert any(None in rm.predicted_test for rm in reasoned if rm.useful)
+        assert {ReasonKind.NEGATIVE_AFFINE, ReasonKind.HIGH_CORRELATION_ONLY} <= {rm.kind for rm in reasoned}
+        assert {True, False} == {rm.useful for rm in reasoned}
+        return explain_stdout(report, reasoned), len(reasoned)
+
+    @pytest.mark.parametrize("collapse", [False, True])
+    def test_bytes_equal_reference(self, planted_json, collapse):
+        flags = ["--collapse-overlaps"] if collapse else []
+        proc = run_cli("explain", "--input", planted_json, *self.ARGS, *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == self.reference(planted_json, collapse)[0]
+
+    def test_lines_split_across_writes(self, planted_json, monkeypatch, capsys):
+        from tsleakscan import cli
+        expected, n_lines = self.reference(planted_json, collapse=False)
+        assert n_lines > 14 and n_lines % 7
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 7)
+        assert cli.main(["explain", "--input", planted_json, *self.ARGS]) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestOutputCollisions:
+    """An output path that names the input, or the other output, exits 2
+    before the input is read, and leaves every file as it was."""
+
+    @pytest.mark.parametrize("args, message", [
+        (("viz", "--input", "leaks.csv"), "the matrix CSV 'leaks.csv' would overwrite the input"),
+        (("viz", "--input", "leaks.csv", "--output", "m.csv"),
+         "the matrix CSV 'm.csv' would overwrite the heatmap"),
+        (("scan", "--input", "leaks.csv", "--output", "./leaks.csv"),
+         "the report 'leaks.csv' would overwrite the input"),
+        (("explain", "--input", "leaks.csv", "--output", "{tmp}/leaks.csv"),
+         "the report '{tmp}/leaks.csv' would overwrite the input"),
+    ], ids=["viz-default-matrix-csv-is-input", "viz-matrix-csv-is-heatmap",
+            "scan-report-is-input", "explain-report-is-input"])
+    def test_exits_2_and_input_unchanged(self, usage_csv, tmp_path, args, message):
+        data = tmp_path / "leaks.csv"
+        data.write_bytes(open(usage_csv, "rb").read())
+        before = data.read_bytes()
+        args = [a.format(tmp=tmp_path) for a in args]
+        proc = run_cli(*args, "--h", "5", cwd=tmp_path)
+        assert proc.returncode == 2, proc.stdout
+        assert message.format(tmp=tmp_path) in proc.stderr
+        assert data.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["leaks.csv"]
+
+
 class TestVizCommand:
     def test_outputs_written(self, usage_csv, tmp_path):
         svg = tmp_path / "leaks.svg"
@@ -213,6 +304,11 @@ class TestVizCommand:
         run_cli("viz", "--input", usage_csv, "--h", "5",
                 "--output", str(svg), "--ang", "45")
         assert "rotate(-45" in svg.read_text()
+
+    def test_output_naming_no_file_exits_2(self, usage_csv):
+        assert_exits_2("names no file",
+                       (("viz", "--input", usage_csv, "--h", "5", "--output", ""), None),
+                       (("viz", "--input", usage_csv, "--h", "5", "--output", "/"), None))
 
     def test_unwritable_output_exits_1(self, usage_csv, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "leaks.svg"

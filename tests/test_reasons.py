@@ -7,7 +7,7 @@ import tsleakscan as ts
 from tsleakscan.reasons import ReasonKind, scale_of
 from tsleakscan.scan import MatchRecord
 
-from conftest import fit_oracle, reason_oracle
+from conftest import block_fit_collection, fit_oracle, reason_oracle
 
 
 class TestFitAffine:
@@ -265,34 +265,6 @@ class TestForwardConsistency:
         assert kind is ReasonKind.EXACT_MATCH
 
 
-def block_fit_collection(h, scale, seed):
-    """Random series with exact, affine, negative and noisy copies of one
-    another's terminal segments planted in them, a sine whose neighbouring
-    offsets match together (runs to collapse), and donors with a missing
-    value just past a plant, all multiplied by ``scale``."""
-    rng = np.random.default_rng(seed)
-    values = [rng.normal(size=int(rng.integers(4 * h, 7 * h))) for _ in range(7)]
-    values.append(np.sin(2 * np.pi * np.arange(5 * h) / 20))
-    missing = [[] for _ in values]
-    for i in range(14):
-        qi, di = (int(v) for v in rng.integers(7, size=2))
-        donor = values[di]
-        start = int(rng.integers(0, len(donor) - 3 * h))
-        m = 1.0 if i % 3 == 0 else rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        c = 0.0 if i % 3 == 0 else rng.uniform(-3.0, 3.0)
-        donor[start:start + h] = m * values[qi][-h:] + c
-        if i % 4 == 1:
-            donor[start:start + h] += rng.normal(scale=0.05, size=h)
-        if i % 5 == 2:
-            missing[di].append(start + h + 1)
-    series = []
-    for i, (v, gaps) in enumerate(zip(values, missing)):
-        v = v * scale
-        v[gaps] = 0.0
-        series.append(ts.Series(f"s{i}", v, tuple(sorted(set(gaps)))))
-    return ts.SeriesCollection(series)
-
-
 class TestBlockFit:
     @pytest.mark.parametrize("h", [6, 24])
     @pytest.mark.parametrize("scale", [1e-200, 1e-5, 1.0, 1e5, 1e200])
@@ -337,3 +309,17 @@ class TestMalformedRecords:
             ts.reason_report(report, c)
         with pytest.raises(ts.ConsistencyError):
             ts.assess_usefulness(record, c, ts.ReasonConfig(horizon=5))
+
+    def test_first_malformed_record_in_report_order_is_named(self, usage_collection):
+        # x's block holds the first match and x comes first in the collection,
+        # so a check block by block would name x's record, not z's
+        c, _ = usage_collection
+        report = ts.LeakReport(ts.ScanConfig(h=5), [
+            MatchRecord("x", "z", 12, 16, 1.0),
+            MatchRecord("z", "x", 11, 12, 1.0),  # shorter than the shortest window
+            MatchRecord("x", "z", 1, 16, 1.0),   # longer than the query series x
+        ])
+        with pytest.raises(ts.ConsistencyError) as raised:
+            ts.reason_report(report, c)
+        assert str(raised.value) == ("match 'z' -> 'x' covers 11..12, "
+                                     "not a window of at least 3 observations")
