@@ -26,7 +26,7 @@ from .scan import AUTO, ScanConfig, scan
 
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
 _FOOTER_LABELS = {ReasonKind.EXACT_MATCH: "exact"}
-_LINES_PER_WRITE = 1024  # explain joins its match lines into writes of this many
+_LINES_PER_WRITE = 1024  # scan and explain join their match lines into writes of this many
 
 
 def _workers(text):
@@ -36,6 +36,16 @@ def _workers(text):
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"workers must be a positive integer or 'auto', got {text!r}")
+
+
+def _angle(text):
+    try:
+        value = float(text)
+        if value - value == 0:  # false for NaN and the infinities
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"angle must be a finite number of degrees, got {text!r}")
 
 
 def _add_common(p):
@@ -88,7 +98,7 @@ def build_parser():
     p_viz.add_argument("--output", default="leaks.svg",
                        help="heatmap SVG path; the matrix CSV lands next to it "
                             "(default: leaks.svg)")
-    p_viz.add_argument("--ang", type=float, default=90.0, metavar="DEGREES",
+    p_viz.add_argument("--ang", type=_angle, default=90.0, metavar="DEGREES",
                        help="column label rotation angle (default: 90)")
     p_viz.set_defaults(func=cmd_viz)
     return parser
@@ -104,6 +114,13 @@ def _match_line(m):
     return f"{m.query_id} -> {m.donor_id}: {m.start}-{m.end}, r={m.r:.3f}"
 
 
+def _write_lines(items, line):
+    """Write ``line(item)``, which ends in a newline, for each item, in
+    joined writes of _LINES_PER_WRITE lines."""
+    for i in range(0, len(items), _LINES_PER_WRITE):
+        sys.stdout.write("".join([line(item) for item in items[i:i + _LINES_PER_WRITE]]))
+
+
 def _print_skips(report):
     for sid, reason in report.skipped_queries:
         print(f"skipped query {sid}: {reason}")
@@ -114,8 +131,7 @@ def cmd_scan(args) -> int:
     matches = report.matches
     if args.collapse_overlaps:
         matches = rpt.collapse_overlaps(matches)
-    for m in matches:
-        print(_match_line(m))
+    _write_lines(matches, lambda m: _match_line(m) + "\n")
     _print_skips(report)
     if not matches:
         print("no leaks detected")
@@ -149,8 +165,7 @@ def cmd_explain(args) -> int:
     if args.collapse_overlaps:
         reasoned = rpt.collapse_overlaps(reasoned)
     matches = [rm.base for rm in reasoned]
-    for i in range(0, len(reasoned), _LINES_PER_WRITE):
-        sys.stdout.write("".join([_explain_line(rm) for rm in reasoned[i:i + _LINES_PER_WRITE]]))
+    _write_lines(reasoned, _explain_line)
     _print_skips(report)
     kinds, useful = tally(reasoned)
     if not matches:

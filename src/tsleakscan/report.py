@@ -28,6 +28,15 @@ marks a missing predicted value. The config's numbers go through
 ``json.dumps``, so any number a ``ScanConfig`` admits is written, or
 rejected, as ``json.dump`` would. ``report_payload`` is the dict this
 layout follows; the CSV writer uses it, and the tests compare against it.
+
+The SVG heatmap is written a row at a time: each row of cells is one join
+of strings formatted once per column, once per row and once per distinct
+count, and goes to the file as soon as it is built, so neither the cells
+nor the document are held in memory. Its bytes are those of the per-cell
+writer ``reference_heatmap`` in the tests, which compare the two. The
+matrix CSV is likewise written from one int cast of the counts, a row at a
+time. Both writers check everything that can fail before they open the
+file.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .collection import SeriesCollection
-from .errors import ConsistencyError
+from .errors import ConfigError, ConsistencyError
 from .reasons import ReasonedMatch, resolve_horizon
 from .scan import LeakReport, MatchRecord, ScanConfig
 
@@ -262,13 +271,30 @@ def report_from_payload(payload: dict) -> LeakReport:
     return LeakReport(cfg, matches, skipped)
 
 
+def _int_counts(matrix: MatchMatrix) -> np.ndarray:
+    """The counts as an int array, each count what ``int()`` makes of it.
+
+    One cast, not a call per count. Raises ConsistencyError when the ids do
+    not match the counts' shape, or for a float count that int() rejects
+    (NaN, an infinity) or that int64 cannot hold, which the cast would not
+    convert as int() does.
+    """
+    counts = matrix.counts
+    shape = (len(matrix.row_ids), len(matrix.col_ids))
+    if counts.shape != shape:
+        raise ConsistencyError(f"counts of shape {counts.shape} for ids of shape {shape}")
+    if counts.dtype.kind == "f" and not (np.abs(counts) < 2.0 ** 63).all():
+        raise ConsistencyError("a float count is not finite or does not fit in int64")
+    return counts.astype(int, copy=False)
+
+
 def write_matrix_csv(matrix: MatchMatrix, path) -> None:
     """Matrix as CSV: first column query ids, header row donor ids."""
+    counts = _int_counts(matrix)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + matrix.col_ids)
-        for sid, row in zip(matrix.row_ids, matrix.counts):
-            writer.writerow([sid] + [int(v) for v in row])
+        writer.writerows([sid] + row.tolist() for sid, row in zip(matrix.row_ids, counts))
 
 
 def _escape(text: str) -> str:
@@ -283,14 +309,31 @@ def _ramp(frac: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
+def _cell_style(count: int, max_count: int) -> str:
+    if count == 0:
+        return 'fill="#ffffff" stroke="#d9d9d9" stroke-width="0.4"'
+    frac = 1.0 if max_count <= 1 else 0.25 + 0.75 * (count / max_count)
+    return f'fill="{_ramp(frac)}" stroke="#555555" stroke-width="0.4"'
+
+
 def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None:
     """Write the match matrix as a standalone SVG heatmap.
 
     One rect per cell; zero cells are white with a pale border so they read
-    as empty, nonzero cells follow a blue ramp with a legend. Column labels
-    are rotated by ``label_angle`` degrees.
+    as empty, nonzero cells follow a blue ramp with a legend. Up to 50
+    series a side, each cell holds a ``<title>`` naming its pair and count.
+    Column labels are rotated by ``label_angle`` degrees, which must be
+    finite (ConfigError otherwise).
+
+    The cells are written a row at a time, each row one join of strings
+    formatted once per column, once per row and once per distinct count, so
+    memory does not grow with the number of cells. Everything that can
+    raise runs before the file is opened.
     """
-    n_rows, n_cols = matrix.counts.shape
+    if not np.isfinite(label_angle):
+        raise ConfigError(f"label_angle must be finite, got {label_angle!r}")
+    counts = _int_counts(matrix)
+    n_rows, n_cols = counts.shape
     size = max(n_rows, n_cols)
     cell = 28.0 if size <= 30 else max(4.0, 840.0 / size)
     font = max(3.0, min(12.0, cell * 0.55))
@@ -300,34 +343,24 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
     legend_h = 46.0
     width = left + n_cols * cell + 20
     height = top + n_rows * cell + legend_h + 20
-    max_count = int(matrix.counts.max()) if matrix.counts.size else 0
+    max_count = int(counts.max()) if counts.size else 0
     with_titles = size <= 50
 
-    parts = [
+    head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
-    ]
-    for i in range(n_rows):
-        for j in range(n_cols):
-            count = int(matrix.counts[i, j])
-            x = left + j * cell
-            y = top + i * cell
-            if count == 0:
-                style = 'fill="#ffffff" stroke="#d9d9d9" stroke-width="0.4"'
-            else:
-                frac = 1.0 if max_count <= 1 else 0.25 + 0.75 * (count / max_count)
-                style = f'fill="{_ramp(frac)}" stroke="#555555" stroke-width="0.4"'
-            title = ""
-            if with_titles:
-                label = _escape(f"{matrix.row_ids[i]} -> {matrix.col_ids[j]}: {count}")
-                title = f"<title>{label}</title>"
-            parts.append(
-                f'<rect class="cell" x="{x:.1f}" y="{y:.1f}" '
-                f'width="{cell:.1f}" height="{cell:.1f}" {style}>{title}</rect>'
-            )
+        f'viewBox="0 0 {width:.0f} {height:.0f}">\n'
+        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>'
+    )
+    # every cell starts a line of its own, so a row is one join with no
+    # separator
+    cell_x = [f'\n<rect class="cell" x="{left + j * cell:.1f}" y="' for j in range(n_cols)]
+    # escaping maps each character on its own, so a title's parts are
+    # escaped apart and its " -> " is written " -&gt; "
+    row_titles = [f"><title>{_escape(sid)} -&gt; " for sid in matrix.row_ids]
+    col_titles = [_escape(sid) for sid in matrix.col_ids]
+    parts = []
     for i, sid in enumerate(matrix.row_ids):
         y = top + i * cell + cell / 2 + font / 3
         parts.append(
@@ -344,8 +377,7 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
         )
     ly = top + n_rows * cell + 18
     parts.append(
-        f'<rect x="{left:.1f}" y="{ly:.1f}" width="14" height="14" '
-        f'fill="#ffffff" stroke="#d9d9d9" stroke-width="0.4"/>'
+        f'<rect x="{left:.1f}" y="{ly:.1f}" width="14" height="14" {_cell_style(0, max_count)}/>'
         f'<text x="{left + 18:.1f}" y="{ly + 11:.1f}" font-size="11" '
         f'font-family="sans-serif">0 matches</text>'
     )
@@ -353,14 +385,26 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
         steps = sorted({1, max(1, max_count // 2), max_count})
         x = left + 110
         for count in steps:
-            frac = 1.0 if max_count <= 1 else 0.25 + 0.75 * (count / max_count)
             parts.append(
-                f'<rect x="{x:.1f}" y="{ly:.1f}" width="14" height="14" '
-                f'fill="{_ramp(frac)}" stroke="#555555" stroke-width="0.4"/>'
+                f'<rect x="{x:.1f}" y="{ly:.1f}" width="14" height="14" {_cell_style(count, max_count)}/>'
                 f'<text x="{x + 18:.1f}" y="{ly + 11:.1f}" font-size="11" '
                 f'font-family="sans-serif">{count}</text>'
             )
             x += 56
     parts.append("</svg>\n")
+    styles = {}  # count -> the style of its cells, added as counts first appear
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+        fh.write(head)
+        for i, values in enumerate(counts):
+            row = values.tolist()
+            for count in set(row).difference(styles):
+                styles[count] = _cell_style(count, max_count)
+            at = f'{top + i * cell:.1f}" width="{cell:.1f}" height="{cell:.1f}" '
+            if with_titles:
+                title = row_titles[i]
+                fh.write("".join([f"{x}{at}{styles[count]}{title}{col}: {count}</title></rect>"
+                                  for x, count, col in zip(cell_x, row, col_titles)]))
+            else:
+                fh.write("".join([f"{x}{at}{styles[count]}></rect>"
+                                  for x, count in zip(cell_x, row)]))
+        fh.write("\n" + "\n".join(parts))

@@ -1,3 +1,4 @@
+import csv
 import math
 import statistics
 
@@ -12,6 +13,7 @@ from tsleakscan.corr import (
     _check_sweep_args,
     centre,
 )
+from tsleakscan.report import MatchMatrix, _escape, _ramp
 
 
 def _centred(x):
@@ -182,6 +184,98 @@ def block_fit_collection(h, scale, seed):
         v[gaps] = 0.0
         series.append(ts.Series(f"s{i}", v, tuple(sorted(set(gaps)))))
     return ts.SeriesCollection(series)
+
+
+def reference_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None:
+    """Reference heatmap writer: one f-string per cell, the whole document
+    built in memory and written at once.
+
+    The per-cell layout ``render_heatmap`` must reproduce byte for byte; it
+    shares only the colour ramp and the escaping with it.
+    """
+    n_rows, n_cols = matrix.counts.shape
+    size = max(n_rows, n_cols)
+    cell = 28.0 if size <= 30 else max(4.0, 840.0 / size)
+    font = max(3.0, min(12.0, cell * 0.55))
+    label_space = 10 + font * max((len(s) for s in matrix.row_ids + matrix.col_ids), default=1) * 0.62
+    left = label_space
+    top = label_space
+    legend_h = 46.0
+    width = left + n_cols * cell + 20
+    height = top + n_rows * cell + legend_h + 20
+    max_count = int(matrix.counts.max()) if matrix.counts.size else 0
+    with_titles = size <= 50
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
+    ]
+    for i in range(n_rows):
+        for j in range(n_cols):
+            count = int(matrix.counts[i, j])
+            x = left + j * cell
+            y = top + i * cell
+            if count == 0:
+                style = 'fill="#ffffff" stroke="#d9d9d9" stroke-width="0.4"'
+            else:
+                frac = 1.0 if max_count <= 1 else 0.25 + 0.75 * (count / max_count)
+                style = f'fill="{_ramp(frac)}" stroke="#555555" stroke-width="0.4"'
+            title = ""
+            if with_titles:
+                label = _escape(f"{matrix.row_ids[i]} -> {matrix.col_ids[j]}: {count}")
+                title = f"<title>{label}</title>"
+            parts.append(
+                f'<rect class="cell" x="{x:.1f}" y="{y:.1f}" '
+                f'width="{cell:.1f}" height="{cell:.1f}" {style}>{title}</rect>'
+            )
+    for i, sid in enumerate(matrix.row_ids):
+        y = top + i * cell + cell / 2 + font / 3
+        parts.append(
+            f'<text x="{left - 4:.1f}" y="{y:.1f}" font-size="{font:.1f}" '
+            f'text-anchor="end" font-family="sans-serif">{_escape(sid)}</text>'
+        )
+    for j, sid in enumerate(matrix.col_ids):
+        x = left + j * cell + cell / 2
+        y = top - 4
+        parts.append(
+            f'<text x="{x:.1f}" y="{y:.1f}" font-size="{font:.1f}" text-anchor="start" '
+            f'font-family="sans-serif" transform="rotate({-label_angle:g} {x:.1f} {y:.1f})"'
+            f'>{_escape(sid)}</text>'
+        )
+    ly = top + n_rows * cell + 18
+    parts.append(
+        f'<rect x="{left:.1f}" y="{ly:.1f}" width="14" height="14" '
+        f'fill="#ffffff" stroke="#d9d9d9" stroke-width="0.4"/>'
+        f'<text x="{left + 18:.1f}" y="{ly + 11:.1f}" font-size="11" '
+        f'font-family="sans-serif">0 matches</text>'
+    )
+    if max_count > 0:
+        steps = sorted({1, max(1, max_count // 2), max_count})
+        x = left + 110
+        for count in steps:
+            frac = 1.0 if max_count <= 1 else 0.25 + 0.75 * (count / max_count)
+            parts.append(
+                f'<rect x="{x:.1f}" y="{ly:.1f}" width="14" height="14" '
+                f'fill="{_ramp(frac)}" stroke="#555555" stroke-width="0.4"/>'
+                f'<text x="{x + 18:.1f}" y="{ly + 11:.1f}" font-size="11" '
+                f'font-family="sans-serif">{count}</text>'
+            )
+            x += 56
+    parts.append("</svg>\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+
+
+def reference_matrix_csv(matrix: MatchMatrix, path) -> None:
+    """Reference matrix CSV writer: ``int()`` of each count, one at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([""] + matrix.col_ids)
+        for sid, row in zip(matrix.row_ids, matrix.counts):
+            writer.writerow([sid] + [int(v) for v in row])
 
 
 def random_collection(rng, n_series=None, length_range=(20, 120)):

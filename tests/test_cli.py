@@ -226,15 +226,47 @@ def explain_stdout(report, reasoned):
     return "\n".join(lines) + "\n"
 
 
+@pytest.fixture(scope="module")
+def planted_json(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "planted.json"
+    ts.write_collection(block_fit_collection(6, 1.0, seed=6), path, "json")
+    return str(path)
+
+
+PLANTED_ARGS = ("--format", "json", "--h", "6", "--cutoff", "0.9", "--missing", "skip")
+
+
+class TestScanStdout:
+    @staticmethod
+    def reference(path, collapse):
+        c = ts.load_collection(path, format="json", policy=ts.MissingPolicy(SPLIT_SKIP))
+        report = ts.scan(c, ts.ScanConfig(h=6, cutoff=0.9))
+        matches = report.matches
+        if collapse:
+            matches = ts.collapse_overlaps(matches)
+            assert len(matches) < len(report.matches)
+        lines = [f"{m.query_id} -> {m.donor_id}: {m.start}-{m.end}, r={m.r:.3f}" for m in matches]
+        lines += [f"skipped query {sid}: {reason}" for sid, reason in report.skipped_queries]
+        lines.append(f"{len(matches)} matches")
+        return "\n".join(lines) + "\n", len(matches)
+
+    @pytest.mark.parametrize("collapse", [False, True])
+    def test_bytes_equal_reference(self, planted_json, collapse):
+        flags = ["--collapse-overlaps"] if collapse else []
+        proc = run_cli("scan", "--input", planted_json, *PLANTED_ARGS, *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == self.reference(planted_json, collapse)[0]
+
+    def test_lines_split_across_writes(self, planted_json, monkeypatch, capsys):
+        from tsleakscan import cli
+        expected, n_lines = self.reference(planted_json, collapse=False)
+        assert n_lines > 14 and n_lines % 7
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 7)
+        assert cli.main(["scan", "--input", planted_json, *PLANTED_ARGS]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestExplainStdout:
-    ARGS = ("--format", "json", "--h", "6", "--cutoff", "0.9", "--missing", "skip")
-
-    @pytest.fixture(scope="class")
-    def planted_json(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("data") / "planted.json"
-        ts.write_collection(block_fit_collection(6, 1.0, seed=6), path, "json")
-        return str(path)
-
     @staticmethod
     def reference(path, collapse):
         c = ts.load_collection(path, format="json", policy=ts.MissingPolicy(SPLIT_SKIP))
@@ -252,7 +284,7 @@ class TestExplainStdout:
     @pytest.mark.parametrize("collapse", [False, True])
     def test_bytes_equal_reference(self, planted_json, collapse):
         flags = ["--collapse-overlaps"] if collapse else []
-        proc = run_cli("explain", "--input", planted_json, *self.ARGS, *flags)
+        proc = run_cli("explain", "--input", planted_json, *PLANTED_ARGS, *flags)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == self.reference(planted_json, collapse)[0]
 
@@ -261,7 +293,7 @@ class TestExplainStdout:
         expected, n_lines = self.reference(planted_json, collapse=False)
         assert n_lines > 14 and n_lines % 7
         monkeypatch.setattr(cli, "_LINES_PER_WRITE", 7)
-        assert cli.main(["explain", "--input", planted_json, *self.ARGS]) == 0
+        assert cli.main(["explain", "--input", planted_json, *PLANTED_ARGS]) == 0
         assert capsys.readouterr().out == expected
 
 
@@ -304,6 +336,14 @@ class TestVizCommand:
         run_cli("viz", "--input", usage_csv, "--h", "5",
                 "--output", str(svg), "--ang", "45")
         assert "rotate(-45" in svg.read_text()
+
+    @pytest.mark.parametrize("angle", ["nan", "1e400", "-inf", "ninety"])
+    def test_bad_angle_exits_2(self, usage_csv, tmp_path, angle):
+        proc = run_cli("viz", "--input", usage_csv, "--h", "5",
+                       "--output", str(tmp_path / "leaks.svg"), f"--ang={angle}")
+        assert proc.returncode == 2
+        assert "angle must be a finite number of degrees" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_naming_no_file_exits_2(self, usage_csv):
         assert_exits_2("names no file",

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 import xml.etree.ElementTree as ET
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 import tsleakscan as ts
 from tsleakscan.reasons import ReasonKind
 from tsleakscan.scan import MatchRecord
+
+from conftest import reference_heatmap, reference_matrix_csv
 
 # ids with quotes, backslashes, control and non-ASCII characters among any others
 json_ids = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7fé€\u2028😀'), st.characters()), max_size=6)
@@ -35,6 +38,39 @@ def json_reports(draw):
         fit = ts.AffineFit(draw(json_floats), draw(json_floats), 0.0)
         reasoned.append(ts.ReasonedMatch(match, fit, draw(st.sampled_from(ReasonKind)), useful, predicted, ""))
     return report, reasoned, draw(st.one_of(st.none(), st.integers(1, 50)))
+
+
+# ids with the characters XML escapes and non-ASCII text among any others
+# (surrogates cannot be written as UTF-8)
+svg_ids = st.text(st.one_of(st.sampled_from("<&>é€😀 "), st.characters(exclude_categories=("Cs",))),
+                  max_size=5)
+
+
+@st.composite
+def heatmap_matrices(draw):
+    """A MatchMatrix of 1-60 rows and columns, square or not, with int,
+    bool or float counts whose largest is 0, 1 or more."""
+    n_rows = draw(st.integers(1, 60))
+    n_cols = n_rows if draw(st.booleans()) else draw(st.integers(1, 60))
+    dtype = draw(st.sampled_from([int, bool, float]))
+    top = draw(st.integers(0, 1 if dtype is bool else 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    shape = (n_rows, n_cols)
+    counts = (rng.integers(0, top + 1, size=shape) * (rng.random(shape) < density)).astype(dtype)
+    if dtype is float and draw(st.booleans()):
+        counts += rng.random(shape) * 0.99  # a fraction that int() truncates away
+    row_ids = draw(st.lists(svg_ids, min_size=n_rows, max_size=n_rows))
+    col_ids = draw(st.lists(svg_ids, min_size=n_cols, max_size=n_cols))
+    return ts.MatchMatrix(row_ids, col_ids, counts)
+
+
+def bench_sized_matrix(n, seed):
+    """n series a side, a sparse scatter of counts from 1 to 3."""
+    rng = np.random.default_rng(seed)
+    counts = (rng.random((n, n)) < 0.01) * rng.integers(1, 4, size=(n, n))
+    ids = [f"N{i:04d}" for i in range(n)]
+    return ts.MatchMatrix(ids, ids, counts)
 
 
 def svg_cells(path):
@@ -208,6 +244,17 @@ class TestSerialization:
             ts.write_report(report, tmp_path / "x.csv", "csv", reasoned=[], horizon=5)
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("dtype", [int, bool, float])
+    def test_matrix_csv_bytes_equal_reference(self, dtype, tmp_path):
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 3, size=(7, 5)).astype(dtype)
+        if dtype is float:
+            counts += rng.random((7, 5)) * 0.99
+        matrix = ts.MatchMatrix([f"q{i}" for i in range(7)], ["d,1", 'd"2', "d3", "é", ""], counts)
+        ts.write_matrix_csv(matrix, tmp_path / "new.csv")
+        reference_matrix_csv(matrix, tmp_path / "reference.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_matrix_csv(self, usage_collection, tmp_path):
         c, _ = usage_collection
         report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
@@ -263,3 +310,56 @@ class TestHeatmap:
         path = tmp_path / "esc.svg"
         ts.render_heatmap(matrix, path)
         ET.parse(path)  # well-formed despite hostile id
+
+    @given(heatmap_matrices(), st.one_of(st.sampled_from([90.0, 45.0, 0.0, -30.0, 12.5]),
+                                         st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_equal_reference(self, matrix, label_angle):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, reference = Path(tmp) / "new.svg", Path(tmp) / "reference.svg"
+            ts.render_heatmap(matrix, new, label_angle=label_angle)
+            reference_heatmap(matrix, reference, label_angle=label_angle)
+            assert new.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("n", [75, 91, 181])
+    @pytest.mark.parametrize("label_angle", [90.0, 45.0])
+    def test_bench_sizes_bytes_equal_reference(self, n, label_angle, tmp_path):
+        matrix = bench_sized_matrix(n, seed=n)
+        assert matrix.counts.max() > 1
+        ts.render_heatmap(matrix, tmp_path / "new.svg", label_angle=label_angle)
+        reference_heatmap(matrix, tmp_path / "reference.svg", label_angle=label_angle)
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
+
+    def test_memory_does_not_grow_with_the_svg(self, tmp_path):
+        n = 400
+        ids = [f"N{i:04d}" for i in range(n)]
+        matrix = ts.MatchMatrix(ids, ids, np.zeros((n, n), dtype=int))
+        tracemalloc.start()
+        try:
+            ts.render_heatmap(matrix, tmp_path / "zero.svg")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "zero.svg").stat().st_size > 16 * 2**20
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("label_angle", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_label_angle_rejected(self, label_angle, tmp_path):
+        matrix = ts.MatchMatrix(["a"], ["a"], np.ones((1, 1), dtype=int))
+        with pytest.raises(ts.ConfigError, match="label_angle must be finite"):
+            ts.render_heatmap(matrix, tmp_path / "heat.svg", label_angle=label_angle)
+        assert not (tmp_path / "heat.svg").exists()
+
+    @pytest.mark.parametrize("counts", [
+        np.ones((2, 3), dtype=int),
+        np.array([[1.0, np.nan], [0.0, 2.0]]),
+        np.array([[1.0, -np.inf], [0.0, 2.0]]),
+        np.array([[1.0, 1e19], [0.0, 2.0]]),
+    ], ids=["ids-do-not-match-shape", "nan-count", "infinite-count", "count-beyond-int64"])
+    def test_bad_counts_raise_before_any_file(self, counts, tmp_path):
+        matrix = ts.MatchMatrix(["a", "b"], ["a", "b"], counts)
+        with pytest.raises(ts.ConsistencyError):
+            ts.render_heatmap(matrix, tmp_path / "heat.svg")
+        with pytest.raises(ts.ConsistencyError):
+            ts.write_matrix_csv(matrix, tmp_path / "matrix.csv")
+        assert list(tmp_path.iterdir()) == []
