@@ -54,7 +54,6 @@ class SlidingProfile:
     Each row of ``r_values`` is the same in both cases.
     """
 
-    target_id: str | None
     offsets: np.ndarray
     r_values: np.ndarray
     skipped: list[tuple[int, str]] = field(default_factory=list)
@@ -215,8 +214,7 @@ def _check_sweep_args(query, target, h, missing):
     return queries, target, h, missing
 
 
-def sliding_correlations(query, target, h, *, target_id=None, missing=(),
-                         threshold=None) -> SlidingProfile:
+def sliding_correlations(query, target, h, *, missing=(), threshold=None) -> SlidingProfile:
     """Correlate ``query`` with every length-``h`` window of ``target``.
 
     Parameters
@@ -227,8 +225,6 @@ def sliding_correlations(query, target, h, *, target_id=None, missing=(),
         ``r_values`` has one column per row.
     target : array_like
         Series to sweep; must be at least ``h`` long.
-    target_id : str, optional
-        Label carried into the resulting profile.
     missing : iterable of int, optional
         0-based positions of missing observations in ``target``; any
         window overlapping one is skipped.
@@ -259,5 +255,5 @@ def sliding_correlations(query, target, h, *, target_id=None, missing=(),
         keep = _candidates(windows, queries, threshold - prefilter_slack(h))
         windows, offsets = windows[keep], offsets[keep]
     r = _correlate(windows, queries)
-    return SlidingProfile(target_id, offsets, r if queries.values.ndim == 2 else r[:, 0], skipped)
+    return SlidingProfile(offsets, r if queries.values.ndim == 2 else r[:, 0], skipped)
 

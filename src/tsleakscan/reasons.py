@@ -9,22 +9,24 @@ window to cover the query's forecast horizon; in that case the donor
 continuation, mapped back through the inverse transform, is the predicted
 test segment of the query series.
 
-``reason_report`` works in two passes over the whole report. First it
-checks every match at once, with array comparisons, for what ``_matched``
-checks of one: both ids name series of the collection, the window starts
-at position 1 or later, spans at least MIN_WINDOW observations, is no
-longer than its query series and ends within its donor. Only when a check
-fails does it call ``_matched``, in report order, which raises the error
-of the first failing match. Then it fits all matches of one query segment
-together: their donor windows are gathered into a (k, h) block by one
-fancy index into the collection's values laid end to end, each row is
-centred once, and every slope, intercept, residual and window scale is an
-array operation over the block. The continuations of every useful match
-are one more fancy index. ``fit_affine`` is the one-row case of the same
-fit. Each row gets the bits a fit of its match alone would get: the
-reductions run along the last axis of each row, and the cross term is a
-matmul of each row with the query, which gives the bits of the dot
-product ``qc @ wc``; a row sum would not.
+``_locate`` is the one place where match records are checked. It turns
+the records into arrays of query index, donor index, start and end, and
+checks all of them at once, with array comparisons: both ids name series
+of the collection, the window starts at position 1 or later, spans at
+least MIN_WINDOW observations, is no longer than its query series and ends
+within its donor. The first record in report order that fails a check
+raises ConsistencyError; ``build_matrix`` counts through the same checks.
+``reason_report`` then fits all matches of one query segment together:
+their donor windows are gathered into a (k, h) block by one fancy index
+into the collection's values laid end to end, each row is centred once,
+and every slope, intercept, residual and window scale is an array
+operation over the block. The continuations of every useful match are one
+more fancy index. ``assess_usefulness`` is this path run on one match, and
+``fit_affine`` the one-row case of the same fit. Each row gets the bits a
+fit of its match alone would get: the reductions run along the last axis
+of each row, and the cross term is a matmul of each row with the query,
+which gives the bits of the dot product ``qc @ wc``; a row sum would
+not.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ class ReasonedMatch:
     kind: ReasonKind
     useful: bool
     predicted_test: list | None  # present iff useful
-    provenance_note: str
 
 
 def scale_of(w):
@@ -102,35 +103,6 @@ def scale_of(w):
 def resolve_horizon(horizon: int | None, h: int) -> int:
     """The forecast horizon, which defaults to the scan's segment length h."""
     return h if horizon is None else horizon
-
-
-def _pair(match: MatchRecord) -> str:
-    return f"match {match.query_id!r} -> {match.donor_id!r}"
-
-
-def _matched(match: MatchRecord, collection: SeriesCollection):
-    """The query segment, the donor series and the donor window of a match.
-
-    Raises ConsistencyError when the match names a series that is not in
-    the collection, does not cover a window of at least MIN_WINDOW
-    observations from position 1 on, or is longer than its query series
-    or ends past the end of its donor.
-    """
-    for sid in (match.query_id, match.donor_id):
-        if sid not in collection:
-            raise ConsistencyError(f"{_pair(match)} refers to unknown series {sid!r}")
-    h = match.end - match.start + 1
-    if match.start < 1 or h < MIN_WINDOW:
-        raise ConsistencyError(f"{_pair(match)} covers {match.start}..{match.end}, not a window of "
-                               f"at least {MIN_WINDOW} observations")
-    query, donor = collection.get(match.query_id).values, collection.get(match.donor_id)
-    if h > len(query):
-        raise ConsistencyError(f"{_pair(match)} spans {h} observations, "
-                               f"query series has {len(query)}")
-    if match.end > len(donor.values):
-        raise ConsistencyError(f"match into {match.donor_id!r} ends at {match.end}, "
-                               f"series has {len(donor.values)} observations")
-    return query[-h:], donor, donor.values[match.start - 1:match.end]
 
 
 def _query_terms(q):
@@ -187,16 +159,6 @@ def classify(fit: AffineFit, *, window_scale: float) -> ReasonKind:
     return ReasonKind.AFFINE_TRANSFORM
 
 
-def _predictions(continuations, missing, m, c) -> list[list]:
-    """The predicted test segment of each row of the (k, horizon) block of
-    donor continuations, from the m and c of its fit, as
-    ``assess_usefulness`` describes it; None where ``missing`` is set."""
-    rows = ((continuations - c[:, None]) / m[:, None]).tolist()
-    for i, j in zip(*np.nonzero(missing)):
-        rows[i][j] = None
-    return rows
-
-
 def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: ReasonConfig):
     """Decide exploitability and build the predicted test segment.
 
@@ -204,17 +166,13 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
     useful, the donor continuation donor[end+1 .. end+horizon] is mapped
     through the inverse transform (v - c)/m onto the query series' scale;
     continuation positions that are missing in the donor come out as None.
+    The match is explained as ``reason_report`` explains it, so its checks
+    and errors are those of ``reason_report``.
     """
-    horizon = cfg.horizon
-    if horizon is None:
+    if cfg.horizon is None:
         raise ConfigError("horizon not resolved; pass an explicit horizon")
-    q, donor, w = _matched(match, collection)
-    if match.end + horizon > len(donor.values):
-        return False, None
-    fit = fit_affine(q, w)
-    after = np.arange(match.end, match.end + horizon)  # 0-based continuation positions
-    return True, _predictions(donor.values[after][None], np.isin(after, donor.missing)[None],
-                              np.array([fit.m]), np.array([fit.c]))[0]
+    [reasoned] = _explain([match], collection, cfg.horizon)
+    return reasoned.useful, reasoned.predicted_test
 
 
 def _gather(flat, first, width):
@@ -224,23 +182,32 @@ def _gather(flat, first, width):
 
 def _locate(matches, collection: SeriesCollection):
     """The series lengths, and the query index, donor index, start and end
-    of each match, as arrays, once every match passes ``_matched``'s checks.
-
-    The checks run on all matches at once; when one fails, ``_matched``
-    raises the error of the first failing match in report order.
+    of each match, as arrays, once every match passes the record checks of
+    the module docstring; the first match in report order that fails one
+    raises ConsistencyError.
     """
     index = {s.id: i for i, s in enumerate(collection.entries)}
     # an unknown id gets index -1, which picks the sentinel length 0
     lengths = np.array([len(s.values) for s in collection.entries] + [0])
-    qi = np.array([index.get(m.query_id, -1) for m in matches])
-    di = np.array([index.get(m.donor_id, -1) for m in matches])
+    qi = np.array([index.get(m.query_id, -1) for m in matches], dtype=int)
+    di = np.array([index.get(m.donor_id, -1) for m in matches], dtype=int)
     start = np.array([m.start for m in matches])
     end = np.array([m.end for m in matches])
     span = end - start + 1
-    valid = ((qi >= 0) & (di >= 0) & (start >= 1) & (span >= MIN_WINDOW)
-             & (span <= lengths[qi]) & (end <= lengths[di]))
-    for i in np.flatnonzero(~valid):
-        _matched(matches[i], collection)  # raises
+    checks = (qi < 0, di < 0, (start < 1) | (span < MIN_WINDOW), span > lengths[qi], end > lengths[di])
+    failing = np.logical_or.reduce(checks)
+    if failing.any():
+        i = int(np.argmax(failing))
+        match = matches[i]
+        pair = f"match {match.query_id!r} -> {match.donor_id!r}"
+        messages = (
+            f"{pair} refers to unknown series {match.query_id!r}",
+            f"{pair} refers to unknown series {match.donor_id!r}",
+            f"{pair} covers {match.start}..{match.end}, not a window of at least {MIN_WINDOW} observations",
+            f"{pair} spans {span[i]} observations, query series has {lengths[qi[i]]}",
+            f"match into {match.donor_id!r} ends at {match.end}, series has {lengths[di[i]]} observations",
+        )
+        raise ConsistencyError(next(text for text, check in zip(messages, checks) if check[i]))
     return lengths[:-1], qi, di, start, end
 
 
@@ -248,12 +215,15 @@ def reason_report(report: LeakReport, collection: SeriesCollection,
                   cfg: ReasonConfig = ReasonConfig()) -> list[ReasonedMatch]:
     """Explain every match in the report, preserving report order.
 
-    Raises ``_matched``'s ConsistencyError for the first malformed match in
+    Raises ``_locate``'s ConsistencyError for the first malformed match in
     report order. The matches of each query segment, keyed by query id and
     span, are fitted as one block (see the module docstring).
     """
-    horizon = resolve_horizon(cfg.horizon, report.config.h)
-    matches = report.matches
+    return _explain(report.matches, collection, resolve_horizon(cfg.horizon, report.config.h))
+
+
+def _explain(matches, collection: SeriesCollection, horizon: int) -> list[ReasonedMatch]:
+    """Explain each match, in order, with a continuation of ``horizon`` values."""
     if not matches:
         return []
     entries = collection.entries
@@ -275,21 +245,17 @@ def reason_report(report: LeakReport, collection: SeriesCollection,
     continuation_first = first[di[useful]] + end[useful]
     missing = np.zeros(len(flat), dtype=bool)
     missing[[first[i] + p for i, s in enumerate(entries) for p in s.missing]] = True
-    predicted = iter(_predictions(_gather(flat, continuation_first, horizon),
-                                  _gather(missing, continuation_first, horizon),
-                                  m[useful], c[useful]))
+    predicted = ((_gather(flat, continuation_first, horizon) - c[useful, None])
+                 / m[useful, None]).tolist()
+    for i, j in zip(*np.nonzero(_gather(missing, continuation_first, horizon))):
+        predicted[i][j] = None
+    predicted = iter(predicted)
     reasoned = []
     for match, fit_m, fit_c, residual, window_scale, is_useful in zip(
             matches, m.tolist(), c.tolist(), max_residual.tolist(), scale.tolist(), useful.tolist()):
         fit = AffineFit(fit_m, fit_c, residual)
-        if is_useful:
-            note = (f"donor {match.donor_id!r} has observations "
-                    f"{match.end + 1}..{match.end + horizon}")
-        else:
-            note = (f"donor {match.donor_id!r} observations "
-                    f"{match.end + 1}..{match.end + horizon} are not available")
         reasoned.append(ReasonedMatch(match, fit, classify(fit, window_scale=window_scale),
-                                      is_useful, next(predicted) if is_useful else None, note))
+                                      is_useful, next(predicted) if is_useful else None))
     return reasoned
 
 

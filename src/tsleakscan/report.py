@@ -51,8 +51,8 @@ import numpy as np
 
 from .collection import SeriesCollection
 from .errors import ConfigError, ConsistencyError
-from .reasons import ReasonedMatch, resolve_horizon
-from .scan import LeakReport, MatchRecord, ScanConfig
+from .reasons import ReasonedMatch, _locate, resolve_horizon
+from .scan import LeakReport, MatchRecord, ScanConfig, _is_int
 
 
 @dataclass
@@ -68,16 +68,18 @@ class MatchMatrix:
 
 
 def build_matrix(report: LeakReport, collection: SeriesCollection) -> MatchMatrix:
-    """Count matches per (query, donor) cell; zero rows/columns are kept."""
+    """Count matches per (query, donor) cell; zero rows/columns are kept.
+
+    Rejects, with ``reason_report``'s ConsistencyError for the first one in
+    report order, every match that names a series not in the collection,
+    does not cover a window of at least MIN_WINDOW observations from
+    position 1 on, is longer than its query series or ends past the end of
+    its donor.
+    """
     ids = collection.ids()
-    index = {sid: i for i, sid in enumerate(ids)}
+    _, qi, di, _, _ = _locate(report.matches, collection)
     counts = np.zeros((len(ids), len(ids)), dtype=int)
-    for match in report.matches:
-        if match.query_id not in index or match.donor_id not in index:
-            raise ConsistencyError(
-                f"match {match.query_id!r} -> {match.donor_id!r} refers to unknown series"
-            )
-        counts[index[match.query_id], index[match.donor_id]] += 1
+    np.add.at(counts, (qi, di), 1)
     return MatchMatrix(list(ids), list(ids), counts)
 
 
@@ -261,14 +263,23 @@ def report_from_payload(payload: dict) -> LeakReport:
 
     Only the serialized fields are recovered: the config keeps h and cutoff,
     and workers, which a report does not record, comes back as its default.
+    ``ScanConfig`` rejects an h that is not an integer; a start or end that
+    is not one raises ConsistencyError.
     """
-    cfg = ScanConfig(h=int(payload["config"]["h"]), cutoff=float(payload["config"]["cutoff"]))
+    cfg = ScanConfig(h=payload["config"]["h"], cutoff=float(payload["config"]["cutoff"]))
     matches = [
-        MatchRecord(e["query_id"], e["donor_id"], int(e["start"]), int(e["end"]), float(e["r"]))
+        MatchRecord(e["query_id"], e["donor_id"], _position(e, "start"), _position(e, "end"), float(e["r"]))
         for e in payload["matches"]
     ]
     skipped = [(e["id"], e["reason"]) for e in payload["skipped_queries"]]
     return LeakReport(cfg, matches, skipped)
+
+
+def _position(entry: dict, key: str) -> int:
+    value = entry[key]
+    if not _is_int(value):
+        raise ConsistencyError(f"match {key} must be an integer, got {value!r}")
+    return value
 
 
 def _int_counts(matrix: MatchMatrix) -> np.ndarray:

@@ -51,7 +51,7 @@ def brute_sliding(query, target, h):
     return out
 
 
-def naive_sliding_oracle(query, target, h, *, target_id=None, missing=()) -> SlidingProfile:
+def naive_sliding_oracle(query, target, h, *, missing=()) -> SlidingProfile:
     """Reference sweep: one window at a time, sharing no arithmetic with the kernel.
 
     Same contract as ``sliding_correlations``; kept deliberately dumb so the
@@ -82,7 +82,7 @@ def naive_sliding_oracle(query, target, h, *, target_id=None, missing=()) -> Sli
         r = float((q @ w) / np.sqrt((q @ q) * (w @ w)))
         offsets.append(s + 1)
         r_values.append(min(1.0, max(-1.0, r)))
-    return SlidingProfile(target_id, np.asarray(offsets, dtype=int), np.asarray(r_values), skipped)
+    return SlidingProfile(np.asarray(offsets, dtype=int), np.asarray(r_values), skipped)
 
 
 def fit_oracle(q, w) -> ts.AffineFit:

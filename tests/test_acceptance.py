@@ -109,7 +109,7 @@ def test_criterion_3_oracle_equivalence_on_200_collections():
                     if len(ds.values) < h:
                         continue
                     ref = brute_sliding(q, list(ds.values), h)
-                    profile = ts.sliding_correlations(q, ds.values, h, target_id=ds.id)
+                    profile = ts.sliding_correlations(q, ds.values, h)
                     assert list(profile.offsets) == [o for o, r in ref.items() if r is not None]
                     for off, r in zip(profile.offsets, profile.r_values):
                         worst = max(worst, abs(float(r) - ref[int(off)]))

@@ -218,13 +218,6 @@ class TestReasonReport:
         with pytest.raises(ts.ConsistencyError):
             ts.reason_report(bad, c)
 
-    def test_provenance_notes(self, usage_collection):
-        c, _ = usage_collection
-        report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
-        by_query = {rm.base.query_id: rm for rm in ts.reason_report(report, c)}
-        assert "6..10" in by_query["y"].provenance_note
-        assert "not available" in by_query["z"].provenance_note
-
     def test_negative_affine_kind_and_prediction(self):
         rng = np.random.default_rng(13)
         base = rng.normal(size=12)
@@ -278,7 +271,9 @@ class TestBlockFit:
         assert [rm.base for rm in reasoned] == matches
         cfg = ts.ReasonConfig(horizon=h)
         for rm in reasoned:
-            assert (rm.fit, rm.kind, rm.useful, rm.predicted_test) == reason_oracle(rm.base, c, cfg)
+            expected = reason_oracle(rm.base, c, cfg)
+            assert (rm.fit, rm.kind, rm.useful, rm.predicted_test) == expected
+            assert ts.assess_usefulness(rm.base, c, cfg) == expected[2:]
         # the cases the block path must hold on are all present
         assert collapsed
         assert [m.query_id for m in matches] != sorted(m.query_id for m in matches)
@@ -295,20 +290,51 @@ class TestBlockFit:
                 assert ts.fit_affine(q, w) == fit_oracle(q, w)
 
 
+def _after_good_record(record):
+    return ts.LeakReport(ts.ScanConfig(h=5), [MatchRecord("y", "x", 1, 5, 1.0), record])
+
+
+def _reason_report(record, c):
+    return ts.reason_report(_after_good_record(record), c)
+
+
+def _assess_usefulness(record, c):
+    return ts.assess_usefulness(record, c, ts.ReasonConfig(horizon=5))
+
+
+def _build_matrix(record, c):
+    return ts.build_matrix(_after_good_record(record), c)
+
+
 class TestMalformedRecords:
-    @pytest.mark.parametrize("record", [
-        MatchRecord("y", "x", 0, 5, 1.0),   # starts before position 1
-        MatchRecord("y", "x", 5, 4, 1.0),   # ends before it starts
-        MatchRecord("y", "x", 3, 4, 1.0),   # shorter than the shortest window
-        MatchRecord("x", "z", 1, 16, 1.0),  # longer than the query series x
+    # in the usage collection x and y have 15 observations and z has 16
+    @pytest.mark.parametrize("record, message", [
+        pytest.param(MatchRecord("y", "x", 0, 5, 1.0),
+                     "match 'y' -> 'x' covers 0..5, not a window of at least 3 observations",
+                     id="starts-before-1"),
+        pytest.param(MatchRecord("y", "x", 5, 4, 1.0),
+                     "match 'y' -> 'x' covers 5..4, not a window of at least 3 observations",
+                     id="ends-before-start"),
+        pytest.param(MatchRecord("y", "x", 3, 4, 1.0),
+                     "match 'y' -> 'x' covers 3..4, not a window of at least 3 observations",
+                     id="shorter-than-window"),
+        pytest.param(MatchRecord("x", "z", 1, 16, 1.0),
+                     "match 'x' -> 'z' spans 16 observations, query series has 15",
+                     id="longer-than-query"),
+        pytest.param(MatchRecord("y", "ghost", 1, 5, 1.0),
+                     "match 'y' -> 'ghost' refers to unknown series 'ghost'",
+                     id="unknown-donor"),
+        pytest.param(MatchRecord("y", "x", 14, 18, 1.0),
+                     "match into 'x' ends at 18, series has 15 observations",
+                     id="past-donor-end"),
     ])
-    def test_consistency_error(self, usage_collection, record):
+    @pytest.mark.parametrize("consume", [_reason_report, _assess_usefulness, _build_matrix],
+                             ids=["reason_report", "assess_usefulness", "build_matrix"])
+    def test_consistency_error(self, usage_collection, consume, record, message):
         c, _ = usage_collection
-        report = ts.LeakReport(ts.ScanConfig(h=5), [MatchRecord("y", "x", 1, 5, 1.0), record])
-        with pytest.raises(ts.ConsistencyError):
-            ts.reason_report(report, c)
-        with pytest.raises(ts.ConsistencyError):
-            ts.assess_usefulness(record, c, ts.ReasonConfig(horizon=5))
+        with pytest.raises(ts.ConsistencyError) as raised:
+            consume(record, c)
+        assert str(raised.value) == message
 
     def test_first_malformed_record_in_report_order_is_named(self, usage_collection):
         # x's block holds the first match and x comes first in the collection,

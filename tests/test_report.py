@@ -36,7 +36,7 @@ def json_reports(draw):
         useful = draw(st.booleans())
         predicted = draw(st.lists(st.one_of(st.none(), json_floats), min_size=1, max_size=4)) if useful else None
         fit = ts.AffineFit(draw(json_floats), draw(json_floats), 0.0)
-        reasoned.append(ts.ReasonedMatch(match, fit, draw(st.sampled_from(ReasonKind)), useful, predicted, ""))
+        reasoned.append(ts.ReasonedMatch(match, fit, draw(st.sampled_from(ReasonKind)), useful, predicted))
     return report, reasoned, draw(st.one_of(st.none(), st.integers(1, 50)))
 
 
@@ -181,6 +181,19 @@ class TestSerialization:
         rebuilt = ts.report_from_payload(ts.read_report(path))
         assert rebuilt.matches == report.matches
         assert rebuilt.skipped_queries == report.skipped_queries
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("h", 5.9, ts.ConfigError),
+        ("start", 2.7, ts.ConsistencyError),
+        ("end", 6.0, ts.ConsistencyError),
+        ("start", True, ts.ConsistencyError),
+    ])
+    def test_non_integer_payload_rejected(self, field, value, error):
+        payload = {"config": {"h": 5, "cutoff": 1.0}, "skipped_queries": [],
+                   "matches": [{"query_id": "y", "donor_id": "x", "start": 2, "end": 6, "r": 1.0}]}
+        (payload["config"] if field == "h" else payload["matches"][0])[field] = value
+        with pytest.raises(error, match=field):
+            ts.report_from_payload(payload)
 
     def test_matrix_survives_round_trip(self, usage_collection, tmp_path):
         c, _ = usage_collection
