@@ -10,8 +10,9 @@ Three on-disk formats are supported:
   missing value.
 
 Collection order always follows input order (it later fixes the row and
-column order of the match matrix). Non-finite literals (nan, inf) are
-treated as missing values everywhere.
+column order of the match matrix). Each loader reads a series as floats,
+NaN for an empty cell or a ``null``; ``_finish_series`` alone decides what
+is missing: every non-finite value, which it rejects or stores as 0.0.
 """
 
 from __future__ import annotations
@@ -113,27 +114,28 @@ def from_dict(data) -> SeriesCollection:
 
 
 def _parse_cell(text, where):
-    """Parse one CSV cell into (value, is_missing)."""
+    """Parse one CSV cell as a float, NaN for an empty cell."""
     text = text.strip()
-    if text == "":
-        return 0.0, True
     try:
-        v = float(text)
+        return float(text) if text else math.nan
     except ValueError:
         raise FormatError(f"{where}: cannot parse {text!r} as a number") from None
-    if not math.isfinite(v):
-        return 0.0, True  # nan/inf literals count as missing
-    return v, False
 
 
-def _finish_series(sid, values, missing, policy, where):
+def _finish_series(sid, values, policy, where):
+    """The series of ``values``, every non-finite one missing (see the module docstring)."""
+    values = np.array(values, dtype=np.float64)
+    if len(values) == 0:
+        raise ValidationError(f"{where}: series {sid!r} has no observations")
+    gaps = ~np.isfinite(values)
+    missing = np.flatnonzero(gaps).tolist()
     if policy.mode == REJECT and missing:
-        pos = missing[0] + 1
         raise ValidationError(
-            f"{where}: series {sid!r} has a missing value at position {pos} "
+            f"{where}: series {sid!r} has a missing value at position {missing[0] + 1} "
             f"(policy is {REJECT!r})"
         )
-    return Series(sid, np.asarray(values, dtype=np.float64), tuple(missing))
+    values[gaps] = 0.0
+    return Series(sid, values, tuple(missing))
 
 
 def _load_wide_csv(path, policy):
@@ -155,8 +157,6 @@ def _load_wide_csv(path, policy):
         last = len(cells)
         while last and cells[last - 1].strip() == "":
             last -= 1
-        if last == 0:
-            raise ValidationError(f"{path}: series {sid!r} has no observations")
         cells = cells[:last]
         try:
             values = np.array([float(c) if c.strip() else math.nan for c in cells])
@@ -164,17 +164,13 @@ def _load_wide_csv(path, policy):
             for i, cell in enumerate(cells):
                 _parse_cell(cell, f"{path}:{i + 2}")  # raises the FormatError for the first bad cell
             raise
-        gaps = ~np.isfinite(values)  # nan/inf literals count as missing
-        values[gaps] = 0.0
-        entries.append(_finish_series(sid, values, np.flatnonzero(gaps).tolist(), policy, path))
+        entries.append(_finish_series(sid, values, policy, path))
     return entries
 
 
 def _load_long_csv(path, policy):
     expected_header = ["series_id", "index", "value"]
-    order: list[str] = []
-    values: dict[str, list] = {}
-    missing: dict[str, list] = {}
+    values: dict[str, list] = {}  # in order of first appearance
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -198,19 +194,14 @@ def _load_long_csv(path, policy):
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: index {row[1]!r} is not an integer") from None
             if sid not in values:
-                order.append(sid)
                 values[sid] = []
-                missing[sid] = []
             if idx != len(values[sid]) + 1:
                 raise FormatError(
                     f"{path}:{lineno}: series {sid!r} index {idx} is not contiguous "
                     f"(expected {len(values[sid]) + 1})"
                 )
-            v, is_missing = _parse_cell(row[2], f"{path}:{lineno}")
-            if is_missing:
-                missing[sid].append(idx - 1)
-            values[sid].append(v)
-    return [_finish_series(sid, values[sid], missing[sid], policy, path) for sid in order]
+            values[sid].append(_parse_cell(row[2], f"{path}:{lineno}"))
+    return [_finish_series(sid, series, policy, path) for sid, series in values.items()]
 
 
 def _load_json(path, policy):
@@ -225,7 +216,7 @@ def _load_json(path, policy):
     with open(path, encoding="utf-8") as fh:
         try:
             # every number is read as a float, as the CSV loaders read it, so an
-            # integer literal too large for a float is inf and counts as missing
+            # integer literal too large for a float is inf
             data = json.load(fh, object_pairs_hook=reject_duplicates, parse_int=float)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
@@ -235,22 +226,11 @@ def _load_json(path, policy):
     for sid, raw in data.items():
         if not isinstance(raw, list):
             raise FormatError(f"{path}: series {sid!r} is not an array")
-        values, missing = [], []
-        for i, item in enumerate(raw):
-            if item is None:
-                values.append(0.0)
-                missing.append(i)
-            elif isinstance(item, float):
-                if math.isfinite(item):
-                    values.append(item)
-                else:
-                    values.append(0.0)
-                    missing.append(i)
-            else:
+        values = [math.nan if item is None else item for item in raw]
+        for i, item in enumerate(values):
+            if not isinstance(item, float):
                 raise FormatError(f"{path}: series {sid!r} element {i + 1} is not a number")
-        if not values:
-            raise ValidationError(f"{path}: series {sid!r} has no observations")
-        entries.append(_finish_series(sid, values, missing, policy, path))
+        entries.append(_finish_series(sid, values, policy, path))
     return entries
 
 

@@ -8,11 +8,11 @@ is centred on its own mean after an exact power-of-two scaling (see
 high-variance series and at any finite scale; only an exactly constant
 window has no r.
 
-Given a ``threshold``, the sweep first rules windows out with a BLAS matrix
+Given a ``threshold``, the sweep rules windows out with a BLAS matrix
 product of unit rows, an approximate r that provably lies within
 ``prefilter_slack(h)`` of the kernel's (a lower-bound pruning in the style
-of the UCR suite), and runs the exact kernel on the remaining windows only.
-Every r it returns is the kernel's, bit for bit.
+of the UCR suite); the same centred rows then give the exact r of the
+windows it keeps, bit for bit the r of a sweep without a threshold.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ ZERO_VARIANCE_WINDOW = "zero-variance-window"
 MISSING_OVERLAP = "missing-overlap"
 
 # values held at a time, 128 KiB: the kernel's (windows, queries, h) product,
-# or a block of the prefilter's windows, whose temporaries then stay in cache
+# or a block of windows centred together, whose temporaries then stay in cache
 _BLOCK_VALUES = 1 << 14
 
 # multiply-adds per prefilter matrix product. OpenBLAS, the BLAS of numpy's
@@ -105,21 +105,41 @@ def query_block(query) -> QueryBlock:
     return QueryBlock(query, rows, css, rows / np.sqrt(css)[:, None])
 
 
-def _correlate(windows, queries: QueryBlock):
-    """Pearson r of every window (row) against every query (row).
+def _correlate(windows, queries: QueryBlock, bound=None):
+    """``(keep, r)``: which windows (rows) are kept, and the Pearson r of
+    each kept window against every query (row).
 
-    Returns shape (windows, queries). No row may be constant. Every sum of
-    products is a last-axis reduction in one order, so a window equal to a
-    query gets r == 1.0 exactly; a BLAS matrix product would not.
+    Each block of at most ``_BLOCK_VALUES`` window values is centred once.
+    Given a ``bound``, the block's unit rows are multiplied by the queries'
+    in products of at most ``_PRODUCT_SIZE`` multiply-adds (where one row
+    allows), and a window is kept when |r~| >= bound against some query;
+    without one, every window is. The kept rows and sums of squares then
+    give r, each sum of products a last-axis reduction in one order, so a
+    window equal to a query gets r == 1.0 exactly (a BLAS product would
+    not), and a row's r does not depend on its block. No row may be constant.
     """
-    w, _ = centre(windows)
-    q = queries.rows
-    css_w = (w * w).sum(axis=1)
+    h, q = windows.shape[1], queries.rows
+    keep = np.ones(len(windows), dtype=bool)
+    blocks = [(np.empty((0, h)), np.empty(0))]  # the centred rows kept, and their sums of squares
+    step = max(1, _BLOCK_VALUES // h)
+    rows = max(1, min(step, _PRODUCT_SIZE // q.size))
+    for i in range(0, len(windows), step):
+        w, _ = centre(windows[i:i + step])
+        css_w = (w * w).sum(axis=1)
+        if bound is not None:
+            unit = w / np.sqrt(css_w)[:, None]
+            kept = keep[i:i + step]
+            for j in range(0, len(w), rows):
+                approx = unit[j:j + rows] @ queries.unit.T
+                kept[j:j + rows] = np.maximum(approx.max(axis=1), -approx.min(axis=1)) >= bound
+            w, css_w = w[kept], css_w[kept]
+        blocks.append((w, css_w))
+    w, css_w = (np.concatenate(parts) for parts in zip(*blocks))
     cross = np.empty((len(w), len(q)))
-    step = max(1, _BLOCK_VALUES // max(1, q.size))
+    step = max(1, _BLOCK_VALUES // q.size)
     for i in range(0, len(w), step):
         cross[i:i + step] = (w[i:i + step, None, :] * q).sum(axis=2)
-    return np.clip(cross / np.sqrt(css_w[:, None] * queries.css), -1.0, 1.0)
+    return keep, np.clip(cross / np.sqrt(css_w[:, None] * queries.css), -1.0, 1.0)
 
 
 def prefilter_slack(h) -> float:
@@ -127,19 +147,19 @@ def prefilter_slack(h) -> float:
 
     Let w and q be a window and a query as ``centre`` leaves them, u = eps/2
     the unit roundoff and rho = <w,q> / (|w| |q|) in exact arithmetic. Both
-    sides start from these same rows: ``centre`` works row by row, so a
-    window's centred row has the same bits in any block. A sum of h products
+    sides start from these same rows: ``_correlate`` centres each window
+    once and takes r~ and r from that one centred row. A sum of h products
     computed in any order, with or without fused multiply-adds, is within
     gamma_h * sum|x_i y_i| of the exact sum, gamma_h = h*u / (1 - h*u), and
     by Cauchy-Schwarz sum|w_i q_i| <= |w| |q|. To first order in u:
 
-    * kernel (``_correlate``): the cross term is within h*u * |w||q| of
-      <w,q>; each sum of squares within a factor 1 +- h*u, their product
-      and the square root add u each, so the denominator is within a factor
-      1 +- (h + 1.5)*u of |w||q|; the division adds u. So
+    * r, from the last-axis cross term: the cross term is within
+      h*u * |w||q| of <w,q>; each sum of squares within a factor 1 +- h*u,
+      their product and the square root add u each, so the denominator is
+      within a factor 1 +- (h + 1.5)*u of |w||q|; the division adds u. So
       |r - rho| <= (2h + 2.5)*u, and clipping to [-1, 1] cannot move r
       away from rho, which lies in [-1, 1].
-    * prefilter (``_candidates``): each norm is within a factor
+    * r~, from the BLAS product of unit rows: each norm is within a factor
       1 +- (h/2 + 1)*u, so each unit entry w_i/|w| and q_i/|q| is within a
       factor 1 +- (h/2 + 2)*u; the BLAS dot product of the unit rows adds
       h*u relative to each product. With sum |w_i q_i| / (|w||q|) <= 1,
@@ -158,29 +178,6 @@ def prefilter_slack(h) -> float:
     return 4 * (h + 2) * float(np.finfo(np.float64).eps)
 
 
-def _candidates(windows, queries: QueryBlock, bound):
-    """Mask of the windows whose r~ against some query has |r~| >= bound.
-
-    Centres blocks of at most ``_BLOCK_VALUES`` window values, and multiplies
-    each block by the queries in products of at most ``_PRODUCT_SIZE``
-    multiply-adds (where one window row allows), so an r~ chunk is never
-    larger than the (windows, queries) array of r that a sweep without a
-    threshold returns. No row may be constant.
-    """
-    keep = np.empty(len(windows), dtype=bool)
-    h, k = windows.shape[1], len(queries.unit)
-    step = max(1, _BLOCK_VALUES // h)
-    rows = max(1, min(step, _PRODUCT_SIZE // (h * k)))
-    for i in range(0, len(windows), step):
-        w, _ = centre(windows[i:i + step])
-        w /= np.sqrt((w * w).sum(axis=1))[:, None]
-        kept = keep[i:i + step]
-        for j in range(0, len(w), rows):
-            approx = w[j:j + rows] @ queries.unit.T
-            kept[j:j + rows] = np.maximum(approx.max(axis=1), -approx.min(axis=1)) >= bound
-    return keep
-
-
 def pearson(a, b) -> float | None:
     """Pearson correlation of two equal-length vectors, clamped to [-1, 1].
 
@@ -196,7 +193,7 @@ def pearson(a, b) -> float | None:
         raise ContractViolation("correlation needs at least 2 observations")
     if np.all(a == a[0]) or np.all(b == b[0]):
         return None  # exact: the variance is zero iff all values are equal
-    return float(_correlate(a[None], query_block(b))[0, 0])
+    return float(_correlate(a[None], query_block(b))[1][0, 0])
 
 
 def _check_sweep_args(query, target, h, missing):
@@ -229,11 +226,10 @@ def sliding_correlations(query, target, h, *, missing=(), threshold=None) -> Sli
         0-based positions of missing observations in ``target``; any
         window overlapping one is skipped.
     threshold : float, optional
-        Return only the windows the prefilter cannot rule out: those with
-        |r~| >= threshold - ``prefilter_slack(h)`` against some query. That
-        keeps every window with |r| >= threshold against some query, and
-        its row of ``r_values`` is exactly the row a sweep without a
-        threshold gives. When threshold - slack <= 0 every window is kept.
+        Return only the windows the prefilter cannot rule out, those with
+        |r~| >= threshold - ``prefilter_slack(h)`` against some query: every
+        window with |r| >= threshold against some query is among them, each
+        with the row of ``r_values`` that a sweep without a threshold gives.
 
     Returns
     -------
@@ -250,10 +246,8 @@ def sliding_correlations(query, target, h, *, missing=(), threshold=None) -> Sli
     starts = np.arange(1, m + 1)
     skipped = [(int(s), MISSING_OVERLAP if overlaps[s - 1] else ZERO_VARIANCE_WINDOW)
                for s in starts[~valid]]
-    windows, offsets = windows[valid], starts[valid]
-    if threshold is not None and threshold > prefilter_slack(h):
-        keep = _candidates(windows, queries, threshold - prefilter_slack(h))
-        windows, offsets = windows[keep], offsets[keep]
-    r = _correlate(windows, queries)
-    return SlidingProfile(offsets, r if queries.values.ndim == 2 else r[:, 0], skipped)
+    windows, starts = windows[valid], starts[valid]  # the full arrays go before the kernel runs
+    bound = None if threshold is None else threshold - prefilter_slack(h)
+    keep, r = _correlate(windows, queries, bound)
+    return SlidingProfile(starts[keep], r if queries.values.ndim == 2 else r[:, 0], skipped)
 

@@ -166,12 +166,13 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
     useful, the donor continuation donor[end+1 .. end+horizon] is mapped
     through the inverse transform (v - c)/m onto the query series' scale;
     continuation positions that are missing in the donor come out as None.
-    The match is explained as ``reason_report`` explains it, so its checks
-    and errors are those of ``reason_report``.
+    The match is explained as ``reason_report`` explains it, from the series
+    it names alone, so its checks and errors are those of ``reason_report``.
     """
     if cfg.horizon is None:
         raise ConfigError("horizon not resolved; pass an explicit horizon")
-    [reasoned] = _explain([match], collection, cfg.horizon)
+    named = [collection.get(i) for i in {match.query_id, match.donor_id} if i in collection]
+    [reasoned] = _explain([match], SeriesCollection(named), cfg.horizon)
     return reasoned.useful, reasoned.predicted_test
 
 

@@ -52,7 +52,7 @@ import numpy as np
 from .collection import SeriesCollection
 from .errors import ConfigError, ConsistencyError
 from .reasons import ReasonedMatch, _locate, resolve_horizon
-from .scan import LeakReport, MatchRecord, ScanConfig, _is_int
+from .scan import LeakReport, MatchRecord, ScanConfig, _is_int, _is_real
 
 
 @dataclass
@@ -263,22 +263,25 @@ def report_from_payload(payload: dict) -> LeakReport:
 
     Only the serialized fields are recovered: the config keeps h and cutoff,
     and workers, which a report does not record, comes back as its default.
-    ``ScanConfig`` rejects an h that is not an integer; a start or end that
-    is not one raises ConsistencyError.
+    ``ScanConfig`` rejects an h or cutoff of the wrong type; a start or end
+    that is not an int, or an r that is not real, raises ConsistencyError.
     """
-    cfg = ScanConfig(h=payload["config"]["h"], cutoff=float(payload["config"]["cutoff"]))
+    cutoff = payload["config"]["cutoff"]
+    cfg = ScanConfig(h=payload["config"]["h"], cutoff=float(cutoff) if _is_real(cutoff) else cutoff)
     matches = [
-        MatchRecord(e["query_id"], e["donor_id"], _position(e, "start"), _position(e, "end"), float(e["r"]))
+        MatchRecord(e["query_id"], e["donor_id"], _field(e, "start", _is_int), _field(e, "end", _is_int),
+                    float(_field(e, "r", _is_real)))
         for e in payload["matches"]
     ]
     skipped = [(e["id"], e["reason"]) for e in payload["skipped_queries"]]
     return LeakReport(cfg, matches, skipped)
 
 
-def _position(entry: dict, key: str) -> int:
+def _field(entry: dict, key: str, check):
     value = entry[key]
-    if not _is_int(value):
-        raise ConsistencyError(f"match {key} must be an integer, got {value!r}")
+    if not check(value):
+        kind = "an integer" if check is _is_int else "a real number"
+        raise ConsistencyError(f"match {key} must be {kind}, got {value!r}")
     return value
 
 

@@ -157,6 +157,36 @@ class TestJson:
             ts.load_collection(p, "json")
 
 
+# observations 2, 4, 6 and 8 are missing, each format marking them its own ways
+OBSERVED = [1.5, None, 2.0, None, -3.25, None, 4.0, None, 0.5]
+MARKERS = {"long-csv": ["", "nan", "inf", "-inf"], "wide-csv": ["", "nan", "inf", "-inf"],
+           "json": ["null", "NaN", "Infinity", "1" + "0" * 400]}
+
+
+def write_marked(path, fmt, markers):
+    marks = iter(markers)
+    cells = [next(marks) if v is None else repr(v) for v in OBSERVED]
+    if fmt == "long-csv":
+        return write(path, "series_id,index,value\n" + "".join(f"x,{i},{v}\n" for i, v in enumerate(cells, 1)))
+    if fmt == "wide-csv":
+        return write(path, "x\n" + "".join(f"{v}\n" for v in cells))
+    return write(path, '{"x": [' + ", ".join(cells) + "]}")
+
+
+class TestOneMissingRule:
+    @pytest.mark.parametrize("first", range(4))
+    def test_formats_agree(self, tmp_path, first):
+        want = np.array([0.0 if v is None else v for v in OBSERVED])
+        for fmt, markers in MARKERS.items():
+            markers = markers[first:] + markers[:first]  # each marker first in turn
+            p = write_marked(tmp_path / f"{fmt}.txt", fmt, markers)
+            s = ts.load_collection(p, fmt, ts.MissingPolicy(SPLIT_SKIP)).get("x")
+            assert s.values.tobytes() == want.tobytes(), (fmt, markers)
+            assert s.missing == (1, 3, 5, 7), (fmt, markers)
+            with pytest.raises(ts.ValidationError, match=r"series 'x' has a missing value at position 2 "):
+                ts.load_collection(p, fmt, ts.MissingPolicy(REJECT))
+
+
 class TestRoundTrip:
     def test_long_csv_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -321,18 +321,26 @@ class TestPrefilter:
             assert np.array_equal(cut.r_values, full.r_values)
             assert cut.skipped == full.skipped
 
-    def test_candidates_span_several_blocks_and_products(self):
+    @pytest.mark.parametrize("middle", [True, False], ids=["each-block-keeps-one", "middle-block-keeps-none"])
+    def test_threshold_spans_several_blocks_and_products(self, middle):
+        # three blocks of windows; without a plant in it the middle block keeps
+        # none. The second plant is negated, so it matches at r = -1
         rng = np.random.default_rng(9)
         h = 16
         n = 3 * corr._BLOCK_VALUES // h
         target = rng.normal(size=n)
-        middle = n // 2
+        starts = [100, n // 2, n - h] if middle else [100, n - h]
+        assert [s // (corr._BLOCK_VALUES // h) for s in starts] == ([0, 1, 2] if middle else [0, 2])
         queries = rng.normal(size=(60, h))
-        queries[:3] = [target[100:116], target[-16:], -target[middle:middle + 16]]
+        queries[:len(starts)] = [target[s:s + h] for s in starts]
+        queries[1] *= -1
         assert len(queries) * corr._BLOCK_VALUES > 2 * corr._PRODUCT_SIZE  # several products a block
+        full = ts.sliding_correlations(queries, target, h)
+        assert full.offsets.tolist() == list(range(1, n - h + 2))
         cut = ts.sliding_correlations(queries, target, h, threshold=1.0 - 1e-10)
-        assert cut.offsets.tolist() == [101, middle + 1, n - 15]
-        assert np.array_equal(np.abs(cut.r_values).max(axis=1), [1.0, 1.0, 1.0])
+        assert cut.offsets.tolist() == [s + 1 for s in starts]
+        assert np.array_equal(cut.r_values, full.r_values[starts])
+        assert np.array_equal(np.abs(cut.r_values).max(axis=1), np.ones(len(starts)))
 
 
 class TestOracleEquivalence:

@@ -187,13 +187,27 @@ class TestSerialization:
         ("start", 2.7, ts.ConsistencyError),
         ("end", 6.0, ts.ConsistencyError),
         ("start", True, ts.ConsistencyError),
+        ("cutoff", True, ts.ConfigError),
+        ("cutoff", "0.9", ts.ConfigError),
+        ("r", "0.5", ts.ConsistencyError),
+        ("r", True, ts.ConsistencyError),
     ])
     def test_non_integer_payload_rejected(self, field, value, error):
         payload = {"config": {"h": 5, "cutoff": 1.0}, "skipped_queries": [],
                    "matches": [{"query_id": "y", "donor_id": "x", "start": 2, "end": 6, "r": 1.0}]}
-        (payload["config"] if field == "h" else payload["matches"][0])[field] = value
+        (payload["config"] if field in ("h", "cutoff") else payload["matches"][0])[field] = value
         with pytest.raises(error, match=field):
             ts.report_from_payload(payload)
+
+    def test_integer_values_read_as_floats(self, tmp_path):
+        payload = {"config": {"h": 5, "cutoff": 1}, "skipped_queries": [],
+                   "matches": [{"query_id": "y", "donor_id": "x", "start": 2, "end": 6, "r": -1}]}
+        report = ts.report_from_payload(payload)
+        assert type(report.config.cutoff) is float and type(report.matches[0].r) is float
+        path = tmp_path / "report.json"
+        ts.write_report(report, path, "json")
+        rebuilt = ts.report_from_payload(ts.read_report(path))
+        assert rebuilt == report
 
     def test_matrix_survives_round_trip(self, usage_collection, tmp_path):
         c, _ = usage_collection
