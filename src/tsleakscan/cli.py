@@ -26,7 +26,6 @@ from .scan import AUTO, ScanConfig, scan
 
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
 _FOOTER_LABELS = {ReasonKind.EXACT_MATCH: "exact"}
-_LINES_PER_WRITE = 1024  # scan and explain join their match lines into writes of this many
 
 
 def _workers(text):
@@ -114,13 +113,6 @@ def _match_line(m):
     return f"{m.query_id} -> {m.donor_id}: {m.start}-{m.end}, r={m.r:.3f}"
 
 
-def _write_lines(items, line):
-    """Write ``line(item)``, which ends in a newline, for each item, in
-    joined writes of _LINES_PER_WRITE lines."""
-    for i in range(0, len(items), _LINES_PER_WRITE):
-        sys.stdout.write("".join([line(item) for item in items[i:i + _LINES_PER_WRITE]]))
-
-
 def _print_skips(report):
     for sid, reason in report.skipped_queries:
         print(f"skipped query {sid}: {reason}")
@@ -131,7 +123,7 @@ def cmd_scan(args) -> int:
     matches = report.matches
     if args.collapse_overlaps:
         matches = rpt.collapse_overlaps(matches)
-    _write_lines(matches, lambda m: _match_line(m) + "\n")
+    sys.stdout.writelines([_match_line(m) + "\n" for m in matches])
     _print_skips(report)
     if not matches:
         print("no leaks detected")
@@ -165,7 +157,7 @@ def cmd_explain(args) -> int:
     if args.collapse_overlaps:
         reasoned = rpt.collapse_overlaps(reasoned)
     matches = [rm.base for rm in reasoned]
-    _write_lines(reasoned, _explain_line)
+    sys.stdout.writelines(map(_explain_line, reasoned))
     _print_skips(report)
     kinds, useful = tally(reasoned)
     if not matches:

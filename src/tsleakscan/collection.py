@@ -10,9 +10,11 @@ Three on-disk formats are supported:
   missing value.
 
 Collection order always follows input order (it later fixes the row and
-column order of the match matrix). Each loader reads a series as floats,
-NaN for an empty cell or a ``null``; ``_finish_series`` alone decides what
-is missing: every non-finite value, which it rejects or stores as 0.0.
+column order of the match matrix). The loaders only parse, reading each
+series as floats, NaN for an empty cell or a ``null``. ``_finish_series``
+strips the id and decides what is missing: every non-finite value, which it
+rejects or stores as 0.0. ``SeriesCollection`` checks ids, observations,
+finiteness and missing positions.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-
-FORMATS = ("wide-csv", "long-csv", "json")
 
 REJECT = "reject"
 SPLIT_SKIP = "split-skip"
@@ -48,6 +48,10 @@ class MissingPolicy:
     def __post_init__(self):
         if self.mode not in (REJECT, SPLIT_SKIP):
             raise ValidationError(f"unknown missing policy {self.mode!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,11 @@ class SeriesCollection:
             arr = np.asarray(s.values, dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"series {s.id!r} contains non-finite values")
+            if not all(_is_int(p) and 0 <= p < len(arr) for p in s.missing):
+                raise ValidationError(f"series {s.id!r} has a missing position not in 0..{len(arr) - 1}")
             arr.flags.writeable = False
             object.__setattr__(s, "values", arr)
+            object.__setattr__(s, "missing", tuple(sorted({int(p) for p in s.missing})))
             self._index[s.id] = pos
 
     def __len__(self):
@@ -109,8 +116,7 @@ class SeriesCollection:
 
 def from_dict(data) -> SeriesCollection:
     """Build a collection from a mapping id -> sequence of finite reals."""
-    entries = [Series(str(k), np.asarray(v, dtype=np.float64)) for k, v in data.items()]
-    return SeriesCollection(entries)
+    return SeriesCollection([Series(str(k), v) for k, v in data.items()])
 
 
 def _parse_cell(text, where):
@@ -123,10 +129,11 @@ def _parse_cell(text, where):
 
 
 def _finish_series(sid, values, policy, where):
-    """The series of ``values``, every non-finite one missing (see the module docstring)."""
+    """The series ``sid`` of ``values``, every non-finite one missing (see the module docstring)."""
+    sid = sid.strip()
+    if sid == "":
+        raise FormatError(f"{where}: empty series id")
     values = np.array(values, dtype=np.float64)
-    if len(values) == 0:
-        raise ValidationError(f"{where}: series {sid!r} has no observations")
     gaps = ~np.isfinite(values)
     missing = np.flatnonzero(gaps).tolist()
     if policy.mode == REJECT and missing:
@@ -143,9 +150,7 @@ def _load_wide_csv(path, policy):
         rows = list(csv.reader(fh))
     if not rows:
         raise FormatError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if any(h == "" for h in header):
-        raise FormatError(f"{path}:1: empty column name in header")
+    header = rows[0]
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) > len(header):
             raise FormatError(f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}")
@@ -205,25 +210,18 @@ def _load_long_csv(path, policy):
 
 
 def _load_json(path, policy):
-    def reject_duplicates(pairs):
-        seen = set()
-        for k, _ in pairs:
-            if k in seen:
-                raise ValidationError(f"{path}: duplicate series id {k!r}")
-            seen.add(k)
-        return dict(pairs)
-
     with open(path, encoding="utf-8") as fh:
         try:
-            # every number is read as a float, as the CSV loaders read it, so an
-            # integer literal too large for a float is inf
-            data = json.load(fh, object_pairs_hook=reject_duplicates, parse_int=float)
+            # an object reads as its (key, value) pairs, so a repeated id reaches
+            # SeriesCollection; a number reads as a float, as in the CSV loaders,
+            # so an integer literal too large for a float is inf
+            data = json.load(fh, object_pairs_hook=tuple, parse_int=float)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(data, dict):
+    if not isinstance(data, tuple):
         raise FormatError(f"{path}: top-level JSON value must be an object")
     entries = []
-    for sid, raw in data.items():
+    for sid, raw in data:
         if not isinstance(raw, list):
             raise FormatError(f"{path}: series {sid!r} is not an array")
         values = [math.nan if item is None else item for item in raw]
@@ -245,7 +243,7 @@ def load_collection(path, format="long-csv", policy=MissingPolicy()) -> SeriesCo
     under the reject policy - missing values.
     """
     if format not in _LOADERS:
-        raise ValidationError(f"unknown format {format!r}; expected one of {', '.join(FORMATS)}")
+        raise ValidationError(f"unknown format {format!r}; expected one of {', '.join(_LOADERS)}")
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
@@ -286,4 +284,4 @@ def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
             json.dump({s.id: _observed(s) for s in c}, fh, indent=1)
             fh.write("\n")
     else:
-        raise ValidationError(f"unknown format {format!r}; expected one of {', '.join(FORMATS)}")
+        raise ValidationError(f"unknown format {format!r}; expected one of {', '.join(_LOADERS)}")

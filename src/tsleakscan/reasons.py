@@ -14,8 +14,11 @@ the records into arrays of query index, donor index, start and end, and
 checks all of them at once, with array comparisons: both ids name series
 of the collection, the window starts at position 1 or later, spans at
 least MIN_WINDOW observations, is no longer than its query series and ends
-within its donor. The first record in report order that fails a check
-raises ConsistencyError; ``build_matrix`` counts through the same checks.
+within its donor, and neither the donor window nor the query segment (the
+query series' last ``end - start + 1`` observations) covers a missing
+value, whose 0.0 filler is not data. The first record in report order
+that fails a check raises ConsistencyError, with the message of the first
+check it fails; ``build_matrix`` counts through the same checks.
 ``reason_report`` then fits all matches of one query segment together:
 their donor windows are gathered into a (k, h) block by one fancy index
 into the collection's values laid end to end, each row is centred once,
@@ -31,15 +34,16 @@ not.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .collection import SeriesCollection
+from .collection import SeriesCollection, _is_int
 from .corr import MIN_WINDOW, centre
 from .errors import ConfigError, ConsistencyError, ContractViolation
-from .scan import LeakReport, MatchRecord, _is_int
+from .scan import LeakReport, MatchRecord
 
 
 class ReasonKind(str, Enum):
@@ -105,27 +109,21 @@ def resolve_horizon(horizon: int | None, h: int) -> int:
     return h if horizon is None else horizon
 
 
-def _query_terms(q):
-    """The query side of a fit, which every match of a query shares."""
-    q = np.asarray(q, dtype=np.float64)
-    if len(q) < 2 or np.all(q == q[0]):
-        raise ContractViolation("query segment has zero variance")
-    qc, q_exp = centre(q)
-    return q, qc, q_exp, qc @ qc, q.mean()
-
-
-def _fit_rows(terms, windows):
+def _fit_rows(q, windows):
     """Fit each row w of the (k, h) block ``windows`` as w ~ m*q + c.
 
     Returns the arrays (m, c, max_residual), one value per row.
     """
-    q, qc, q_exp, q_css, q_mean = terms
+    q = np.asarray(q, dtype=np.float64)
+    if len(q) < 2 or np.all(q == q[0]):
+        raise ContractViolation("query segment has zero variance")
     if windows.shape[1] != len(q):
         raise ContractViolation(f"length mismatch: {len(q)} vs {windows.shape[1]}")
+    qc, q_exp = centre(q)
     wc, w_exp = centre(windows)
     cross = np.matmul(wc[:, None, :], qc[:, None])[:, 0, 0]
-    m = np.ldexp(cross / q_css, w_exp - q_exp)
-    c = windows.mean(axis=1) - m * q_mean
+    m = np.ldexp(cross / (qc @ qc), w_exp - q_exp)
+    c = windows.mean(axis=1) - m * q.mean()
     max_residual = np.abs(windows - (m[:, None] * q + c[:, None])).max(axis=1)
     return m, c, max_residual
 
@@ -133,7 +131,7 @@ def _fit_rows(terms, windows):
 def fit_affine(q, w) -> AffineFit:
     """Fit the matched window against the query: m = cov(q,w)/var(q)."""
     w = np.asarray(w, dtype=np.float64).reshape(1, -1)
-    return AffineFit(*(float(v[0]) for v in _fit_rows(_query_terms(q), w)))
+    return AffineFit(*(float(v[0]) for v in _fit_rows(q, w)))
 
 
 def classify(fit: AffineFit, *, window_scale: float) -> ReasonKind:
@@ -182,20 +180,31 @@ def _gather(flat, first, width):
 
 
 def _locate(matches, collection: SeriesCollection):
-    """The series lengths, and the query index, donor index, start and end
-    of each match, as arrays, once every match passes the record checks of
-    the module docstring; the first match in report order that fails one
-    raises ConsistencyError.
+    """The query index, donor index, start and end of each match as arrays,
+    then the series lengths, their offsets in the values laid end to end and
+    the missing mask of those values. The first match in report order that
+    fails a record check of the module docstring raises ConsistencyError.
     """
-    index = {s.id: i for i, s in enumerate(collection.entries)}
+    entries = collection.entries
     # an unknown id gets index -1, which picks the sentinel length 0
-    lengths = np.array([len(s.values) for s in collection.entries] + [0])
-    qi = np.array([index.get(m.query_id, -1) for m in matches], dtype=int)
-    di = np.array([index.get(m.donor_id, -1) for m in matches], dtype=int)
+    lengths = np.array([len(s.values) for s in entries] + [0])
+    first = np.cumsum(lengths) - lengths
+    missing = np.zeros(first[-1], dtype=bool)
+    missing[[first[i] + p for i, s in enumerate(entries) for p in s.missing]] = True
+    qi = np.array([collection._index.get(m.query_id, -1) for m in matches], dtype=int)
+    di = np.array([collection._index.get(m.donor_id, -1) for m in matches], dtype=int)
     start = np.array([m.start for m in matches])
     end = np.array([m.end for m in matches])
     span = end - start + 1
-    checks = (qi < 0, di < 0, (start < 1) | (span < MIN_WINDOW), span > lengths[qi], end > lengths[di])
+    # the bounds of each donor window and query segment in ``missing``, clipped
+    # for the records that an earlier check already fails; an int cast, as an
+    # empty match list and ints beyond int64 make float and object arrays
+    query_end = first[qi] + lengths[qi]
+    bounds = np.clip([first[di] + start - 1, first[di] + end, query_end - span, query_end],
+                     0, len(missing)).astype(int)
+    before = np.concatenate(([0], np.cumsum(missing)))[bounds]  # missing values before each bound
+    checks = (qi < 0, di < 0, (start < 1) | (span < MIN_WINDOW), span > lengths[qi], end > lengths[di],
+              before[1] > before[0], before[3] > before[2])
     failing = np.logical_or.reduce(checks)
     if failing.any():
         i = int(np.argmax(failing))
@@ -207,9 +216,12 @@ def _locate(matches, collection: SeriesCollection):
             f"{pair} covers {match.start}..{match.end}, not a window of at least {MIN_WINDOW} observations",
             f"{pair} spans {span[i]} observations, query series has {lengths[qi[i]]}",
             f"match into {match.donor_id!r} ends at {match.end}, series has {lengths[di[i]]} observations",
+            f"{pair} window {match.start}..{match.end} covers a missing value of {match.donor_id!r}",
+            f"{pair} query segment, the last {span[i]} observations of {match.query_id!r}, "
+            "covers a missing value",
         )
         raise ConsistencyError(next(text for text, check in zip(messages, checks) if check[i]))
-    return lengths[:-1], qi, di, start, end
+    return qi, di, start, end, lengths, first, missing
 
 
 def reason_report(report: LeakReport, collection: SeriesCollection,
@@ -228,10 +240,9 @@ def _explain(matches, collection: SeriesCollection, horizon: int) -> list[Reason
     if not matches:
         return []
     entries = collection.entries
-    lengths, qi, di, start, end = _locate(matches, collection)
+    qi, di, start, end, lengths, first, missing = _locate(matches, collection)
     span = end - start + 1
     flat = np.concatenate([s.values for s in entries])
-    first = np.cumsum(lengths) - lengths  # of each series in ``flat``
     window_first = first[di] + start - 1
     m, c, max_residual, scale = (np.empty(len(matches)) for _ in range(4))
     order = np.lexsort((span, qi))  # stable: each block in report order
@@ -239,13 +250,11 @@ def _explain(matches, collection: SeriesCollection, horizon: int) -> list[Reason
     for block in np.split(order, bounds):
         q, h = entries[qi[block[0]]], span[block[0]]
         windows = _gather(flat, window_first[block], h)
-        m[block], c[block], max_residual[block] = _fit_rows(_query_terms(q.values[-h:]), windows)
+        m[block], c[block], max_residual[block] = _fit_rows(q.values[-h:], windows)
         scale[block] = scale_of(windows)
 
     useful = end + horizon <= lengths[di]
     continuation_first = first[di[useful]] + end[useful]
-    missing = np.zeros(len(flat), dtype=bool)
-    missing[[first[i] + p for i, s in enumerate(entries) for p in s.missing]] = True
     predicted = ((_gather(flat, continuation_first, horizon) - c[useful, None])
                  / m[useful, None]).tolist()
     for i, j in zip(*np.nonzero(_gather(missing, continuation_first, horizon))):
@@ -260,11 +269,6 @@ def _explain(matches, collection: SeriesCollection, horizon: int) -> list[Reason
     return reasoned
 
 
-def tally(reasoned) -> tuple[dict[ReasonKind, int], int]:
+def tally(reasoned) -> tuple[Counter, int]:
     """Counts by kind plus the number of useful matches, for summaries."""
-    kinds: dict[ReasonKind, int] = {}
-    useful = 0
-    for rm in reasoned:
-        kinds[rm.kind] = kinds.get(rm.kind, 0) + 1
-        useful += rm.useful
-    return kinds, useful
+    return Counter(rm.kind for rm in reasoned), sum(rm.useful for rm in reasoned)

@@ -49,10 +49,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .collection import SeriesCollection
+from .collection import SeriesCollection, _is_int
 from .errors import ConfigError, ConsistencyError
-from .reasons import ReasonedMatch, _locate, resolve_horizon
-from .scan import LeakReport, MatchRecord, ScanConfig, _is_int, _is_real
+from .reasons import ReasonConfig, ReasonedMatch, _locate, resolve_horizon
+from .scan import LeakReport, MatchRecord, ScanConfig, _is_real
 
 
 @dataclass
@@ -70,14 +70,11 @@ class MatchMatrix:
 def build_matrix(report: LeakReport, collection: SeriesCollection) -> MatchMatrix:
     """Count matches per (query, donor) cell; zero rows/columns are kept.
 
-    Rejects, with ``reason_report``'s ConsistencyError for the first one in
-    report order, every match that names a series not in the collection,
-    does not cover a window of at least MIN_WINDOW observations from
-    position 1 on, is longer than its query series or ends past the end of
-    its donor.
+    Raises ``reason_report``'s ConsistencyError for the first match in
+    report order that fails a record check of ``reasons._locate``.
     """
     ids = collection.ids()
-    _, qi, di, _, _ = _locate(report.matches, collection)
+    qi, di, *_ = _locate(report.matches, collection)
     counts = np.zeros((len(ids), len(ids)), dtype=int)
     np.add.at(counts, (qi, di), 1)
     return MatchMatrix(list(ids), list(ids), counts)
@@ -136,7 +133,9 @@ def _explained_horizon(report: LeakReport, reasoned: list[ReasonedMatch] | None,
                        horizon: int | None) -> int | None:
     """The horizon an explained report records, None for a plain report.
 
-    Raises ConsistencyError when the reasons do not pair up with the matches.
+    ``ReasonConfig`` checks the horizon. Raises ConsistencyError when the
+    reasons do not pair up with the matches or a useful one does not predict
+    ``horizon`` values.
     """
     if reasoned is None:
         return None
@@ -144,7 +143,12 @@ def _explained_horizon(report: LeakReport, reasoned: list[ReasonedMatch] | None,
         raise ConsistencyError(
             f"{len(reasoned)} reasoned matches for {len(report.matches)} match records"
         )
-    return resolve_horizon(horizon, report.config.h)
+    horizon = resolve_horizon(ReasonConfig(horizon).horizon, report.config.h)
+    for rm in reasoned:
+        if rm.useful and len(rm.predicted_test or ()) != horizon:
+            raise ConsistencyError(f"useful match {rm.base.query_id!r} -> {rm.base.donor_id!r} predicts "
+                                   f"{len(rm.predicted_test or ())} values, the horizon is {horizon}")
+    return horizon
 
 
 def report_payload(report: LeakReport, reasoned: list[ReasonedMatch] | None = None,
@@ -173,13 +177,9 @@ def _json_float(value: float) -> str:
 
 
 def _json_prediction(values) -> str:
-    # the predicted_test list, one level below the entry's keys; a row with
-    # None, NaN or an infinity ("n" is in no finite float's repr) is laid
-    # out again one value at a time
-    if values is None:
-        return "null"
-    if not values:
-        return "[]"
+    # the predicted_test list, never empty, one level below the entry's
+    # keys; a row with None, NaN or an infinity ("n" is in no finite float's
+    # repr) is laid out again one value at a time
     text = None if None in values else ",\n    ".join(map(float.__repr__, values))
     if text is None or "n" in text:
         text = ",\n    ".join(["null" if v is None else _json_float(v) for v in values])

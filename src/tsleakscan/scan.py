@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .collection import SeriesCollection
+from .collection import SeriesCollection, _is_int
 from .corr import MIN_WINDOW, query_block, sliding_correlations
 from .errors import ConfigError, ContractViolation
 
@@ -36,10 +36,6 @@ AUTO = "auto"
 # |r| >= cutoff - CUTOFF_TOLERANCE counts as a match: the tolerance keeps
 # exact copies detectable at cutoff=1 despite floating-point roundoff
 CUTOFF_TOLERANCE = 1e-10
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:

@@ -156,6 +156,32 @@ class TestJson:
         with pytest.raises(ts.FormatError, match="element 2"):
             ts.load_collection(p, "json")
 
+    # a repeated key inside a series is not a repeated series id
+    @pytest.mark.parametrize("item", ['{"x": 1, "x": 2}', '{"x": 1}', "[1]"])
+    def test_object_or_array_element_is_not_a_number(self, tmp_path, item):
+        p = write(tmp_path / "c.json", '{"a": [1.0, 2.0, ' + item + "]}")
+        with pytest.raises(ts.FormatError, match="series 'a' element 3 is not a number"):
+            ts.load_collection(p, "json")
+
+    def test_empty_array_has_no_observations(self, tmp_path):
+        p = write(tmp_path / "c.json", '{"a": [1.0], "b": []}')
+        with pytest.raises(ts.ValidationError, match="^series 'b' has no observations$"):
+            ts.load_collection(p, "json")
+
+    def test_empty_id_rejected(self, tmp_path):
+        p = write(tmp_path / "c.json", '{"a": [1.0], " ": [2.0]}')
+        with pytest.raises(ts.FormatError, match=r"c\.json: empty series id"):
+            ts.load_collection(p, "json")
+
+    def test_ids_read_as_the_csv_loaders_read_them(self, tmp_path):
+        p = write(tmp_path / "c.json", '{" a ": [1.0, 2.0], "b\\t": [3.0]}')
+        c = ts.load_collection(p, "json")
+        assert c.ids() == ["a", "b"]
+        for fmt in ("wide-csv", "long-csv"):
+            ts.write_collection(c, tmp_path / fmt, fmt)
+            back = ts.load_collection(tmp_path / fmt, fmt)
+            assert [(s.id, s.values.tolist()) for s in back] == [("a", [1.0, 2.0]), ("b", [3.0])]
+
 
 # observations 2, 4, 6 and 8 are missing, each format marking them its own ways
 OBSERVED = [1.5, None, 2.0, None, -3.25, None, 4.0, None, 0.5]
@@ -244,6 +270,35 @@ class TestInvariants:
     def test_duplicate_id_from_dict(self):
         with pytest.raises(ts.ValidationError):
             ts.SeriesCollection([ts.Series("a", np.ones(3)), ts.Series("a", np.ones(3))])
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("json", '{"x": [1, 2], "y": [3], "x": [4]}'),
+        ("wide-csv", "x,y,x\n1,2,3\n"),
+        ("wide-csv", "x,y, x\n1,2,3\n"),
+    ])
+    def test_repeated_id_named(self, tmp_path, fmt, text):
+        p = write(tmp_path / "c.txt", text)
+        with pytest.raises(ts.ValidationError, match="^duplicate series id 'x'$"):
+            ts.load_collection(p, fmt)
+
+    def test_empty_header_cell_rejected(self, tmp_path):
+        p = write(tmp_path / "c.csv", "x, \n1,2\n")
+        with pytest.raises(ts.FormatError, match=r"c\.csv: empty series id"):
+            ts.load_collection(p, "wide-csv")
+
+    # q's terminal segment reappears in d at 5-8; flat position 19 is d's 6th value
+    @pytest.mark.parametrize("missing", [(19,), (2,), (-1,), (2.5, "x"), (True,), (1.0,)])
+    def test_missing_position_outside_the_series_rejected(self, missing):
+        q = [1.0, 5, 2, 8, 3, 9, 4]
+        d = [0.0, 1, 5, 2, 8, 3, 9, 4, 7, 1, 2, 6, 3, 3]
+        with pytest.raises(ts.ValidationError, match="series 'a' has a missing position not in 0..1"):
+            ts.SeriesCollection([ts.Series("a", [1.0, 2.0], missing=missing), ts.Series("q", q),
+                                 ts.Series("d", d)])
+
+    def test_missing_positions_stored_sorted_and_unique(self):
+        c = ts.SeriesCollection([ts.Series("a", np.zeros(4), missing=(3, np.int64(1), 3, 0))])
+        assert c.get("a").missing == (0, 1, 3)
+        assert all(type(p) is int for p in c.get("a").missing)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ts.ValidationError):

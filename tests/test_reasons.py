@@ -175,6 +175,16 @@ class TestReasonReport:
         assert kinds == {ReasonKind.EXACT_MATCH: 3}
         assert n_useful == 1
 
+    def test_tally_counts_each_kind(self):
+        c = block_fit_collection(6, 1.0, seed=6)
+        reasoned = ts.reason_report(ts.scan(c, ts.ScanConfig(h=6, cutoff=0.9)), c)
+        counts = {}
+        for rm in reasoned:
+            counts[rm.kind] = counts.get(rm.kind, 0) + 1
+        assert len(counts) > 2
+        assert ts.tally(reasoned) == (counts, len([rm for rm in reasoned if rm.useful]))
+        assert ts.tally([]) == ({}, 0)
+
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_usage_report_at_extreme_scales(self, usage_collection, scale):
         c, x = usage_collection
@@ -327,11 +337,52 @@ class TestMalformedRecords:
         pytest.param(MatchRecord("y", "x", 14, 18, 1.0),
                      "match into 'x' ends at 18, series has 15 observations",
                      id="past-donor-end"),
+        pytest.param(MatchRecord("y", "x", 1, 10**20, 1.0),
+                     f"match 'y' -> 'x' spans {10**20} observations, query series has 15",
+                     id="beyond-int64"),
     ])
     @pytest.mark.parametrize("consume", [_reason_report, _assess_usefulness, _build_matrix],
                              ids=["reason_report", "assess_usefulness", "build_matrix"])
     def test_consistency_error(self, usage_collection, consume, record, message):
         c, _ = usage_collection
+        with pytest.raises(ts.ConsistencyError) as raised:
+            consume(record, c)
+        assert str(raised.value) == message
+
+    # q's terminal segment [8, 3, 9, 4] is d's window 5..8; q has 7
+    # observations and d 14, so d's values start at position 7 of the
+    # collection's values laid end to end, which end at 21
+    @pytest.mark.parametrize("q_missing, d_missing, record, message", [
+        pytest.param((), (5,), MatchRecord("q", "d", 5, 8, 1.0),
+                     "match 'q' -> 'd' window 5..8 covers a missing value of 'd'", id="inside-donor-window"),
+        pytest.param((), (4, 7), MatchRecord("q", "d", 5, 8, 1.0),
+                     "match 'q' -> 'd' window 5..8 covers a missing value of 'd'", id="donor-window-ends"),
+        pytest.param((5,), (), MatchRecord("q", "d", 5, 8, 1.0),
+                     "match 'q' -> 'd' query segment, the last 4 observations of 'q', covers a missing value",
+                     id="inside-query-segment"),
+        pytest.param((3,), (5,), MatchRecord("q", "d", 5, 8, 1.0),
+                     "match 'q' -> 'd' window 5..8 covers a missing value of 'd'", id="both"),
+        # a record that fails an earlier check gets that check's message; its
+        # bounds in the values laid end to end lie outside them
+        pytest.param((), (13,), MatchRecord("q", "d", 12, 15, 1.0),
+                     "match into 'd' ends at 15, series has 14 observations", id="past-donor-end"),
+        pytest.param((), (0,), MatchRecord("q", "ghost", 1, 4, 1.0),
+                     "match 'q' -> 'ghost' refers to unknown series 'ghost'", id="unknown-donor"),
+        pytest.param((0,), (), MatchRecord("q", "d", 0, 3, 1.0),
+                     "match 'q' -> 'd' covers 0..3, not a window of at least 3 observations",
+                     id="starts-before-1"),
+    ])
+    @pytest.mark.parametrize("consume", [
+        lambda record, c: ts.reason_report(ts.LeakReport(ts.ScanConfig(h=4), [record]), c),
+        lambda record, c: ts.assess_usefulness(record, c, ts.ReasonConfig(horizon=4)),
+        lambda record, c: ts.build_matrix(ts.LeakReport(ts.ScanConfig(h=4), [record]), c),
+    ], ids=["reason_report", "assess_usefulness", "build_matrix"])
+    def test_missing_value_in_record(self, consume, q_missing, d_missing, record, message):
+        q = np.array([1.0, 5, 2, 8, 3, 9, 4])
+        d = np.array([0.0, 1, 5, 2, 8, 3, 9, 4, 7, 1, 2, 6, 3, 3])
+        q[list(q_missing)] = d[list(d_missing)] = 0.0  # the filler of a missing value
+        c = ts.SeriesCollection([ts.Series("q", q, q_missing), ts.Series("d", d, d_missing)])
+        assert ts.build_matrix(ts.LeakReport(ts.ScanConfig(h=4), []), c).total() == 0
         with pytest.raises(ts.ConsistencyError) as raised:
             consume(record, c)
         assert str(raised.value) == message

@@ -31,13 +31,17 @@ def json_reports(draw):
     report = ts.LeakReport(cfg, matches, skipped)
     if not draw(st.booleans()):
         return report, None, None
+    horizon = draw(st.one_of(st.none(), st.integers(1, 50)))
+    # a useful match predicts as many values as the report records as its horizon
+    n_predicted = cfg.h if horizon is None else horizon
     reasoned = []
     for match in matches:
         useful = draw(st.booleans())
-        predicted = draw(st.lists(st.one_of(st.none(), json_floats), min_size=1, max_size=4)) if useful else None
+        predicted = draw(st.lists(st.one_of(st.none(), json_floats), min_size=n_predicted,
+                                  max_size=n_predicted)) if useful else None
         fit = ts.AffineFit(draw(json_floats), draw(json_floats), 0.0)
         reasoned.append(ts.ReasonedMatch(match, fit, draw(st.sampled_from(ReasonKind)), useful, predicted))
-    return report, reasoned, draw(st.one_of(st.none(), st.integers(1, 50)))
+    return report, reasoned, horizon
 
 
 # ids with the characters XML escapes and non-ASCII text among any others
@@ -262,6 +266,38 @@ class TestSerialization:
         report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
         with pytest.raises(ts.ConsistencyError):
             ts.write_report(report, tmp_path / "x.json", "json", reasoned=[], horizon=5)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("reason_horizon, horizon, error", [
+        (6, None, ts.ConsistencyError),  # the report would record h = 5
+        (6, 5, ts.ConsistencyError),
+        (5, 6, ts.ConsistencyError),
+        (5, 0, ts.ConfigError),
+        (5, True, ts.ConfigError),
+        (5, 2.5, ts.ConfigError),
+    ])
+    def test_horizon_other_than_the_predictions_rejected(self, usage_collection, tmp_path, fmt,
+                                                           reason_horizon, horizon, error):
+        c, _ = usage_collection
+        report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
+        reasoned = ts.reason_report(report, c, ts.ReasonConfig(horizon=reason_horizon))
+        assert any(rm.useful for rm in reasoned)
+        with pytest.raises(error):
+            ts.write_report(report, tmp_path / f"x.{fmt}", fmt, reasoned=reasoned, horizon=horizon)
+        assert not (tmp_path / f"x.{fmt}").exists()
+        ts.write_report(report, tmp_path / f"x.{fmt}", fmt, reasoned=reasoned, horizon=reason_horizon)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("predicted", [None, [], [1.0] * 4])
+    def test_useful_match_without_its_predictions_rejected(self, usage_collection, tmp_path, fmt,
+                                                            predicted):
+        c, _ = usage_collection
+        report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
+        reasoned = [replace(rm, predicted_test=predicted) if rm.useful else rm
+                    for rm in ts.reason_report(report, c)]
+        with pytest.raises(ts.ConsistencyError, match="predicts"):
+            ts.write_report(report, tmp_path / f"x.{fmt}", fmt, reasoned=reasoned)
+        assert not (tmp_path / f"x.{fmt}").exists()
 
     def test_csv_mismatched_reasoned_length_rejected(self, usage_collection, tmp_path):
         c, _ = usage_collection
