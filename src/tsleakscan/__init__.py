@@ -29,6 +29,7 @@ from .reasons import (
     ReasonKind,
     assess_usefulness,
     classify,
+    collapse_overlaps,
     fit_affine,
     reason_report,
     tally,
@@ -36,7 +37,6 @@ from .reasons import (
 from .report import (
     MatchMatrix,
     build_matrix,
-    collapse_overlaps,
     read_report,
     render_heatmap,
     report_from_payload,

@@ -21,8 +21,8 @@ from pathlib import Path
 from . import report as rpt
 from .collection import REJECT, SPLIT_SKIP, MissingPolicy, load_collection
 from .errors import ConfigError, LeakScanError
-from .reasons import ReasonConfig, ReasonKind, reason_report, tally
-from .scan import AUTO, ScanConfig, scan
+from .reasons import ReasonConfig, ReasonKind, collapse_overlaps, reason_report, tally
+from .scan import AUTO, ScanConfig, chunks, scan
 
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
 _FOOTER_LABELS = {ReasonKind.EXACT_MATCH: "exact"}
@@ -109,8 +109,9 @@ def _run_scan(args):
     return collection, scan(collection, args.cfg)
 
 
-def _match_line(m):
-    return f"{m.query_id} -> {m.donor_id}: {m.start}-{m.end}, r={m.r:.3f}"
+def _match_line(row):
+    query_id, donor_id, start, end, r = row[:5]
+    return f"{query_id} -> {donor_id}: {start}-{end}, r={r:.3f}"
 
 
 def _print_skips(report):
@@ -122,8 +123,8 @@ def cmd_scan(args) -> int:
     collection, report = _run_scan(args)
     matches = report.matches
     if args.collapse_overlaps:
-        matches = rpt.collapse_overlaps(matches)
-    sys.stdout.writelines([_match_line(m) + "\n" for m in matches])
+        matches = collapse_overlaps(matches)
+    sys.stdout.writelines(_match_line(row) + "\n" for rows in chunks(matches) for row in rows)
     _print_skips(report)
     if not matches:
         print("no leaks detected")
@@ -136,39 +137,34 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _format_predicted(values):
-    # one format over the whole row; a row with a missing donor value (None,
-    # printed "?") is formatted one value at a time
-    if None in values:
-        return " ".join(["?" if v is None else format(v, ".6g") for v in values])
-    return " ".join(["{:.6g}"] * len(values)).format(*values)
-
-
-def _explain_line(rm):
-    line = f"{_match_line(rm.base)}, {rm.kind.value}, "
-    if not rm.useful:
+def _explain_line(row):
+    """The stdout line of one row of ``chunks(matches, reasons)``."""
+    kind, _, _, _, useful, predicted = row[5:]
+    line = f"{_match_line(row)}, {kind.value}, "
+    if not useful:
         return line + "not useful\n"
-    return f"{line}useful; predicted test: {_format_predicted(rm.predicted_test)}\n"
+    # a missing donor value is printed "?"
+    predicted = " ".join(["?" if v is None else format(v, ".6g") for v in predicted])
+    return f"{line}useful; predicted test: {predicted}\n"
 
 
 def cmd_explain(args) -> int:
     collection, report = _run_scan(args)
     reasoned = reason_report(report, collection, args.reason_cfg)
     if args.collapse_overlaps:
-        reasoned = rpt.collapse_overlaps(reasoned)
-    matches = [rm.base for rm in reasoned]
-    sys.stdout.writelines(map(_explain_line, reasoned))
+        reasoned = collapse_overlaps(reasoned)
+    sys.stdout.writelines(_explain_line(row) for rows in chunks(reasoned.base, reasoned) for row in rows)
     _print_skips(report)
     kinds, useful = tally(reasoned)
-    if not matches:
+    if not len(reasoned):
         print("0 matches")
     else:
         by_kind = ", ".join(
             f"{kinds[k]} {_FOOTER_LABELS.get(k, k.value)}" for k in ReasonKind if k in kinds
         )
-        print(f"{len(matches)} matches: {by_kind}; {useful} useful")
+        print(f"{len(reasoned)} matches: {by_kind}; {useful} useful")
     if args.output:
-        out_report = replace(report, matches=matches)
+        out_report = replace(report, matches=reasoned.base)
         rpt.write_report(out_report, args.output, format=args.report_format,
                          reasoned=reasoned, horizon=args.horizon)
         print(f"report written to {args.output}")

@@ -9,9 +9,10 @@ window to cover the query's forecast horizon; in that case the donor
 continuation, mapped back through the inverse transform, is the predicted
 test segment of the query series.
 
-``_locate`` is the one place where match records are checked. It turns
-the records into arrays of query index, donor index, start and end, and
-checks all of them at once, with array comparisons: both ids name series
+``_locate`` is the one place where match records are checked. It reads
+the query index, donor index, start and end of every match from the
+columns of a ``MatchTable`` (a list of records is turned into one first)
+and checks all of them at once, with array comparisons: both ids name series
 of the collection, the window starts at position 1 or later, spans at
 least MIN_WINDOW observations, is no longer than its query series and ends
 within its donor, and neither the donor window nor the query segment (the
@@ -30,6 +31,11 @@ fit of its match alone would get: the reductions run along the last axis
 of each row, and the cross term is a matmul of each row with the query,
 which gives the bits of the dot product ``qc @ wc``; a row sum would
 not.
+
+The result is a ``ReasonTable`` of arrays: each fit, its kind code (from
+``classify``'s comparisons on the arrays) and useful flag, and one block of
+the useful matches' predicted values. Like the scan's ``MatchTable`` it is
+a sequence of rows (``ReasonedMatch``) built only when asked for.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 from .collection import SeriesCollection, _is_int
 from .corr import MIN_WINDOW, centre
 from .errors import ConfigError, ConsistencyError, ContractViolation
-from .scan import LeakReport, MatchRecord
+from .scan import LeakReport, MatchRecord, MatchTable, Table
 
 
 class ReasonKind(str, Enum):
@@ -83,8 +89,10 @@ class ReasonConfig:
     horizon: int | None = None
 
     def __post_init__(self):
-        if self.horizon is not None and (not _is_int(self.horizon) or self.horizon < 1):
-            raise ConfigError(f"horizon must be >= 1 and an integer, got {self.horizon!r}")
+        if self.horizon is not None:
+            if not _is_int(self.horizon) or self.horizon < 1:
+                raise ConfigError(f"horizon must be >= 1 and an integer, got {self.horizon!r}")
+            object.__setattr__(self, "horizon", int(self.horizon))  # a numpy integer is written as an int
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,66 @@ class ReasonedMatch:
     kind: ReasonKind
     useful: bool
     predicted_test: list | None  # present iff useful
+
+
+_KINDS = list(ReasonKind)  # a kind code is the position of its kind here
+
+
+class ReasonTable(Table):
+    """The explanations of the matches of the MatchTable ``base`` as columns:
+    per match m, c, max_residual, a kind code and useful, and for the useful
+    ones in order a (useful, horizon) block of predicted values with its
+    mask of missing ones. Rows: ReasonedMatches."""
+
+    def __init__(self, base, m, c, max_residual, kind, useful, predicted, missing):
+        self.base, self.m, self.c, self.max_residual = base, m, c, max_residual
+        self.kind, self.useful, self.predicted, self.missing = kind, useful, predicted, missing
+        self.horizon = predicted.shape[1]
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The table of a sequence of ReasonedMatches; ConsistencyError unless
+        the useful ones all predict as many values."""
+        if isinstance(rows, ReasonTable):
+            return rows
+        rows = list(rows)
+        predicted = [rm.predicted_test or () for rm in rows if rm.useful]
+        shape = (len(predicted), len(predicted[0]) if predicted else 0)
+        if any(len(p) != shape[1] for p in predicted):
+            raise ConsistencyError("useful matches predict different numbers of values")
+        fits = np.array([(rm.fit.m, rm.fit.c, rm.fit.max_residual) for rm in rows], dtype=float)
+        return cls(MatchTable.from_rows([rm.base for rm in rows]), *fits.reshape(-1, 3).T,
+                   np.array([_KINDS.index(rm.kind) for rm in rows], dtype=np.int8),
+                   np.array([bool(rm.useful) for rm in rows], dtype=bool),
+                   np.array([[np.nan if v is None else v for v in p] for p in predicted]).reshape(shape),
+                   np.array([[v is None for v in p] for p in predicted], dtype=bool).reshape(shape))
+
+    def __len__(self):
+        return len(self.useful)
+
+    def columns(self, lo, hi):
+        """kinds, m, c, max_residual, useful and predicted (a list, with None
+        where missing, or None when not useful) of rows lo..hi-1."""
+        useful = self.useful[lo:hi].tolist()
+        first = np.count_nonzero(self.useful[:lo])
+        rows = slice(first, first + sum(useful))
+        predicted = self.predicted[rows].tolist()
+        for i, j in zip(*np.nonzero(self.missing[rows])):
+            predicted[i][j] = None
+        predicted = iter(predicted)
+        return ([_KINDS[k] for k in self.kind[lo:hi].tolist()], self.m[lo:hi].tolist(),
+                self.c[lo:hi].tolist(), self.max_residual[lo:hi].tolist(), useful,
+                [next(predicted) if u else None for u in useful])
+
+    def _rows(self, lo, hi):
+        return [ReasonedMatch(MatchRecord(*row[:5]), AffineFit(*row[6:9]), row[5], row[9], row[10])
+                for row in zip(*self.base.columns(lo, hi), *self.columns(lo, hi))]
+
+    def take(self, index, base):
+        """The explanations of the rows ``index`` selects, of the matches of ``base``."""
+        rows = (np.cumsum(self.useful) - 1)[index[self.useful[index]]]
+        return ReasonTable(base, self.m[index], self.c[index], self.max_residual[index],
+                           self.kind[index], self.useful[index], self.predicted[rows], self.missing[rows])
 
 
 def scale_of(w):
@@ -139,22 +207,20 @@ def classify(fit: AffineFit, *, window_scale: float) -> ReasonKind:
 
     ``window_scale`` is max|w| of the matched window. Whenever the match
     correlation |r| is 1 the residual is negligible and one of the affine
-    kinds applies, so the residual branch below is only reachable for
-    cutoffs below 1.
+    kinds applies, so the residual branch of ``_kind_codes`` is only
+    reachable for cutoffs below 1.
     """
-    if fit.max_residual > AFFINE_TOL * window_scale:
-        return ReasonKind.HIGH_CORRELATION_ONLY
-    slope_is_one = abs(fit.m - 1.0) <= SLOPE_TOL
-    intercept_is_zero = abs(fit.c) <= INTERCEPT_TOL * window_scale
-    if slope_is_one and intercept_is_zero:
-        return ReasonKind.EXACT_MATCH
-    if slope_is_one:
-        return ReasonKind.ADD_CONSTANT
-    if fit.m < 0.0:
-        return ReasonKind.NEGATIVE_AFFINE
-    if intercept_is_zero:
-        return ReasonKind.MULTIPLY_CONSTANT
-    return ReasonKind.AFFINE_TRANSFORM
+    return _KINDS[_kind_codes(*np.float64([fit.m, fit.c, fit.max_residual, window_scale]))]
+
+
+def _kind_codes(m, c, max_residual, window_scale):
+    """The kind code of each fit of arrays of fits, by float64 comparisons in
+    this precedence: high-correlation-only, exact, add-constant, negative,
+    multiply-constant, and affine for the rest."""
+    slope_is_one = np.abs(m - 1.0) <= SLOPE_TOL
+    intercept_is_zero = np.abs(c) <= INTERCEPT_TOL * window_scale
+    return np.select([max_residual > AFFINE_TOL * window_scale, slope_is_one & intercept_is_zero,
+                      slope_is_one, m < 0.0, intercept_is_zero], [5, 0, 1, 4, 2], 3).astype(np.int8)
 
 
 def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: ReasonConfig):
@@ -184,17 +250,17 @@ def _locate(matches, collection: SeriesCollection):
     then the series lengths, their offsets in the values laid end to end and
     the missing mask of those values. The first match in report order that
     fails a record check of the module docstring raises ConsistencyError.
+    ``matches`` is a MatchTable or a sequence of MatchRecords.
     """
+    matches = MatchTable.from_rows(matches)
     entries = collection.entries
     # an unknown id gets index -1, which picks the sentinel length 0
     lengths = np.array([len(s.values) for s in entries] + [0])
     first = np.cumsum(lengths) - lengths
     missing = np.zeros(first[-1], dtype=bool)
     missing[[first[i] + p for i, s in enumerate(entries) for p in s.missing]] = True
-    qi = np.array([collection._index.get(m.query_id, -1) for m in matches], dtype=int)
-    di = np.array([collection._index.get(m.donor_id, -1) for m in matches], dtype=int)
-    start = np.array([m.start for m in matches])
-    end = np.array([m.end for m in matches])
+    index = np.array([collection._index.get(sid, -1) for sid in matches.ids], dtype=int)
+    qi, di, start, end = index[matches.qi], index[matches.di], matches.start, matches.end
     span = end - start + 1
     # the bounds of each donor window and query segment in ``missing``, clipped
     # for the records that an earlier check already fails; an int cast, as an
@@ -225,7 +291,7 @@ def _locate(matches, collection: SeriesCollection):
 
 
 def reason_report(report: LeakReport, collection: SeriesCollection,
-                  cfg: ReasonConfig = ReasonConfig()) -> list[ReasonedMatch]:
+                  cfg: ReasonConfig = ReasonConfig()) -> ReasonTable:
     """Explain every match in the report, preserving report order.
 
     Raises ``_locate``'s ConsistencyError for the first malformed match in
@@ -235,10 +301,9 @@ def reason_report(report: LeakReport, collection: SeriesCollection,
     return _explain(report.matches, collection, resolve_horizon(cfg.horizon, report.config.h))
 
 
-def _explain(matches, collection: SeriesCollection, horizon: int) -> list[ReasonedMatch]:
+def _explain(matches, collection: SeriesCollection, horizon: int) -> ReasonTable:
     """Explain each match, in order, with a continuation of ``horizon`` values."""
-    if not matches:
-        return []
+    matches = MatchTable.from_rows(matches)
     entries = collection.entries
     qi, di, start, end, lengths, first, missing = _locate(matches, collection)
     span = end - start + 1
@@ -247,7 +312,7 @@ def _explain(matches, collection: SeriesCollection, horizon: int) -> list[Reason
     m, c, max_residual, scale = (np.empty(len(matches)) for _ in range(4))
     order = np.lexsort((span, qi))  # stable: each block in report order
     bounds = np.flatnonzero(np.diff(qi[order]) | np.diff(span[order])) + 1
-    for block in np.split(order, bounds):
+    for block in np.split(order, bounds) if len(order) else ():
         q, h = entries[qi[block[0]]], span[block[0]]
         windows = _gather(flat, window_first[block], h)
         m[block], c[block], max_residual[block] = _fit_rows(q.values[-h:], windows)
@@ -255,20 +320,45 @@ def _explain(matches, collection: SeriesCollection, horizon: int) -> list[Reason
 
     useful = end + horizon <= lengths[di]
     continuation_first = first[di[useful]] + end[useful]
-    predicted = ((_gather(flat, continuation_first, horizon) - c[useful, None])
-                 / m[useful, None]).tolist()
-    for i, j in zip(*np.nonzero(_gather(missing, continuation_first, horizon))):
-        predicted[i][j] = None
-    predicted = iter(predicted)
-    reasoned = []
-    for match, fit_m, fit_c, residual, window_scale, is_useful in zip(
-            matches, m.tolist(), c.tolist(), max_residual.tolist(), scale.tolist(), useful.tolist()):
-        fit = AffineFit(fit_m, fit_c, residual)
-        reasoned.append(ReasonedMatch(match, fit, classify(fit, window_scale=window_scale),
-                                      is_useful, next(predicted) if is_useful else None))
-    return reasoned
+    predicted = (_gather(flat, continuation_first, horizon) - c[useful, None]) / m[useful, None]
+    return ReasonTable(matches, m, c, max_residual, _kind_codes(m, c, max_residual, scale), useful,
+                       predicted, _gather(missing, continuation_first, horizon))
+
+
+def collapse_overlaps(matches):
+    """Merge runs of consecutive offsets per (query, donor) into one range.
+
+    Readability transform only: the merged record spans the first window's
+    start to the last window's end (so end-start+1 exceeds h) and carries
+    the r of the strongest member, the first of largest |r| as max() picks
+    it. Input order is preserved. ``matches`` holds MatchRecords or
+    ReasonedMatches, as a table or any sequence, and the result is their
+    table; a merged ReasonedMatch is the explanation of the run's strongest
+    member, with the merged record as its base (the overlapping hits of one
+    run come from the same pattern).
+    """
+    if not isinstance(matches, Table):
+        matches = list(matches)
+        reasoned = matches and isinstance(matches[0], ReasonedMatch)
+        matches = (ReasonTable if reasoned else MatchTable).from_rows(matches)
+    table = matches.base if isinstance(matches, ReasonTable) else matches
+    if not len(table):
+        return matches
+    qi, di, start = table.qi, table.di, table.start
+    new_run = np.r_[True, (qi[1:] != qi[:-1]) | (di[1:] != di[:-1]) | (start[1:] != start[:-1] + 1)]
+    first = np.flatnonzero(new_run)
+    # max() keeps a run's first member when its |r| is NaN and passes over a
+    # later NaN, which sorts last; lexsort keeps ties in report order
+    strength = np.abs(table.r)
+    strength[first] = np.where(np.isnan(strength[first]), np.inf, strength[first])
+    best = np.lexsort((-strength, np.cumsum(new_run)))[first]
+    merged = MatchTable(table.ids, qi[first], di[first], start[first],
+                        table.end[np.r_[first[1:], len(table)] - 1], table.r[best])
+    return matches.take(best, merged) if isinstance(matches, ReasonTable) else merged
 
 
 def tally(reasoned) -> tuple[Counter, int]:
     """Counts by kind plus the number of useful matches, for summaries."""
-    return Counter(rm.kind for rm in reasoned), sum(rm.useful for rm in reasoned)
+    table = ReasonTable.from_rows(reasoned)
+    counts = np.bincount(table.kind, minlength=len(_KINDS)).tolist()
+    return Counter({kind: n for kind, n in zip(_KINDS, counts) if n}), int(table.useful.sum())

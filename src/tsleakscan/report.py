@@ -18,16 +18,19 @@ follows; ": " between key and value; strings ASCII-escaped, with
 ``\\uXXXX`` for non-ASCII and control characters; floats as ``repr``
 writes them, with json's NaN and Infinity; ``[]`` and ``{}`` when empty.
 
-The writer lays out this fixed schema itself, one f-string per match
-entry, and builds no payload dict. It streams: it writes one match entry
-at a time, so the document is never held in memory as one string. It
-takes the field types the dataclasses declare: ids, kinds and skip reasons
-are str; start and end are int; r, m, c and each predicted value are a
-float (a subclass such as numpy.float64 is written as its float), and None
-marks a missing predicted value. The config's numbers go through
-``json.dumps``, so any number a ``ScanConfig`` admits is written, or
-rejected, as ``json.dump`` would. ``report_payload`` is the dict this
-layout follows; the CSV writer uses it, and the tests compare against it.
+The JSON and CSV writers read the columns of the scan's ``MatchTable``
+and of the ``ReasonTable`` of ``reason_report``; a list of records is
+turned into a table first. They format ROWS_PER_CHUNK matches at a time
+from the Python values of those columns, one f-string per JSON entry, and
+write each chunk as soon as it is built, so no payload dict, row object or
+list of the report's size is made and the document is never held in
+memory. Ids, kinds and skip reasons are str; start and end are int; r, m,
+c and each predicted value are written as the float64 they are stored
+as, and a missing predicted value as null. The document up to the
+matches is ``json.dumps`` of the payload without them, so the config's
+numbers are written, or rejected, as ``json.dump`` would; ``ScanConfig``
+stores h and ``ReasonConfig`` the horizon as int. ``report_payload`` is
+the dict this layout follows; the tests compare against it.
 
 The SVG heatmap is written a row at a time: each row of cells is one join
 of strings formatted once per column, once per row and once per distinct
@@ -43,16 +46,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
-from itertools import repeat
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .collection import SeriesCollection, _is_int
 from .errors import ConfigError, ConsistencyError
-from .reasons import ReasonConfig, ReasonedMatch, _locate, resolve_horizon
-from .scan import LeakReport, MatchRecord, ScanConfig, _is_real
+from .reasons import ReasonConfig, ReasonTable, _locate, resolve_horizon
+from .scan import LeakReport, MatchRecord, MatchTable, ScanConfig, _is_real, chunks
 
 
 @dataclass
@@ -80,92 +82,56 @@ def build_matrix(report: LeakReport, collection: SeriesCollection) -> MatchMatri
     return MatchMatrix(list(ids), list(ids), counts)
 
 
-def collapse_overlaps(matches):
-    """Merge runs of consecutive offsets per (query, donor) into one range.
-
-    Readability transform only: the merged record spans the first window's
-    start to the last window's end (so end-start+1 exceeds h) and carries
-    the r of the strongest member. Input order is preserved. ``matches``
-    holds MatchRecords or ReasonedMatches; a merged ReasonedMatch is the
-    explanation of the run's strongest member, with the merged record as
-    its base (the overlapping hits of one run come from the same pattern).
-    """
-    runs: list[list] = []
-    for item in matches:
-        m, last = _record(item), _record(runs[-1][-1]) if runs else None
-        if last and (m.query_id, m.donor_id, m.start) == (last.query_id, last.donor_id, last.start + 1):
-            runs[-1].append(item)
-        else:
-            runs.append([item])
-    return [_merge(run) for run in runs]
-
-
-def _record(item) -> MatchRecord:
-    return item.base if isinstance(item, ReasonedMatch) else item
-
-
-def _merge(run):
-    first, last = _record(run[0]), _record(run[-1])
-    best = max(run, key=lambda item: abs(_record(item).r))
-    merged = MatchRecord(first.query_id, first.donor_id, first.start, last.end, _record(best).r)
-    return replace(best, base=merged) if isinstance(best, ReasonedMatch) else merged
-
-
-def _match_entry(match: MatchRecord, reasoned: ReasonedMatch | None) -> dict:
-    entry = {
-        "query_id": match.query_id,
-        "donor_id": match.donor_id,
-        "start": match.start,
-        "end": match.end,
-        "r": match.r,
-    }
-    if reasoned is not None:
-        entry["kind"] = reasoned.kind.value
-        entry["m"] = reasoned.fit.m
-        entry["c"] = reasoned.fit.c
-        entry["useful"] = reasoned.useful
-        if reasoned.useful:
-            entry["predicted_test"] = reasoned.predicted_test
-    return entry
-
-
-def _explained_horizon(report: LeakReport, reasoned: list[ReasonedMatch] | None,
-                       horizon: int | None) -> int | None:
-    """The horizon an explained report records, None for a plain report.
+def _tables(report: LeakReport, reasoned, horizon: int | None):
+    """The tables a report is written from, the matches' and, for an
+    explained report, the reasons', and the horizon it records (None for a
+    plain report).
 
     ``ReasonConfig`` checks the horizon. Raises ConsistencyError when the
     reasons do not pair up with the matches or a useful one does not predict
     ``horizon`` values.
     """
+    matches = MatchTable.from_rows(report.matches)
     if reasoned is None:
-        return None
-    if len(reasoned) != len(report.matches):
-        raise ConsistencyError(
-            f"{len(reasoned)} reasoned matches for {len(report.matches)} match records"
-        )
+        return (matches,), None
+    if len(reasoned) != len(matches):
+        raise ConsistencyError(f"{len(reasoned)} reasoned matches for {len(matches)} match records")
     horizon = resolve_horizon(ReasonConfig(horizon).horizon, report.config.h)
-    for rm in reasoned:
-        if rm.useful and len(rm.predicted_test or ()) != horizon:
-            raise ConsistencyError(f"useful match {rm.base.query_id!r} -> {rm.base.donor_id!r} predicts "
-                                   f"{len(rm.predicted_test or ())} values, the horizon is {horizon}")
-    return horizon
+    if isinstance(reasoned, ReasonTable):  # each useful match predicts the table's horizon
+        wrong = np.flatnonzero(reasoned.useful) if reasoned.horizon != horizon else []
+    else:
+        wrong = [i for i, rm in enumerate(reasoned) if rm.useful and len(rm.predicted_test or ()) != horizon]
+    if len(wrong):
+        rm = reasoned[int(wrong[0])]
+        raise ConsistencyError(f"useful match {rm.base.query_id!r} -> {rm.base.donor_id!r} predicts "
+                               f"{len(rm.predicted_test or ())} values, the horizon is {horizon}")
+    return (matches, ReasonTable.from_rows(reasoned)), horizon
 
 
-def report_payload(report: LeakReport, reasoned: list[ReasonedMatch] | None = None,
-                   horizon: int | None = None) -> dict:
-    """JSON-ready dict for a report, explained or plain."""
+def _entry(row) -> dict:
+    """The "matches" item of one row of ``chunks``."""
+    entry = dict(zip(("query_id", "donor_id", "start", "end", "r"), row))
+    if len(row) > 5:
+        kind, m, c, _, useful, predicted = row[5:]
+        entry.update(kind=kind.value, m=m, c=c, useful=useful)
+        if useful:
+            entry["predicted_test"] = predicted
+    return entry
+
+
+def _head(report: LeakReport, horizon: int | None) -> dict:
+    """The payload of a report without its matches (an empty list)."""
     config = {"h": report.config.h, "cutoff": report.config.cutoff}
-    if reasoned is not None:
-        config["horizon"] = _explained_horizon(report, reasoned, horizon)
-    return {
-        "config": config,
-        "skipped_queries": [{"id": sid, "reason": reason}
-                            for sid, reason in report.skipped_queries],
-        "matches": [
-            _match_entry(m, reasoned[i] if reasoned is not None else None)
-            for i, m in enumerate(report.matches)
-        ],
-    }
+    if horizon is not None:
+        config["horizon"] = horizon
+    skipped = [{"id": sid, "reason": reason} for sid, reason in report.skipped_queries]
+    return {"config": config, "skipped_queries": skipped, "matches": []}
+
+
+def report_payload(report: LeakReport, reasoned=None, horizon: int | None = None) -> dict:
+    """JSON-ready dict for a report, explained or plain."""
+    tables, horizon = _tables(report, reasoned, horizon)
+    return {**_head(report, horizon), "matches": [_entry(row) for rows in chunks(*tables) for row in rows]}
 
 
 _JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -177,79 +143,65 @@ def _json_float(value: float) -> str:
 
 
 def _json_prediction(values) -> str:
-    # the predicted_test list, never empty, one level below the entry's
-    # keys; a row with None, NaN or an infinity ("n" is in no finite float's
-    # repr) is laid out again one value at a time
-    text = None if None in values else ",\n    ".join(map(float.__repr__, values))
-    if text is None or "n" in text:
-        text = ",\n    ".join(["null" if v is None else _json_float(v) for v in values])
-    return "[\n    " + text + "\n   ]"
+    # the predicted_test list, never empty, one level below the entry's keys
+    return "[\n    " + ",\n    ".join(["null" if v is None else _json_float(v) for v in values]) + "\n   ]"
 
 
-def _json_entry(match: MatchRecord, reasoned: ReasonedMatch | None) -> str:
-    """The "matches" item of one match: ``_match_entry``'s dict as
+def _json_entry(row) -> str:
+    """The "matches" item of one row of ``chunks``: ``_entry``'s dict as
     json.dump(indent=1) lays it out at that depth."""
-    text = (f'  {{\n   "query_id": {encode_basestring_ascii(match.query_id)},'
-            f'\n   "donor_id": {encode_basestring_ascii(match.donor_id)},'
-            f'\n   "start": {match.start},\n   "end": {match.end},'
-            f'\n   "r": {_json_float(match.r)}')
-    if reasoned is None:
+    query_id, donor_id, start, end, r = row[:5]
+    text = (f'  {{\n   "query_id": {encode_basestring_ascii(query_id)},'
+            f'\n   "donor_id": {encode_basestring_ascii(donor_id)},'
+            f'\n   "start": {start},\n   "end": {end},\n   "r": {_json_float(r)}')
+    if len(row) == 5:
         return text + "\n  }"
-    fit = reasoned.fit
-    text += (f',\n   "kind": {encode_basestring_ascii(reasoned.kind.value)},'
-             f'\n   "m": {_json_float(fit.m)},\n   "c": {_json_float(fit.c)}')
-    if not reasoned.useful:
+    kind, m, c, _, useful, predicted = row[5:]
+    text += (f',\n   "kind": {encode_basestring_ascii(kind.value)},'
+             f'\n   "m": {_json_float(m)},\n   "c": {_json_float(c)}')
+    if not useful:
         return text + ',\n   "useful": false\n  }'
-    return (f'{text},\n   "useful": true,'
-            f'\n   "predicted_test": {_json_prediction(reasoned.predicted_test)}\n  }}')
+    return f'{text},\n   "useful": true,\n   "predicted_test": {_json_prediction(predicted)}\n  }}'
 
 
-def _json_head(report: LeakReport, horizon: int | None) -> str:
-    """The document up to the value of "matches": the config, with the
-    horizon when it is not None, and the skipped queries."""
-    cfg = report.config
-    config = f'{{\n  "h": {json.dumps(cfg.h)},\n  "cutoff": {json.dumps(cfg.cutoff)}'
-    if horizon is not None:
-        config += f',\n  "horizon": {json.dumps(horizon)}'
-    skipped = ",\n".join([f'  {{\n   "id": {encode_basestring_ascii(sid)},'
-                          f'\n   "reason": {encode_basestring_ascii(reason)}\n  }}'
-                          for sid, reason in report.skipped_queries])
-    skipped = f"[\n{skipped}\n ]" if skipped else "[]"
-    return f'{{\n "config": {config}\n }},\n "skipped_queries": {skipped},\n "matches": '
+def _csv_row(row) -> list:
+    """The CSV line of one row of ``chunks``: floats to 12 significant
+    digits, booleans in lower case."""
+    line = [*row[:4], format(row[4], ".12g")]
+    if len(row) == 5:
+        return line
+    kind, m, c, _, useful, _ = row[5:]
+    return line + [kind.value, format(m, ".12g"), format(c, ".12g"), "true" if useful else "false"]
 
 
-def _csv_cell(value):
-    # floats to 12 significant digits, booleans in lower case
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format(value, ".12g") if isinstance(value, float) else value
-
-
-def write_report(report: LeakReport, path, format="json",
-                 reasoned: list[ReasonedMatch] | None = None,
+def write_report(report: LeakReport, path, format="json", reasoned=None,
                  horizon: int | None = None) -> None:
-    """Serialize a (possibly explained) report to JSON or flat CSV."""
+    """Serialize a (possibly explained) report to JSON or flat CSV.
+
+    ``reasoned`` is a ReasonTable or a sequence of ReasonedMatches, one per
+    match. Everything that can raise runs before the file is opened.
+    """
+    if format not in ("json", "csv"):
+        raise ConsistencyError(f"unknown report format {format!r}")
+    tables, horizon = _tables(report, reasoned, horizon)
     if format == "json":
-        horizon = _explained_horizon(report, reasoned, horizon)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_head(report, horizon))
+            # the document up to the value of "matches", which json.dumps gives as "[]\n}"
+            fh.write(json.dumps(_head(report, horizon), indent=1)[:-4])
             sep = "[\n"
-            for match, rm in zip(report.matches, repeat(None) if reasoned is None else reasoned):
-                fh.write(sep + _json_entry(match, rm))
+            for rows in chunks(*tables):
+                fh.write(sep + ",\n".join(map(_json_entry, rows)))
                 sep = ",\n"
-            fh.write("\n ]\n}\n" if report.matches else "[]\n}\n")
-    elif format == "csv":
-        # the same entries as the JSON report, so the same consistency check
-        entries = report_payload(report, reasoned, horizon)["matches"]
+            fh.write("\n ]\n}\n" if len(tables[0]) else "[]\n}\n")
+    else:
         columns = ["query_id", "donor_id", "start", "end", "r"]
-        if reasoned is not None:
+        if horizon is not None:
             columns += ["kind", "m", "c", "useful"]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            writer.writerows([_csv_cell(entry[c]) for c in columns] for entry in entries)
-    else:
-        raise ConsistencyError(f"unknown report format {format!r}")
+            for rows in chunks(*tables):
+                writer.writerows(map(_csv_row, rows))
 
 
 def read_report(path) -> dict:

@@ -3,21 +3,27 @@
 For every series the terminal length-h segment of its training part is
 taken as the query and swept across every series in the collection
 (including its own, which picks up repeating-pattern leaks). Offsets whose
-absolute correlation clears the cutoff become match records; the single
-trivial hit of a query against its own terminal position is removed.
+absolute correlation clears the cutoff become matches; the single trivial
+hit of a query against its own terminal position is removed.
 
 The queries are validated and centred once, as one block, and each donor
 is swept by one ``sliding_correlations`` call against all of them. The call
 passes the threshold, so the sweep returns only the windows its BLAS
 prefilter cannot rule out, each with the exact kernel's r; the match set
 and every r are those of an exhaustive sweep. With workers, each process
-scans one contiguous block of queries.
+scans one contiguous block of queries and returns its hits as arrays.
+
+The hits stay arrays from the sweep to the writers: a ``MatchTable`` holds
+the query index, donor index, start, end and r of every match, in (query,
+donor, offset) order. It is a sequence of ``MatchRecord`` rows, built only
+when asked for; the writers format its columns a chunk at a time.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -57,6 +63,7 @@ class ScanConfig:
     def __post_init__(self):
         if not _is_int(self.h) or self.h < MIN_WINDOW:
             raise ConfigError(f"h must be an integer >= {MIN_WINDOW}, got {self.h!r}")
+        object.__setattr__(self, "h", int(self.h))  # a numpy integer is written as an int
         if not _is_real(self.cutoff):
             raise ConfigError(f"cutoff must be a real number, got {self.cutoff!r}")
         if not 0.0 < self.cutoff <= 1.0:
@@ -87,13 +94,80 @@ class MatchRecord:
     r: float
 
 
+ROWS_PER_CHUNK = 256  # rows a table builds, and a writer formats, at a time
+
+
+class Table(Sequence):
+    """A read-only sequence of rows kept as equal-length columns, which
+    ``columns(lo, hi)`` gives as Python lists for rows lo..hi-1. Rows are
+    built only when asked for, ROWS_PER_CHUNK at a time. A table compares,
+    adds and slices as the list of its rows."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = range(len(self))[i]
+        return self._rows(i, i + 1)[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self), ROWS_PER_CHUNK):
+            yield from self._rows(lo, lo + ROWS_PER_CHUNK)
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+
+def chunks(*tables):
+    """Per ROWS_PER_CHUNK rows, the columns of equal-length tables zipped."""
+    for lo in range(0, len(tables[0]), ROWS_PER_CHUNK):
+        yield zip(*(column for table in tables for column in table.columns(lo, lo + ROWS_PER_CHUNK)))
+
+
+class MatchTable(Table):
+    """Matches as columns: the ids they name, and per match the index of its
+    query and donor in ``ids``, its start, end and r. Rows: MatchRecords."""
+
+    def __init__(self, ids, qi, di, start, end, r):
+        self.ids, self.qi, self.di, self.start, self.end, self.r = ids, qi, di, start, end, r
+
+    @classmethod
+    def from_rows(cls, records):
+        """The table of a sequence of MatchRecords (each distinct id kept once)."""
+        if isinstance(records, MatchTable):
+            return records
+        records, index = list(records), {}
+        qi = [index.setdefault(m.query_id, len(index)) for m in records]
+        di = [index.setdefault(m.donor_id, len(index)) for m in records]
+        # ints beyond int64 make an object array, which keeps their values; an
+        # empty list would make floats
+        dtype = None if records else int
+        start, end = np.array([m.start for m in records], dtype), np.array([m.end for m in records], dtype)
+        return cls(list(index), np.array(qi, dtype=int), np.array(di, dtype=int), start, end,
+                   np.array([m.r for m in records], dtype=float))
+
+    def __len__(self):
+        return len(self.r)
+
+    def columns(self, lo, hi):
+        ids = self.ids
+        return ([ids[i] for i in self.qi[lo:hi].tolist()], [ids[i] for i in self.di[lo:hi].tolist()],
+                self.start[lo:hi].tolist(), self.end[lo:hi].tolist(), self.r[lo:hi].tolist())
+
+    def _rows(self, lo, hi):
+        return [MatchRecord(*row) for row in zip(*self.columns(lo, hi))]
+
+
 @dataclass
 class LeakReport:
-    """Scan output: matches grouped by query in collection order, plus the
-    queries that could not be scanned at all."""
+    """Scan output: matches grouped by query in collection order (a
+    MatchTable, or any sequence of MatchRecords), plus the queries that
+    could not be scanned at all."""
 
     config: ScanConfig
-    matches: list[MatchRecord]
+    matches: Sequence[MatchRecord]
     skipped_queries: list[tuple[str, str]] = field(default_factory=list)
 
 
@@ -110,17 +184,19 @@ def _query_skip_reason(series, h):
 
 
 def _scan_block(collection, cfg, query_indices):
-    """Matches of the queries ``query_indices``, in (query, donor, offset)
-    order, and the skip reasons of those that cannot be scanned."""
+    """The hits of the queries ``query_indices`` as arrays of query index,
+    donor index, start and r, in (query, donor, offset) order, and the skip
+    reasons of those that cannot be scanned."""
     h = cfg.h
     entries = collection.entries
     reasons = [(qi, _query_skip_reason(entries[qi], h)) for qi in query_indices]
     skipped = [(entries[qi].id, reason) for qi, reason in reasons if reason is not None]
     query_of = np.array([qi for qi, reason in reasons if reason is None], dtype=int)
+    # the hits' columns per donor, after an empty entry for a block without hits
+    found = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)]
     if len(query_of) == 0:
-        return [], skipped
+        return found[0], skipped
     queries = query_block(np.stack([entries[qi].values[-h:] for qi in query_of]))
-    found = []  # per donor: (query index, donor index, start, r) of each hit
     for di, donor in enumerate(entries):
         if len(donor.values) < h:
             continue  # no length-h windows to match
@@ -132,11 +208,9 @@ def _scan_block(collection, cfg, query_indices):
         keep = (query_of[cols] != di) | (starts != len(donor.values) - h + 1)
         found.append((query_of[cols[keep]], np.full(keep.sum(), di), starts[keep],
                       profile.r_values[rows[keep], cols[keep]]))
-    qs, ds, starts, rs = (np.concatenate(part).tolist() for part in zip(*found))
-    order = np.lexsort((starts, ds, qs)).tolist()
-    matches = [MatchRecord(entries[qs[i]].id, entries[ds[i]].id, starts[i], starts[i] + h - 1, rs[i])
-               for i in order]
-    return matches, skipped
+    qs, ds, starts, rs = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((starts, ds, qs))
+    return (qs[order], ds[order], starts[order], rs[order]), skipped
 
 
 def scan(collection: SeriesCollection, cfg: ScanConfig) -> LeakReport:
@@ -161,5 +235,6 @@ def scan(collection: SeriesCollection, cfg: ScanConfig) -> LeakReport:
         # one task per worker, so each worker unpickles the collection once
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_block = list(pool.map(scan_block, blocks))
-    return LeakReport(cfg, [m for matches, _ in per_block for m in matches],
+    qi, di, start, r = (np.concatenate(column) for column in zip(*(hits for hits, _ in per_block)))
+    return LeakReport(cfg, MatchTable(collection.ids(), qi, di, start, start + cfg.h - 1, r),
                       [s for _, skipped in per_block for s in skipped])

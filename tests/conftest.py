@@ -1,6 +1,9 @@
 import csv
+import json
 import math
 import statistics
+from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -276,6 +279,91 @@ def reference_matrix_csv(matrix: MatchMatrix, path) -> None:
         writer.writerow([""] + matrix.col_ids)
         for sid, row in zip(matrix.row_ids, matrix.counts):
             writer.writerow([sid] + [int(v) for v in row])
+
+
+def reference_collapse(items):
+    """Reference merge of runs of consecutive offsets: one record or reasoned
+    match at a time, the strongest member of a run picked by ``max``, so the
+    first of equal |r| wins. Returns a list of the input's row type."""
+    def record(item):
+        return item.base if isinstance(item, ts.ReasonedMatch) else item
+
+    runs = []
+    for item in items:
+        m, last = record(item), record(runs[-1][-1]) if runs else None
+        if last and (m.query_id, m.donor_id, m.start) == (last.query_id, last.donor_id, last.start + 1):
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+    merged = []
+    for run in runs:
+        first, last = record(run[0]), record(run[-1])
+        best = max(run, key=lambda item: abs(record(item).r))
+        base = ts.MatchRecord(first.query_id, first.donor_id, first.start, last.end, record(best).r)
+        merged.append(replace(best, base=base) if isinstance(best, ts.ReasonedMatch) else base)
+    return merged
+
+
+_JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value):
+    text = float.__repr__(value)
+    return _JSON_FLOAT_NAMES.get(text, text)
+
+
+def _json_entry(match, reasoned):
+    text = (f'  {{\n   "query_id": {encode_basestring_ascii(match.query_id)},'
+            f'\n   "donor_id": {encode_basestring_ascii(match.donor_id)},'
+            f'\n   "start": {match.start},\n   "end": {match.end},'
+            f'\n   "r": {_json_float(match.r)}')
+    if reasoned is None:
+        return text + "\n  }"
+    fit = reasoned.fit
+    text += (f',\n   "kind": {encode_basestring_ascii(reasoned.kind.value)},'
+             f'\n   "m": {_json_float(fit.m)},\n   "c": {_json_float(fit.c)}')
+    if not reasoned.useful:
+        return text + ',\n   "useful": false\n  }'
+    values = reasoned.predicted_test
+    text += ',\n   "useful": true,\n   "predicted_test": [\n    '
+    return text + ",\n    ".join("null" if v is None else _json_float(v) for v in values) + "\n   ]\n  }"
+
+
+def reference_json_report(report, reasoned, horizon, path) -> None:
+    """Reference JSON report writer: one record, and one reasoned match, at
+    a time, with ``json.dumps`` only for the config's numbers. ``horizon``
+    is the one the report records; ``reasoned`` is a list or None."""
+    cfg = report.config
+    config = f'{{\n  "h": {json.dumps(cfg.h)},\n  "cutoff": {json.dumps(cfg.cutoff)}'
+    if reasoned is not None:
+        config += f',\n  "horizon": {json.dumps(horizon)}'
+    skipped = ",\n".join([f'  {{\n   "id": {encode_basestring_ascii(sid)},'
+                          f'\n   "reason": {encode_basestring_ascii(reason)}\n  }}'
+                          for sid, reason in report.skipped_queries])
+    skipped = f"[\n{skipped}\n ]" if skipped else "[]"
+    entries = [_json_entry(m, None if reasoned is None else reasoned[i]) for i, m in enumerate(report.matches)]
+    matches = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n "config": {config}\n }},\n "skipped_queries": {skipped},\n "matches": {matches}\n}}\n')
+
+
+def reference_match_line(m) -> str:
+    """Reference stdout line of one match of ``scan``, without its newline."""
+    return f"{m.query_id} -> {m.donor_id}: {m.start}-{m.end}, r={m.r:.3f}"
+
+
+def reference_explain_lines(reasoned) -> list:
+    """Reference stdout lines of ``explain``, one per reasoned match."""
+    lines = []
+    for rm in reasoned:
+        line = f"{reference_match_line(rm.base)}, {rm.kind.value}, "
+        if rm.useful:
+            predicted = " ".join("?" if v is None else format(v, ".6g") for v in rm.predicted_test)
+            line += f"useful; predicted test: {predicted}"
+        else:
+            line += "not useful"
+        lines.append(line + "\n")
+    return lines
 
 
 def random_collection(rng, n_series=None, length_range=(20, 120)):

@@ -10,7 +10,15 @@ import tsleakscan as ts
 from tsleakscan.collection import SPLIT_SKIP
 from tsleakscan.reasons import ReasonKind
 
-from conftest import block_fit_collection, usage_style_collection
+from conftest import (
+    block_fit_collection,
+    reason_oracle,
+    reference_collapse,
+    reference_explain_lines,
+    reference_json_report,
+    reference_match_line,
+    usage_style_collection,
+)
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -291,6 +299,101 @@ class TestExplainStdout:
         expected, _ = self.reference(planted_json, collapse=False)
         assert cli.main(["explain", "--input", planted_json, *PLANTED_ARGS]) == 0
         assert capsys.readouterr().out == expected
+
+
+def tied_periodic_collection():
+    """Sawtooth series, rising and falling, whose ramp windows all match the
+    ramp query with the same |r| (runs of ties, where the first member must
+    win), and noisy sines whose neighbouring offsets match with different r."""
+    rng = np.random.default_rng(12)
+    data = {"saw": np.arange(57) % 10, "fall": 2.0 - 3.0 * (np.arange(3, 45) % 10),
+            "rise": 0.5 * (np.arange(6, 50) % 10) + 4.0}
+    for i, (length, period) in enumerate([(60, 12), (45, 12), (52, 9)]):
+        t = np.arange(length) + rng.integers(period)
+        data[f"sine{i}"] = np.sin(2 * np.pi * t / period) + rng.normal(scale=0.01, size=length)
+    return ts.from_dict(data)
+
+
+def runs_of(rows):
+    """The members of each run of consecutive offsets per (query, donor)."""
+    runs = []
+    for rm in rows:
+        last = runs[-1][-1].base if runs else None
+        m = rm.base
+        if last and (m.query_id, m.donor_id, m.start) == (last.query_id, last.donor_id, last.start + 1):
+            runs[-1].append(rm)
+        else:
+            runs.append([rm])
+    return runs
+
+
+class TestTablePathBytes:
+    """``explain`` and ``scan`` print and write, from the columnar match and
+    reason tables, the bytes of the per-record reference formatters applied
+    to matches explained one at a time by the oracle."""
+
+    FORMATS = {"json": "json", "wide": "wide-csv"}  # --format value -> file format
+
+    def check(self, collection, fmt, h, cutoff, horizon, collapse, tmp_path, capsys):
+        data = tmp_path / "input"
+        ts.write_collection(collection, data, self.FORMATS[fmt])
+        flags = ["--collapse-overlaps"] if collapse else []
+        args = ["--input", str(data), "--format", fmt, "--h", str(h), "--cutoff", repr(cutoff),
+                "--missing", "skip", *flags]
+        from tsleakscan import cli
+        assert cli.main(["explain", *args, "--horizon", str(horizon), "--output", str(tmp_path / "e.json")]) == 0
+        explain_out = capsys.readouterr().out
+        assert cli.main(["scan", *args, "--output", str(tmp_path / "s.json")]) == 0
+        scan_out = capsys.readouterr().out
+
+        c = ts.load_collection(data, format=self.FORMATS[fmt], policy=ts.MissingPolicy(SPLIT_SKIP))
+        cfg = ts.ScanConfig(h=h, cutoff=cutoff)
+        report = ts.scan(c, cfg)
+        records = list(report.matches)
+        rows = [ts.ReasonedMatch(m, *reason_oracle(m, c, ts.ReasonConfig(horizon))) for m in records]
+        if collapse:
+            records, rows = reference_collapse(records), reference_collapse(rows)
+        lines = reference_explain_lines(rows)
+        assert explain_out.splitlines(keepends=True)[:len(lines)] == lines
+        assert f"\n{len(rows)} matches" in "\n" + explain_out
+        assert scan_out.splitlines()[:len(records)] == [reference_match_line(m) for m in records]
+        explained = ts.LeakReport(cfg, [rm.base for rm in rows], report.skipped_queries)
+        reference_json_report(explained, rows, horizon, tmp_path / "reference-e.json")
+        reference_json_report(ts.LeakReport(cfg, records, report.skipped_queries), None, None,
+                              tmp_path / "reference-s.json")
+        assert (tmp_path / "e.json").read_bytes() == (tmp_path / "reference-e.json").read_bytes()
+        assert (tmp_path / "s.json").read_bytes() == (tmp_path / "reference-s.json").read_bytes()
+        # a list of rows is written through the same tables
+        ts.write_report(explained, tmp_path / "rows.json", reasoned=rows, horizon=horizon)
+        assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "reference-e.json").read_bytes()
+        return report, rows
+
+    @pytest.mark.parametrize("collapse", [False, True])
+    def test_periodic_with_ties(self, tmp_path, capsys, collapse):
+        report, rows = self.check(tied_periodic_collection(), "wide", 4, 0.95, 5, collapse, tmp_path, capsys)
+        if not collapse:
+            strengths = [[abs(rm.base.r) for rm in run] for run in runs_of(rows)]
+            assert any(s.count(max(s)) > 1 for s in strengths)  # a tie, which the first member wins
+            assert any(s.index(max(s)) > 0 for s in strengths)  # a run that a later member wins
+            assert {rm.kind for rm in rows} >= {ReasonKind.NEGATIVE_AFFINE, ReasonKind.AFFINE_TRANSFORM}
+        else:
+            assert len(rows) < len(report.matches)
+
+    def test_continuation_over_a_missing_value(self, tmp_path, capsys):
+        _, rows = self.check(block_fit_collection(6, 1.0, seed=6), "json", 6, 0.9, 6, False, tmp_path, capsys)
+        assert any(None in rm.predicted_test for rm in rows if rm.useful)
+
+    def test_ids_with_json_escapes(self, tmp_path, capsys):
+        c = block_fit_collection(5, 1.0, seed=3)
+        names = ['q"1', "d\\2", "é€😀", "ctl\x01", "t\tab", "<&>", "s6", "s7"]
+        c = ts.SeriesCollection([ts.Series(name, s.values, s.missing) for name, s in zip(names, c)])
+        _, rows = self.check(c, "json", 5, 0.9, 5, True, tmp_path, capsys)
+        assert {rm.base.query_id for rm in rows} & {'q"1', "d\\2", "é€😀", "ctl\x01"}
+
+    def test_empty_report(self, tmp_path, capsys):
+        c = ts.from_dict({"a": [4.0, 5.0, 2.0, 7.0, 8.0], "b": [3.0, 2.0, 2.0, 1.0, 7.0]})
+        _, rows = self.check(c, "json", 3, 1.0, 3, True, tmp_path, capsys)
+        assert rows == []
 
 
 class TestOutputCollisions:

@@ -14,7 +14,7 @@ import tsleakscan as ts
 from tsleakscan.reasons import ReasonKind
 from tsleakscan.scan import MatchRecord
 
-from conftest import reference_heatmap, reference_matrix_csv
+from conftest import reference_collapse, reference_heatmap, reference_matrix_csv
 
 # ids with quotes, backslashes, control and non-ASCII characters among any others
 json_ids = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7fé€\u2028😀'), st.characters()), max_size=6)
@@ -142,6 +142,15 @@ class TestCollapse:
             assert (collapsed[0].kind, collapsed[0].useful, collapsed[0].predicted_test) == \
                 (strongest.kind, strongest.useful, strongest.predicted_test)
 
+    def test_strongest_member_as_max_picks_it(self):
+        # ties go to the first member; a NaN r wins only as a run's first member
+        rs = [(1, float("nan")), (2, 0.5), (3, -0.9), (7, 0.4), (8, float("nan")), (9, -0.4),
+              (12, 0.3), (13, -0.3), (14, 0.3)]
+        matches = [MatchRecord("a", "b", start, start + 2, r) for start, r in rs]
+        collapsed = ts.collapse_overlaps(matches)
+        assert [repr(m) for m in collapsed] == [repr(m) for m in reference_collapse(matches)]
+        assert [m.r for m in collapsed][1:] == [0.4, 0.3]
+
     def test_non_consecutive_not_merged(self):
         matches = [MatchRecord("a", "b", 1, 3, 1.0), MatchRecord("a", "b", 5, 7, 1.0)]
         assert ts.collapse_overlaps(matches) == matches
@@ -149,6 +158,38 @@ class TestCollapse:
     def test_different_pairs_not_merged(self):
         matches = [MatchRecord("a", "b", 1, 3, 1.0), MatchRecord("a", "c", 2, 4, 1.0)]
         assert ts.collapse_overlaps(matches) == matches
+
+
+def periodic_collection(n_series, seed):
+    """Sines of period 12, 150-219 values each: at h = 6 and cutoff 0.95
+    every query matches runs of offsets in every series."""
+    rng = np.random.default_rng(seed)
+    data = {}
+    for i in range(n_series):
+        t = np.arange(int(rng.integers(150, 220))) + rng.integers(12)
+        data[f"p{i:02d}"] = rng.uniform(1, 5) * np.sin(2 * np.pi * t / 12) + rng.uniform(-10, 10)
+    return ts.from_dict(data)
+
+
+class TestMemoryPerMatch:
+    # the traced peak of scan, reason_report and write_report on this input
+    # was 847 B per match when each match was a MatchRecord, a ReasonedMatch,
+    # an AffineFit and a list of predicted values; the columns need less
+    # than half of that
+    BUDGET = 847 // 2
+
+    def test_traced_peak_per_match(self, tmp_path):
+        c = periodic_collection(17, seed=3)
+        tracemalloc.start()
+        try:
+            report = ts.scan(c, ts.ScanConfig(h=6, cutoff=0.95))
+            reasoned = ts.reason_report(report, c)
+            ts.write_report(report, tmp_path / "report.json", "json", reasoned=reasoned)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.matches) >= 20_000
+        assert peak / len(report.matches) < self.BUDGET
 
 
 class TestSerialization:
@@ -242,6 +283,18 @@ class TestSerialization:
             path = Path(tmp) / "report.json"
             ts.write_report(report, path, "json", reasoned=reasoned, horizon=horizon)
             assert path.read_bytes() == expected.encode("ascii")
+
+    def test_numpy_integer_h_and_horizon_written_as_ints(self, usage_collection, tmp_path):
+        c, _ = usage_collection
+        report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
+        reasoned = ts.reason_report(report, c)
+        ts.write_report(report, tmp_path / "plain.json", "json", reasoned=reasoned, horizon=5)
+        for h, horizon in ((np.int64(5), 5), (5, np.int64(5))):
+            cfg = ts.ScanConfig(h=h, cutoff=1.0)
+            assert type(cfg.h) is int and type(ts.ReasonConfig(horizon).horizon) is int
+            ts.write_report(replace(report, config=cfg), tmp_path / "numpy.json", "json",
+                            reasoned=reasoned, horizon=horizon)
+            assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_csv_reasoned_columns(self, usage_collection, tmp_path):
         c, _ = usage_collection
