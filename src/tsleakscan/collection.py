@@ -5,16 +5,18 @@ Three on-disk formats are supported:
 * ``long-csv`` (canonical): header ``series_id,index,value``, one row per
   observation, ``index`` 1-based and contiguous per series.
 * ``wide-csv``: header row of series ids, one column per series, shorter
-  series padded with empty cells at the bottom.
+  series padded at the bottom: a column's trailing blank or whitespace-only
+  cells are padding, while a trailing ``nan`` cell is a missing value.
 * ``json``: object mapping id -> array of numbers, ``null`` marking a
   missing value.
 
 Collection order always follows input order (it later fixes the row and
 column order of the match matrix). The loaders only parse, reading each
-series as floats, NaN for an empty cell or a ``null``. ``_finish_series``
-strips the id and decides what is missing: every non-finite value, which it
-rejects or stores as 0.0. ``SeriesCollection`` checks ids, observations,
-finiteness and missing positions.
+series as floats, NaN for an empty cell or a ``null``; the CSV loaders fill
+float64 buffers a row at a time, so no cell's text outlives its row.
+``_finish_series`` strips the id and decides what is missing: every
+non-finite value, which it rejects or stores as 0.0. ``SeriesCollection``
+checks ids, observations, finiteness and missing positions.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,11 @@ from .errors import FormatError, ValidationError
 
 REJECT = "reject"
 SPLIT_SKIP = "split-skip"
+
+# a blank wide-CSV cell, a NaN whose payload float() never gives, unlike a "nan" cell
+_BLANK_BITS = 0x7FF8_0000_0000_B1A2
+_BLANK = np.uint64(_BLANK_BITS).view(np.float64).item()
+_FLOAT64 = struct.Struct("d")  # native, as numpy reads a buffer
 
 
 @dataclass(frozen=True)
@@ -146,36 +153,41 @@ def _finish_series(sid, values, policy, where):
 
 
 def _load_wide_csv(path, policy):
+    grid, bad = bytearray(), {}  # bad: column -> the FormatError of its first bad cell
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FormatError(f"{path}: empty file")
-    header = rows[0]
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) > len(header):
-            raise FormatError(f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}")
-    columns = list(zip_longest(*rows[1:], fillvalue=""))
-    columns += [()] * (len(header) - len(columns))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        row_bytes = struct.Struct(f"{len(header)}d")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) > len(header):
+                raise FormatError(f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}")
+            try:
+                cells = [float(c) if c.strip() else _BLANK for c in row]
+            except ValueError:
+                cells = []
+                for j, c in enumerate(row):
+                    try:
+                        cells.append(_parse_cell(c, f"{path}:{lineno}") if c.strip() else _BLANK)
+                    except FormatError as exc:
+                        bad.setdefault(j, exc)
+                        cells.append(math.nan)
+            grid += row_bytes.pack(*cells, *[_BLANK] * (len(header) - len(row)))
+    grid = np.frombuffer(grid).reshape(len(grid) // max(row_bytes.size, 1), len(header))
     entries = []
-    for sid, cells in zip(header, columns):
-        # trailing empty cells are padding, not missing values
-        last = len(cells)
-        while last and cells[last - 1].strip() == "":
-            last -= 1
-        cells = cells[:last]
-        try:
-            values = np.array([float(c) if c.strip() else math.nan for c in cells])
-        except ValueError:
-            for i, cell in enumerate(cells):
-                _parse_cell(cell, f"{path}:{i + 2}")  # raises the FormatError for the first bad cell
-            raise
-        entries.append(_finish_series(sid, values, policy, path))
+    for j, sid in enumerate(header):
+        if j in bad:  # raised only now: an earlier column's error comes first
+            raise bad[j]
+        filled = np.flatnonzero(grid[:, j].view(np.uint64) != _BLANK_BITS)
+        length = filled[-1] + 1 if len(filled) else 0  # the blanks after it are padding
+        entries.append(_finish_series(sid, grid[:length, j], policy, path))
     return entries
 
 
 def _load_long_csv(path, policy):
     expected_header = ["series_id", "index", "value"]
-    values: dict[str, list] = {}  # in order of first appearance
+    values: dict[str, bytearray] = {}  # float64s, in order of first appearance
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -198,15 +210,13 @@ def _load_long_csv(path, policy):
                 idx = int(row[1])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: index {row[1]!r} is not an integer") from None
-            if sid not in values:
-                values[sid] = []
-            if idx != len(values[sid]) + 1:
-                raise FormatError(
-                    f"{path}:{lineno}: series {sid!r} index {idx} is not contiguous "
-                    f"(expected {len(values[sid]) + 1})"
-                )
-            values[sid].append(_parse_cell(row[2], f"{path}:{lineno}"))
-    return [_finish_series(sid, series, policy, path) for sid, series in values.items()]
+            series = values.setdefault(sid, bytearray())
+            expected = len(series) // _FLOAT64.size + 1
+            if idx != expected:
+                raise FormatError(f"{path}:{lineno}: series {sid!r} index {idx} is not contiguous "
+                                  f"(expected {expected})")
+            series += _FLOAT64.pack(_parse_cell(row[2], f"{path}:{lineno}"))
+    return [_finish_series(sid, np.frombuffer(series), policy, path) for sid, series in values.items()]
 
 
 def _load_json(path, policy):

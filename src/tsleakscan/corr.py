@@ -6,7 +6,9 @@ profile), so a scan makes one O(n*h*k) call per donor. Each window and query
 is centred on its own mean after an exact power-of-two scaling (see
 ``centre``), so r stays accurate for a low-variance window inside a
 high-variance series and at any finite scale; only an exactly constant
-window has no r.
+window has no r. The sweep copies no window: it reads the target and its
+gap mask through read-only views whose row i is ``x[i:i + h]``, and gathers
+the valid windows a block at a time, never an (m, h) array of floats.
 
 Given a ``threshold``, the sweep rules windows out with a BLAS matrix
 product of unit rows, an approximate r that provably lies within
@@ -105,41 +107,42 @@ def query_block(query) -> QueryBlock:
     return QueryBlock(query, rows, css, rows / np.sqrt(css)[:, None])
 
 
-def _correlate(windows, queries: QueryBlock, bound=None):
+def _correlate(windows, valid, queries: QueryBlock, bound=None):
     """``(keep, r)``: which windows (rows) are kept, and the Pearson r of
     each kept window against every query (row).
 
-    Each block of at most ``_BLOCK_VALUES`` window values is centred once.
-    Given a ``bound``, the block's unit rows are multiplied by the queries'
-    in products of at most ``_PRODUCT_SIZE`` multiply-adds (where one row
-    allows), and a window is kept when |r~| >= bound against some query;
-    without one, every window is. The kept rows and sums of squares then
-    give r, each sum of products a last-axis reduction in one order, so a
-    window equal to a query gets r == 1.0 exactly (a BLAS product would
-    not), and a row's r does not depend on its block. No row may be constant.
+    The ``valid`` windows are gathered and centred ``_BLOCK_VALUES`` values
+    at a time. Given a ``bound``, a block's unit rows are multiplied by the
+    queries' in products of at most ``_PRODUCT_SIZE`` multiply-adds (where
+    one row allows), and a window is kept when |r~| >= bound against some
+    query; without one, every valid window is. The kept rows then give r,
+    each sum of products a last-axis reduction in one order, so a window
+    equal to a query gets r == 1.0 exactly (a BLAS product would not), and
+    a row's r does not depend on its block. No valid row may be constant.
     """
     h, q = windows.shape[1], queries.rows
-    keep = np.ones(len(windows), dtype=bool)
-    blocks = [(np.empty((0, h)), np.empty(0))]  # the centred rows kept, and their sums of squares
+    keep = valid.copy()
+    valid_rows = np.flatnonzero(valid)
+    r = [np.empty((0, len(q)))]
     step = max(1, _BLOCK_VALUES // h)
     rows = max(1, min(step, _PRODUCT_SIZE // q.size))
-    for i in range(0, len(windows), step):
-        w, _ = centre(windows[i:i + step])
+    cross_rows = max(1, _BLOCK_VALUES // q.size)
+    for i in range(0, len(valid_rows), step):
+        block = valid_rows[i:i + step]
+        w, _ = centre(windows[block])
         css_w = (w * w).sum(axis=1)
         if bound is not None:
             unit = w / np.sqrt(css_w)[:, None]
-            kept = keep[i:i + step]
+            kept = np.empty(len(w), dtype=bool)
             for j in range(0, len(w), rows):
                 approx = unit[j:j + rows] @ queries.unit.T
                 kept[j:j + rows] = np.maximum(approx.max(axis=1), -approx.min(axis=1)) >= bound
+            keep[block] = kept
             w, css_w = w[kept], css_w[kept]
-        blocks.append((w, css_w))
-    w, css_w = (np.concatenate(parts) for parts in zip(*blocks))
-    cross = np.empty((len(w), len(q)))
-    step = max(1, _BLOCK_VALUES // q.size)
-    for i in range(0, len(w), step):
-        cross[i:i + step] = (w[i:i + step, None, :] * q).sum(axis=2)
-    return keep, np.clip(cross / np.sqrt(css_w[:, None] * queries.css), -1.0, 1.0)
+        for j in range(0, len(w), cross_rows):
+            cross = (w[j:j + cross_rows, None, :] * q).sum(axis=2)
+            r.append(np.clip(cross / np.sqrt(css_w[j:j + cross_rows, None] * queries.css), -1.0, 1.0))
+    return keep, np.concatenate(r)
 
 
 def prefilter_slack(h) -> float:
@@ -193,12 +196,12 @@ def pearson(a, b) -> float | None:
         raise ContractViolation("correlation needs at least 2 observations")
     if np.all(a == a[0]) or np.all(b == b[0]):
         return None  # exact: the variance is zero iff all values are equal
-    return float(_correlate(a[None], query_block(b))[1][0, 0])
+    return float(_correlate(a[None], np.ones(1, dtype=bool), query_block(b))[1][0, 0])
 
 
 def _check_sweep_args(query, target, h, missing):
     queries = query if isinstance(query, QueryBlock) else query_block(query)
-    target = _as_vector(target, "target")
+    target = np.ascontiguousarray(_as_vector(target, "target"))  # for the window views
     if h < MIN_WINDOW:
         raise ContractViolation(f"window length must be >= {MIN_WINDOW}, got {h}")
     if queries.rows.shape[1] != h:
@@ -237,17 +240,14 @@ def sliding_correlations(query, target, h, *, missing=(), threshold=None) -> Sli
     """
     queries, target, h, missing = _check_sweep_args(query, target, h, missing)
     m = len(target) - h + 1
-    index = np.arange(m)[:, None] + np.arange(h)
-    windows = target[index]
+    windows = np.ndarray((m, h), target.dtype, target, strides=target.strides * 2)
+    windows.flags.writeable = False
     gaps = np.zeros(len(target), dtype=bool)
     gaps[missing] = True
-    overlaps = gaps[index].any(axis=1)
+    overlaps = np.ndarray((m, h), bool, gaps, strides=gaps.strides * 2).any(axis=1)
     valid = ~(windows == windows[:, :1]).all(axis=1) & ~overlaps
-    starts = np.arange(1, m + 1)
     skipped = [(int(s), MISSING_OVERLAP if overlaps[s - 1] else ZERO_VARIANCE_WINDOW)
-               for s in starts[~valid]]
-    windows, starts = windows[valid], starts[valid]  # the full arrays go before the kernel runs
+               for s in np.flatnonzero(~valid) + 1]
     bound = None if threshold is None else threshold - prefilter_slack(h)
-    keep, r = _correlate(windows, queries, bound)
-    return SlidingProfile(starts[keep], r if queries.values.ndim == 2 else r[:, 0], skipped)
-
+    keep, r = _correlate(windows, valid, queries, bound)
+    return SlidingProfile(np.flatnonzero(keep) + 1, r if queries.values.ndim == 2 else r[:, 0], skipped)

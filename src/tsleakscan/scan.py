@@ -70,6 +70,8 @@ class ScanConfig:
             raise ConfigError("cutoff must be in (0,1]")
         if self.cutoff <= CUTOFF_TOLERANCE:
             raise ConfigError(f"cutoff must exceed CUTOFF_TOLERANCE = {CUTOFF_TOLERANCE:g}")
+        # the Python int or float of its value, which json can write (1 stays 1)
+        object.__setattr__(self, "cutoff", int(self.cutoff) if _is_int(self.cutoff) else float(self.cutoff))
         if self.workers != AUTO and (not _is_int(self.workers) or self.workers < 1):
             raise ConfigError(f"workers must be a positive integer or {AUTO!r}, got {self.workers!r}")
 

@@ -3,18 +3,23 @@ import json
 import math
 import statistics
 from dataclasses import replace
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
 
 import tsleakscan as ts
+from tsleakscan.collection import _finish_series, _parse_cell
 from tsleakscan.corr import (
+    _BLOCK_VALUES,
+    _PRODUCT_SIZE,
     MISSING_OVERLAP,
     ZERO_VARIANCE_WINDOW,
     SlidingProfile,
     _check_sweep_args,
     centre,
+    prefilter_slack,
 )
 from tsleakscan.report import MatchMatrix, _escape, _ramp
 
@@ -86,6 +91,83 @@ def naive_sliding_oracle(query, target, h, *, missing=()) -> SlidingProfile:
         offsets.append(s + 1)
         r_values.append(min(1.0, max(-1.0, r)))
     return SlidingProfile(np.asarray(offsets, dtype=int), np.asarray(r_values), skipped)
+
+
+def _reference_correlate(windows, queries, bound=None):
+    """``_correlate`` on gathered windows: every valid window copied into one
+    (valid, h) array, whose kept rows are concatenated before the exact pass."""
+    h, q = windows.shape[1], queries.rows
+    keep = np.ones(len(windows), dtype=bool)
+    blocks = [(np.empty((0, h)), np.empty(0))]
+    step = max(1, _BLOCK_VALUES // h)
+    rows = max(1, min(step, _PRODUCT_SIZE // q.size))
+    for i in range(0, len(windows), step):
+        w, _ = centre(windows[i:i + step])
+        css_w = (w * w).sum(axis=1)
+        if bound is not None:
+            unit = w / np.sqrt(css_w)[:, None]
+            kept = keep[i:i + step]
+            for j in range(0, len(w), rows):
+                approx = unit[j:j + rows] @ queries.unit.T
+                kept[j:j + rows] = np.maximum(approx.max(axis=1), -approx.min(axis=1)) >= bound
+            w, css_w = w[kept], css_w[kept]
+        blocks.append((w, css_w))
+    w, css_w = (np.concatenate(parts) for parts in zip(*blocks))
+    cross = np.empty((len(w), len(q)))
+    step = max(1, _BLOCK_VALUES // q.size)
+    for i in range(0, len(w), step):
+        cross[i:i + step] = (w[i:i + step, None, :] * q).sum(axis=2)
+    return keep, np.clip(cross / np.sqrt(css_w[:, None] * queries.css), -1.0, 1.0)
+
+
+def reference_sweep(query, target, h, *, missing=(), threshold=None) -> SlidingProfile:
+    """``sliding_correlations`` by gathering: an (m, h) index array picks every
+    window of the target and of its gap mask into copies of their own."""
+    queries, target, h, missing = _check_sweep_args(query, target, h, missing)
+    m = len(target) - h + 1
+    index = np.arange(m)[:, None] + np.arange(h)
+    windows = target[index]
+    gaps = np.zeros(len(target), dtype=bool)
+    gaps[missing] = True
+    overlaps = gaps[index].any(axis=1)
+    valid = ~(windows == windows[:, :1]).all(axis=1) & ~overlaps
+    starts = np.arange(1, m + 1)
+    skipped = [(int(s), MISSING_OVERLAP if overlaps[s - 1] else ZERO_VARIANCE_WINDOW)
+               for s in starts[~valid]]
+    windows, starts = windows[valid], starts[valid]
+    bound = None if threshold is None else threshold - prefilter_slack(h)
+    keep, r = _reference_correlate(windows, queries, bound)
+    return SlidingProfile(starts[keep], r if queries.values.ndim == 2 else r[:, 0], skipped)
+
+
+def reference_wide_csv(path, policy):
+    """The wide-CSV loader that reads every cell as text and transposes the
+    rows into columns before parsing any of them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ts.FormatError(f"{path}: empty file")
+    header = rows[0]
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) > len(header):
+            raise ts.FormatError(f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}")
+    columns = list(zip_longest(*rows[1:], fillvalue=""))
+    columns += [()] * (len(header) - len(columns))
+    entries = []
+    for sid, cells in zip(header, columns):
+        # trailing empty cells are padding, not missing values
+        last = len(cells)
+        while last and cells[last - 1].strip() == "":
+            last -= 1
+        cells = cells[:last]
+        try:
+            values = np.array([float(c) if c.strip() else math.nan for c in cells])
+        except ValueError:
+            for i, cell in enumerate(cells):
+                _parse_cell(cell, f"{path}:{i + 2}")  # raises the FormatError for the first bad cell
+            raise
+        entries.append(_finish_series(sid, values, policy, path))
+    return entries
 
 
 def fit_oracle(q, w) -> ts.AffineFit:

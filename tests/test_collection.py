@@ -1,10 +1,17 @@
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsleakscan as ts
-from tsleakscan.collection import REJECT, SPLIT_SKIP
+from tsleakscan.collection import REJECT, SPLIT_SKIP, _load_wide_csv
+
+from conftest import reference_wide_csv
 
 
 def write(path, text):
@@ -106,6 +113,100 @@ class TestWideCsv:
         assert a.get("y").missing == (1, 2, 3, 4)
         for s, t in zip(a, b):
             assert (s.id, s.values.tobytes(), s.missing) == (t.id, t.values.tobytes(), t.missing)
+
+
+# numbers are listed more than once so that most grids parse
+WIDE_CELLS = ["", " ", "\t", "nan", "NaN", "inf", "-inf", "1_0", "-0.0", "2e-310", "1e999",
+              "1", "2", "-3.5", "4e2", "1", "2", "-3.5", "4e2", "abc", "1e5x"]
+
+
+@st.composite
+def wide_grids(draw):
+    """The text of a ragged wide CSV: rows shorter than, as long as or longer
+    than the header, and blank lines (an empty row), a blank header included."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    header = draw(st.lists(st.sampled_from(["a", "b", " c", "d", ""]), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(st.sampled_from(WIDE_CELLS), max_size=n + 1), max_size=8))
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def load_outcome(load, path, policy):
+    """The ids, value bytes and missing positions a loader gives, or its error."""
+    try:
+        entries = load(path, policy)
+    except (ts.FormatError, ts.ValidationError) as exc:
+        return type(exc), str(exc)
+    return [(s.id, s.values.tobytes(), s.missing) for s in entries]
+
+
+class TestWideCsvAgainstReference:
+    """The row-at-a-time loader against the reference that transposes cell strings."""
+
+    POLICIES = (ts.MissingPolicy(REJECT), ts.MissingPolicy(SPLIT_SKIP))
+
+    def check(self, path):
+        for policy in self.POLICIES:
+            want = load_outcome(reference_wide_csv, path, policy)
+            assert load_outcome(_load_wide_csv, path, policy) == want, (path.read_text(), policy)
+
+    @given(wide_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_ragged_grids(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(write(Path(tmp) / "c.csv", text))
+
+    @pytest.mark.parametrize("text, want", [
+        # a nan cell is a missing value, the blanks after it padding
+        ("x,y\n1,1\n2,2\nnan,3\n,4\n \t,5\n", [("x", 3, (2,)), ("y", 5, ())]),
+        # the first column in header order names its bad cell, though a later
+        # column's bad cell is on an earlier line
+        ("x,y\n1,abc\n1e5x,2\n", "c.csv:3: cannot parse '1e5x' as a number"),
+        # a row longer than the header is raised before a bad cell above it
+        ("x,y\n1,abc\n1,2\n1,2,3\n", "c.csv:4: row has 3 cells, header has 2"),
+        ("x,y\n", "series 'x' has no observations"),
+        ("\n\n", []),
+        ("\n1,2\n", "c.csv:2: row has 2 cells, header has 0"),
+    ], ids=["nan-then-padding", "bad-cell-in-a-later-column", "long-row-after-a-bad-cell",
+            "header-only", "blank-first-line", "blank-first-line-then-a-row"])
+    def test_edge_cases(self, tmp_path, text, want):
+        path = write(tmp_path / "c.csv", text)
+        self.check(path)
+        policy = ts.MissingPolicy(SPLIT_SKIP)
+        if isinstance(want, str):
+            with pytest.raises((ts.FormatError, ts.ValidationError)) as info:
+                ts.load_collection(path, "wide-csv", policy)
+            assert str(info.value).endswith(want)
+        else:
+            c = ts.load_collection(path, "wide-csv", policy)
+            assert [(s.id, len(s), s.missing) for s in c] == want
+
+
+def _grid(seed=7, n_series=40, length=3000):
+    rng = np.random.default_rng(seed)
+    return ts.from_dict({f"s{j:02d}": rng.normal(size=length) for j in range(n_series)})
+
+
+class TestLoaderMemory:
+    # the traced peak of load_collection on this 40 x 3000 grid was 94 B per
+    # cell for the wide CSV, whose rows stayed lists of cell strings until the
+    # grid was transposed, and 40 B per value for the long CSV, which kept a
+    # Python float per value; float64 buffers need less than half of each
+    BUDGET = {"wide-csv": 94 // 2, "long-csv": 40 // 2}
+
+    @pytest.mark.parametrize("fmt", sorted(BUDGET))
+    def test_traced_peak_per_value(self, tmp_path, fmt):
+        c = _grid()
+        path = tmp_path / "c.csv"
+        ts.write_collection(c, path, fmt)
+        tracemalloc.start()
+        try:
+            loaded = ts.load_collection(path, fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_values = sum(len(s) for s in c)
+        assert [s.values.tobytes() for s in loaded] == [s.values.tobytes() for s in c]
+        assert peak / n_values < self.BUDGET[fmt]
 
 
 class TestJson:

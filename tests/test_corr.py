@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import tsleakscan as ts
 from tsleakscan import corr
 from tsleakscan.corr import MISSING_OVERLAP, ZERO_VARIANCE_WINDOW
 
-from conftest import brute_pearson, brute_sliding, naive_sliding_oracle
+from conftest import brute_pearson, brute_sliding, naive_sliding_oracle, reference_sweep
 
 finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -341,6 +342,76 @@ class TestPrefilter:
         assert cut.offsets.tolist() == [s + 1 for s in starts]
         assert np.array_equal(cut.r_values, full.r_values[starts])
         assert np.array_equal(np.abs(cut.r_values).max(axis=1), np.ones(len(starts)))
+
+
+class TestWindowViews:
+    """The sweep reads its windows through views of the target; the reference
+    gathers them into copies. Offsets, r bits and skips must agree."""
+
+    @staticmethod
+    def check(queries, target, h, missing=()):
+        profiles = []
+        for threshold in (None, 0.5, 0.95):
+            got = ts.sliding_correlations(queries, target, h, missing=missing, threshold=threshold)
+            want = reference_sweep(queries, target, h, missing=missing, threshold=threshold)
+            assert got.offsets.tolist() == want.offsets.tolist()
+            assert got.r_values.shape == want.r_values.shape
+            assert got.r_values.tobytes() == want.r_values.tobytes()
+            assert got.skipped == want.skipped
+            profiles.append(got)
+        return profiles
+
+    @staticmethod
+    def queries_from(target, h, rng, k=3):
+        """k queries, the first a noisy copy of a window, so a threshold keeps some."""
+        queries = rng.normal(size=(k, h))
+        queries[0] = np.asarray(target)[5:5 + h] + 0.1 * rng.normal(size=h)
+        return queries
+
+    @pytest.mark.parametrize("layout", ["every-other-value", "column-of-a-matrix"])
+    def test_non_contiguous_target(self, layout):
+        rng = np.random.default_rng(31)
+        target = rng.normal(size=800)[::2] if layout == "every-other-value" else rng.normal(size=(400, 3))[:, 1]
+        assert not target.flags.c_contiguous
+        queries = self.queries_from(target, 12, rng)
+        self.check(queries, target, 12, missing=(50,))
+        self.check(queries[0], target, 12)
+
+    @pytest.mark.parametrize("missing", [(0,), (99,), (0, 99), (40, 41), (0, 1, 2, 97, 98, 99)])
+    def test_gaps_at_the_ends_and_adjacent(self, missing):
+        rng = np.random.default_rng(32)
+        target = rng.normal(size=100)
+        full = self.check(self.queries_from(target, 6, rng), target, 6, missing=missing)[0]
+        skipped = {o for o, reason in full.skipped if reason == MISSING_OVERLAP}
+        assert skipped == {o for o in range(1, 96) if any(o - 1 <= p < o + 5 for p in missing)}
+
+    @pytest.mark.parametrize("h", [6, 24])
+    def test_constant_run_across_a_block_boundary(self, h):
+        rng = np.random.default_rng(33)
+        step = corr._BLOCK_VALUES // h
+        target = rng.normal(size=3 * step)
+        target[step - h:step + 2 * h] = 2.5
+        full = self.check(self.queries_from(target, h, rng), target, h, missing=(step + 3 * h,))[0]
+        constant = {o for o, reason in full.skipped if reason == ZERO_VARIANCE_WINDOW}
+        assert constant == set(range(step - h + 1, step + h + 2))
+
+
+class TestSweepMemory:
+    # the sweep once gathered every window into an (m, h) copy through an
+    # (m, h) index array; through views its traced peak stays below one copy
+    @pytest.mark.parametrize("threshold", [None, 0.5])
+    def test_traced_peak_under_one_window_copy(self, threshold):
+        h = 24
+        target = np.random.default_rng(34).normal(size=20_000)
+        tracemalloc.start()
+        try:
+            profile = ts.sliding_correlations(target[-h:], target, h, threshold=threshold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = len(target) - h + 1
+        assert profile.offsets[-1] == m
+        assert peak < m * h * np.dtype(np.float64).itemsize
 
 
 class TestOracleEquivalence:

@@ -296,6 +296,16 @@ class TestSerialization:
                             reasoned=reasoned, horizon=horizon)
             assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
+    @pytest.mark.parametrize("cutoff, plain", [(np.float32(0.5), 0.5), (np.float16(0.5), 0.5),
+                                               (np.int64(1), 1), (np.float64(0.9), 0.9), (1, 1)])
+    def test_numpy_scalar_cutoff_written_as_its_python_number(self, tmp_path, cutoff, plain):
+        cfg = ts.ScanConfig(h=3, cutoff=cutoff)
+        assert type(cfg.cutoff) is type(plain) and cfg.cutoff == plain
+        ts.write_report(ts.LeakReport(cfg, []), tmp_path / "numpy.json", "json")
+        ts.write_report(ts.LeakReport(ts.ScanConfig(h=3, cutoff=plain), []), tmp_path / "plain.json", "json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert f'"cutoff": {plain!r}' in (tmp_path / "plain.json").read_text()
+
     def test_csv_reasoned_columns(self, usage_collection, tmp_path):
         c, _ = usage_collection
         report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
