@@ -9,10 +9,10 @@ window to cover the query's forecast horizon; in that case the donor
 continuation, mapped back through the inverse transform, is the predicted
 test segment of the query series.
 
-``_locate`` is the one place where match records are checked. It reads
-the query index, donor index, start and end of every match from the
-columns of a ``MatchTable`` (a list of records is turned into one first)
-and checks all of them at once, with array comparisons: both ids name series
+``_locate`` is the one place where match records are checked. Like
+``_explain``, it takes a ``MatchTable``, never a list; it reads the query
+index, donor index, start and end of every match from its columns and
+checks all of them at once, with array comparisons: both ids name series
 of the collection, the window starts at position 1 or later, spans at
 least MIN_WINDOW observations, is no longer than its query series and ends
 within its donor, and neither the donor window nor the query segment (the
@@ -25,12 +25,12 @@ their donor windows are gathered into a (k, h) block by one fancy index
 into the collection's values laid end to end, each row is centred once,
 and every slope, intercept, residual and window scale is an array
 operation over the block. The continuations of every useful match are one
-more fancy index. ``assess_usefulness`` is this path run on one match, and
-``fit_affine`` the one-row case of the same fit. Each row gets the bits a
-fit of its match alone would get: the reductions run along the last axis
-of each row, and the cross term is a matmul of each row with the query,
-which gives the bits of the dot product ``qc @ wc``; a row sum would
-not.
+more fancy index. ``assess_usefulness`` is this path run on a one-row
+table, and ``fit_affine`` the one-row case of the same fit. Each row gets
+the bits a fit of its match alone would get: the reductions run along the
+last axis of each row, and the cross term is a matmul of each row with the
+query, which gives the bits of the dot product ``qc @ wc``; a row sum
+would not.
 
 The result is a ``ReasonTable`` of arrays: each fit, its kind code (from
 ``classify``'s comparisons on the arrays) and useful flag, and one block of
@@ -172,11 +172,6 @@ def scale_of(w):
     return np.abs(w).max(axis=-1)
 
 
-def resolve_horizon(horizon: int | None, h: int) -> int:
-    """The forecast horizon, which defaults to the scan's segment length h."""
-    return h if horizon is None else horizon
-
-
 def _fit_rows(q, windows):
     """Fit each row w of the (k, h) block ``windows`` as w ~ m*q + c.
 
@@ -236,7 +231,7 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
     if cfg.horizon is None:
         raise ConfigError("horizon not resolved; pass an explicit horizon")
     named = [collection.get(i) for i in {match.query_id, match.donor_id} if i in collection]
-    [reasoned] = _explain([match], SeriesCollection(named), cfg.horizon)
+    [reasoned] = _explain(MatchTable.from_rows([match]), SeriesCollection(named), cfg.horizon)
     return reasoned.useful, reasoned.predicted_test
 
 
@@ -245,14 +240,12 @@ def _gather(flat, first, width):
     return flat[first[:, None] + np.arange(width)]
 
 
-def _locate(matches, collection: SeriesCollection):
+def _locate(matches: MatchTable, collection: SeriesCollection):
     """The query index, donor index, start and end of each match as arrays,
     then the series lengths, their offsets in the values laid end to end and
     the missing mask of those values. The first match in report order that
     fails a record check of the module docstring raises ConsistencyError.
-    ``matches`` is a MatchTable or a sequence of MatchRecords.
     """
-    matches = MatchTable.from_rows(matches)
     entries = collection.entries
     # an unknown id gets index -1, which picks the sentinel length 0
     lengths = np.array([len(s.values) for s in entries] + [0])
@@ -298,12 +291,12 @@ def reason_report(report: LeakReport, collection: SeriesCollection,
     report order. The matches of each query segment, keyed by query id and
     span, are fitted as one block (see the module docstring).
     """
-    return _explain(report.matches, collection, resolve_horizon(cfg.horizon, report.config.h))
+    # ReasonConfig rejects a horizon of 0, so ``or`` only replaces None
+    return _explain(report.matches, collection, cfg.horizon or report.config.h)
 
 
-def _explain(matches, collection: SeriesCollection, horizon: int) -> ReasonTable:
+def _explain(matches: MatchTable, collection: SeriesCollection, horizon: int) -> ReasonTable:
     """Explain each match, in order, with a continuation of ``horizon`` values."""
-    matches = MatchTable.from_rows(matches)
     entries = collection.entries
     qi, di, start, end, lengths, first, missing = _locate(matches, collection)
     span = end - start + 1

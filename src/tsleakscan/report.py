@@ -11,26 +11,26 @@ The JSON schema is fixed (key order as written)::
 The reason fields (horizon, kind, m, c, useful, predicted_test) appear only
 in explained reports, and predicted_test only on useful matches.
 
-A JSON report holds exactly the bytes of ``json.dump(report_payload(..),
-fh, indent=1)`` and one trailing newline: every item on a line of its own,
+A JSON report holds exactly the bytes of ``json.dump(payload, fh,
+indent=1)`` and one trailing newline: every item on a line of its own,
 indented by one space per level and followed by "," when another item
 follows; ": " between key and value; strings ASCII-escaped, with
 ``\\uXXXX`` for non-ASCII and control characters; floats as ``repr``
 writes them, with json's NaN and Infinity; ``[]`` and ``{}`` when empty.
 
-The JSON and CSV writers read the columns of the scan's ``MatchTable``
-and of the ``ReasonTable`` of ``reason_report``; a list of records is
-turned into a table first. They format ROWS_PER_CHUNK matches at a time
-from the Python values of those columns, one f-string per JSON entry, and
-write each chunk as soon as it is built, so no payload dict, row object or
-list of the report's size is made and the document is never held in
-memory. Ids, kinds and skip reasons are str; start and end are int; r, m,
-c and each predicted value are written as the float64 they are stored
-as, and a missing predicted value as null. The document up to the
+The JSON and CSV writers read the columns of the report's ``MatchTable``
+and of the ``ReasonTable`` of ``reason_report``; a list of reasoned
+matches is turned into a table first. They format ROWS_PER_CHUNK matches
+at a time from the Python values of those columns, one f-string per JSON
+entry, and write each chunk as soon as it is built, so no payload dict,
+row object or list of the report's size is made and the document is never
+held in memory. Ids, kinds and skip reasons are str; start and end are
+int; r, m, c and each predicted value are written as the float64 they are
+stored as, and a missing predicted value as null. The document up to the
 matches is ``json.dumps`` of the payload without them, so the config's
 numbers are written, or rejected, as ``json.dump`` would; ``ScanConfig``
-stores h and ``ReasonConfig`` the horizon as int. ``report_payload`` is
-the dict this layout follows; the tests compare against it.
+stores h and ``ReasonConfig`` the horizon as int. ``_json_parts`` is the
+one layout: ``report_payload`` is ``json.loads`` of its text.
 
 The SVG heatmap is written a row at a time: each row of cells is one join
 of strings formatted once per column, once per row and once per distinct
@@ -53,8 +53,8 @@ import numpy as np
 
 from .collection import SeriesCollection, _is_int
 from .errors import ConfigError, ConsistencyError
-from .reasons import ReasonConfig, ReasonTable, _locate, resolve_horizon
-from .scan import LeakReport, MatchRecord, MatchTable, ScanConfig, _is_real, chunks
+from .reasons import ReasonConfig, ReasonTable, _locate
+from .scan import LeakReport, MatchRecord, ScanConfig, _is_real, chunks
 
 
 @dataclass
@@ -88,50 +88,25 @@ def _tables(report: LeakReport, reasoned, horizon: int | None):
     plain report).
 
     ``ReasonConfig`` checks the horizon. Raises ConsistencyError when the
-    reasons do not pair up with the matches or a useful one does not predict
-    ``horizon`` values.
+    reasons do not pair up with the matches or the useful ones do not all
+    predict ``horizon`` values.
     """
-    matches = MatchTable.from_rows(report.matches)
     if reasoned is None:
-        return (matches,), None
-    if len(reasoned) != len(matches):
-        raise ConsistencyError(f"{len(reasoned)} reasoned matches for {len(matches)} match records")
-    horizon = resolve_horizon(ReasonConfig(horizon).horizon, report.config.h)
-    if isinstance(reasoned, ReasonTable):  # each useful match predicts the table's horizon
-        wrong = np.flatnonzero(reasoned.useful) if reasoned.horizon != horizon else []
-    else:
-        wrong = [i for i, rm in enumerate(reasoned) if rm.useful and len(rm.predicted_test or ()) != horizon]
-    if len(wrong):
-        rm = reasoned[int(wrong[0])]
+        return (report.matches,), None
+    reasoned = ReasonTable.from_rows(reasoned)
+    if len(reasoned) != len(report.matches):
+        raise ConsistencyError(f"{len(reasoned)} reasoned matches for {len(report.matches)} match records")
+    horizon = ReasonConfig(horizon).horizon or report.config.h
+    if reasoned.horizon != horizon and reasoned.useful.any():
+        rm = reasoned[int(np.argmax(reasoned.useful))]
         raise ConsistencyError(f"useful match {rm.base.query_id!r} -> {rm.base.donor_id!r} predicts "
-                               f"{len(rm.predicted_test or ())} values, the horizon is {horizon}")
-    return (matches, ReasonTable.from_rows(reasoned)), horizon
-
-
-def _entry(row) -> dict:
-    """The "matches" item of one row of ``chunks``."""
-    entry = dict(zip(("query_id", "donor_id", "start", "end", "r"), row))
-    if len(row) > 5:
-        kind, m, c, _, useful, predicted = row[5:]
-        entry.update(kind=kind.value, m=m, c=c, useful=useful)
-        if useful:
-            entry["predicted_test"] = predicted
-    return entry
-
-
-def _head(report: LeakReport, horizon: int | None) -> dict:
-    """The payload of a report without its matches (an empty list)."""
-    config = {"h": report.config.h, "cutoff": report.config.cutoff}
-    if horizon is not None:
-        config["horizon"] = horizon
-    skipped = [{"id": sid, "reason": reason} for sid, reason in report.skipped_queries]
-    return {"config": config, "skipped_queries": skipped, "matches": []}
+                               f"{reasoned.horizon} values, the horizon is {horizon}")
+    return (report.matches, reasoned), horizon
 
 
 def report_payload(report: LeakReport, reasoned=None, horizon: int | None = None) -> dict:
-    """JSON-ready dict for a report, explained or plain."""
-    tables, horizon = _tables(report, reasoned, horizon)
-    return {**_head(report, horizon), "matches": [_entry(row) for rows in chunks(*tables) for row in rows]}
+    """JSON-ready dict for a report, explained or plain: ``json.loads`` of its JSON text."""
+    return json.loads("".join(_json_parts(report, *_tables(report, reasoned, horizon))))
 
 
 _JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -142,14 +117,9 @@ def _json_float(value: float) -> str:
     return _JSON_FLOAT_NAMES.get(text, text)
 
 
-def _json_prediction(values) -> str:
-    # the predicted_test list, never empty, one level below the entry's keys
-    return "[\n    " + ",\n    ".join(["null" if v is None else _json_float(v) for v in values]) + "\n   ]"
-
-
 def _json_entry(row) -> str:
-    """The "matches" item of one row of ``chunks``: ``_entry``'s dict as
-    json.dump(indent=1) lays it out at that depth."""
+    """The "matches" item of one row of ``chunks``, as json.dump(indent=1)
+    lays out its dict at that depth."""
     query_id, donor_id, start, end, r = row[:5]
     text = (f'  {{\n   "query_id": {encode_basestring_ascii(query_id)},'
             f'\n   "donor_id": {encode_basestring_ascii(donor_id)},'
@@ -161,7 +131,25 @@ def _json_entry(row) -> str:
              f'\n   "m": {_json_float(m)},\n   "c": {_json_float(c)}')
     if not useful:
         return text + ',\n   "useful": false\n  }'
-    return f'{text},\n   "useful": true,\n   "predicted_test": {_json_prediction(predicted)}\n  }}'
+    # predicted_test is never empty; its values are one level below the entry's keys
+    values = ",\n    ".join(["null" if v is None else _json_float(v) for v in predicted])
+    return f'{text},\n   "useful": true,\n   "predicted_test": [\n    {values}\n   ]\n  }}'
+
+
+def _json_parts(report: LeakReport, tables, horizon: int | None):
+    """The text of a JSON report in parts: the document up to the matches,
+    then ROWS_PER_CHUNK entries at a time, then the rest."""
+    config = {"h": report.config.h, "cutoff": report.config.cutoff}
+    if horizon is not None:
+        config["horizon"] = horizon
+    skipped = [{"id": sid, "reason": reason} for sid, reason in report.skipped_queries]
+    # json.dumps gives the value of the empty "matches" as "[]\n}"
+    yield json.dumps({"config": config, "skipped_queries": skipped, "matches": []}, indent=1)[:-4]
+    sep = "[\n"
+    for rows in chunks(*tables):
+        yield sep + ",\n".join(map(_json_entry, rows))
+        sep = ",\n"
+    yield "\n ]\n}\n" if len(tables[0]) else "[]\n}\n"
 
 
 def _csv_row(row) -> list:
@@ -186,13 +174,7 @@ def write_report(report: LeakReport, path, format="json", reasoned=None,
     tables, horizon = _tables(report, reasoned, horizon)
     if format == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            # the document up to the value of "matches", which json.dumps gives as "[]\n}"
-            fh.write(json.dumps(_head(report, horizon), indent=1)[:-4])
-            sep = "[\n"
-            for rows in chunks(*tables):
-                fh.write(sep + ",\n".join(map(_json_entry, rows)))
-                sep = ",\n"
-            fh.write("\n ]\n}\n" if len(tables[0]) else "[]\n}\n")
+            fh.writelines(_json_parts(report, tables, horizon))
     else:
         columns = ["query_id", "donor_id", "start", "end", "r"]
         if horizon is not None:
@@ -215,25 +197,31 @@ def report_from_payload(payload: dict) -> LeakReport:
 
     Only the serialized fields are recovered: the config keeps h and cutoff,
     and workers, which a report does not record, comes back as its default.
-    ``ScanConfig`` rejects an h or cutoff of the wrong type; a start or end
-    that is not an int, or an r that is not real, raises ConsistencyError.
+    ``ScanConfig`` rejects an h or cutoff of the wrong type; an id or skip
+    reason that is not a str, a start or end that is not an int, or an r
+    that is not real raises ConsistencyError.
     """
     cutoff = payload["config"]["cutoff"]
     cfg = ScanConfig(h=payload["config"]["h"], cutoff=float(cutoff) if _is_real(cutoff) else cutoff)
     matches = [
-        MatchRecord(e["query_id"], e["donor_id"], _field(e, "start", _is_int), _field(e, "end", _is_int),
-                    float(_field(e, "r", _is_real)))
+        MatchRecord(_field(e, "query_id", "a string"), _field(e, "donor_id", "a string"),
+                    _field(e, "start", "an integer"), _field(e, "end", "an integer"),
+                    float(_field(e, "r", "a real number")))
         for e in payload["matches"]
     ]
-    skipped = [(e["id"], e["reason"]) for e in payload["skipped_queries"]]
+    skipped = [tuple(_field(e, key, "a string", "skipped query") for key in ("id", "reason"))
+               for e in payload["skipped_queries"]]
     return LeakReport(cfg, matches, skipped)
 
 
-def _field(entry: dict, key: str, check):
+# the check of a payload field of each kind, by the name its error gives
+_CHECKS = {"a string": lambda value: isinstance(value, str), "an integer": _is_int, "a real number": _is_real}
+
+
+def _field(entry: dict, key: str, kind: str, owner: str = "match"):
     value = entry[key]
-    if not check(value):
-        kind = "an integer" if check is _is_int else "a real number"
-        raise ConsistencyError(f"match {key} must be {kind}, got {value!r}")
+    if not _CHECKS[kind](value):
+        raise ConsistencyError(f"{owner} {key} must be {kind}, got {value!r}")
     return value
 
 

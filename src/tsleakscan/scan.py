@@ -16,7 +16,8 @@ scans one contiguous block of queries and returns its hits as arrays.
 The hits stay arrays from the sweep to the writers: a ``MatchTable`` holds
 the query index, donor index, start, end and r of every match, in (query,
 donor, offset) order. It is a sequence of ``MatchRecord`` rows, built only
-when asked for; the writers format its columns a chunk at a time.
+when asked for; the writers format its columns a chunk at a time. A
+``LeakReport`` holds the ``MatchTable`` of whatever records it is given.
 """
 
 from __future__ import annotations
@@ -164,13 +165,16 @@ class MatchTable(Table):
 
 @dataclass
 class LeakReport:
-    """Scan output: matches grouped by query in collection order (a
-    MatchTable, or any sequence of MatchRecords), plus the queries that
-    could not be scanned at all."""
+    """Scan output: matches grouped by query in collection order, plus the
+    queries that could not be scanned at all. ``matches`` is given as a
+    MatchTable or any sequence of MatchRecords and held as a MatchTable."""
 
     config: ScanConfig
     matches: Sequence[MatchRecord]
     skipped_queries: list[tuple[str, str]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.matches = MatchTable.from_rows(self.matches)
 
 
 def _query_skip_reason(series, h):

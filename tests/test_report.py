@@ -14,7 +14,8 @@ import tsleakscan as ts
 from tsleakscan.reasons import ReasonKind
 from tsleakscan.scan import MatchRecord
 
-from conftest import reference_collapse, reference_heatmap, reference_matrix_csv
+from conftest import (reference_collapse, reference_heatmap, reference_json_report,
+                      reference_matrix_csv)
 
 # ids with quotes, backslashes, control and non-ASCII characters among any others
 json_ids = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7fé€\u2028😀'), st.characters()), max_size=6)
@@ -236,11 +237,20 @@ class TestSerialization:
         ("cutoff", "0.9", ts.ConfigError),
         ("r", "0.5", ts.ConsistencyError),
         ("r", True, ts.ConsistencyError),
+        # the JSON writer could not write these back as strings
+        ("query_id", 5, ts.ConsistencyError),
+        ("donor_id", None, ts.ConsistencyError),
+        ("donor_id", ["x"], ts.ConsistencyError),
+        ("id", 5, ts.ConsistencyError),
+        ("reason", 1.5, ts.ConsistencyError),
+        ("reason", False, ts.ConsistencyError),
     ])
     def test_non_integer_payload_rejected(self, field, value, error):
-        payload = {"config": {"h": 5, "cutoff": 1.0}, "skipped_queries": [],
+        payload = {"config": {"h": 5, "cutoff": 1.0}, "skipped_queries": [{"id": "z", "reason": "too-short"}],
                    "matches": [{"query_id": "y", "donor_id": "x", "start": 2, "end": 6, "r": 1.0}]}
-        (payload["config"] if field in ("h", "cutoff") else payload["matches"][0])[field] = value
+        entry = (payload["config"] if field in ("h", "cutoff") else
+                 payload["skipped_queries"][0] if field in ("id", "reason") else payload["matches"][0])
+        entry[field] = value
         with pytest.raises(error, match=field):
             ts.report_from_payload(payload)
 
@@ -277,12 +287,17 @@ class TestSerialization:
     @example((ts.LeakReport(ts.ScanConfig(h=3), [], []), [], 5))
     @settings(max_examples=200, deadline=None)
     def test_json_bytes_equal_stdlib(self, case):
+        """The bytes of the per-record reference writer, in the layout that
+        json.dumps(indent=1) gives the parsed document."""
         report, reasoned, horizon = case
-        expected = json.dumps(ts.report_payload(report, reasoned, horizon), indent=1) + "\n"
+        recorded = report.config.h if reasoned is not None and horizon is None else horizon
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "report.json"
+            path, reference = Path(tmp) / "report.json", Path(tmp) / "reference.json"
             ts.write_report(report, path, "json", reasoned=reasoned, horizon=horizon)
-            assert path.read_bytes() == expected.encode("ascii")
+            reference_json_report(report, reasoned, recorded, reference)
+            assert path.read_bytes() == reference.read_bytes()
+            text = path.read_text(encoding="ascii")
+        assert json.dumps(json.loads(text), indent=1) + "\n" == text
 
     def test_numpy_integer_h_and_horizon_written_as_ints(self, usage_collection, tmp_path):
         c, _ = usage_collection
@@ -351,14 +366,21 @@ class TestSerialization:
         ts.write_report(report, tmp_path / f"x.{fmt}", fmt, reasoned=reasoned, horizon=reason_horizon)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("predicted", [None, [], [1.0] * 4])
+    @pytest.mark.parametrize("predicted", [None, [], [1.0] * 4, ([1.0] * 4, [1.0] * 5)])
     def test_useful_match_without_its_predictions_rejected(self, usage_collection, tmp_path, fmt,
                                                             predicted):
         c, _ = usage_collection
         report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
-        reasoned = [replace(rm, predicted_test=predicted) if rm.useful else rm
-                    for rm in ts.reason_report(report, c)]
-        with pytest.raises(ts.ConsistencyError, match="predicts"):
+        reasoned = list(ts.reason_report(report, c))
+        if isinstance(predicted, tuple):
+            # the first match made useful, predicting fewer values than the useful second one's h
+            assert not reasoned[0].useful and reasoned[1].useful
+            reasoned[:2] = [replace(rm, useful=True, predicted_test=p) for rm, p in zip(reasoned, predicted)]
+            message = "different numbers of values"
+        else:
+            reasoned = [replace(rm, predicted_test=predicted) if rm.useful else rm for rm in reasoned]
+            message = "predicts"
+        with pytest.raises(ts.ConsistencyError, match=message):
             ts.write_report(report, tmp_path / f"x.{fmt}", fmt, reasoned=reasoned)
         assert not (tmp_path / f"x.{fmt}").exists()
 
