@@ -51,7 +51,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .collection import SeriesCollection, _is_int
+from .collection import SeriesCollection
 from .errors import ConfigError, ConsistencyError
 from .reasons import ReasonConfig, ReasonTable, _locate
 from .scan import LeakReport, MatchRecord, ScanConfig, _is_real, chunks
@@ -85,11 +85,12 @@ def build_matrix(report: LeakReport, collection: SeriesCollection) -> MatchMatri
 def _tables(report: LeakReport, reasoned, horizon: int | None):
     """The tables a report is written from, the matches' and, for an
     explained report, the reasons', and the horizon it records (None for a
-    plain report).
+    plain report): ``horizon``, or h when it is None.
 
     ``ReasonConfig`` checks the horizon. Raises ConsistencyError when the
-    reasons do not pair up with the matches or the useful ones do not all
-    predict ``horizon`` values.
+    reasons do not pair up with the matches or state another horizon: the
+    width of their predicted block, which is ``reason_report``'s horizon
+    even when no match is useful.
     """
     if reasoned is None:
         return (report.matches,), None
@@ -97,10 +98,10 @@ def _tables(report: LeakReport, reasoned, horizon: int | None):
     if len(reasoned) != len(report.matches):
         raise ConsistencyError(f"{len(reasoned)} reasoned matches for {len(report.matches)} match records")
     horizon = ReasonConfig(horizon).horizon or report.config.h
-    if reasoned.horizon != horizon and reasoned.useful.any():
-        rm = reasoned[int(np.argmax(reasoned.useful))]
-        raise ConsistencyError(f"useful match {rm.base.query_id!r} -> {rm.base.donor_id!r} predicts "
-                               f"{reasoned.horizon} values, the horizon is {horizon}")
+    # a list of ReasonedMatches with no useful one gives a (0, 0) block, which states none
+    if reasoned.horizon != horizon and any(reasoned.predicted.shape):
+        raise ConsistencyError(f"each useful match predicts {reasoned.horizon} values by these reasons, "
+                               f"the horizon is {horizon}")
     return (report.matches, reasoned), horizon
 
 
@@ -167,7 +168,8 @@ def write_report(report: LeakReport, path, format="json", reasoned=None,
     """Serialize a (possibly explained) report to JSON or flat CSV.
 
     ``reasoned`` is a ReasonTable or a sequence of ReasonedMatches, one per
-    match. Everything that can raise runs before the file is opened.
+    match, stating the horizon the report records: ``horizon``, or else h
+    (``_tables``). Everything that can raise runs before the file is opened.
     """
     if format not in ("json", "csv"):
         raise ConsistencyError(f"unknown report format {format!r}")
@@ -197,32 +199,15 @@ def report_from_payload(payload: dict) -> LeakReport:
 
     Only the serialized fields are recovered: the config keeps h and cutoff,
     and workers, which a report does not record, comes back as its default.
-    ``ScanConfig`` rejects an h or cutoff of the wrong type; an id or skip
-    reason that is not a str, a start or end that is not an int, or an r
-    that is not real raises ConsistencyError.
+    Nothing is checked here: ``ScanConfig`` rejects an h or cutoff of the
+    wrong type, ``MatchTable.from_rows`` a match field and ``LeakReport`` a
+    skipped query's id or reason.
     """
     cutoff = payload["config"]["cutoff"]
     cfg = ScanConfig(h=payload["config"]["h"], cutoff=float(cutoff) if _is_real(cutoff) else cutoff)
-    matches = [
-        MatchRecord(_field(e, "query_id", "a string"), _field(e, "donor_id", "a string"),
-                    _field(e, "start", "an integer"), _field(e, "end", "an integer"),
-                    float(_field(e, "r", "a real number")))
-        for e in payload["matches"]
-    ]
-    skipped = [tuple(_field(e, key, "a string", "skipped query") for key in ("id", "reason"))
-               for e in payload["skipped_queries"]]
-    return LeakReport(cfg, matches, skipped)
-
-
-# the check of a payload field of each kind, by the name its error gives
-_CHECKS = {"a string": lambda value: isinstance(value, str), "an integer": _is_int, "a real number": _is_real}
-
-
-def _field(entry: dict, key: str, kind: str, owner: str = "match"):
-    value = entry[key]
-    if not _CHECKS[kind](value):
-        raise ConsistencyError(f"{owner} {key} must be {kind}, got {value!r}")
-    return value
+    matches = [MatchRecord(e["query_id"], e["donor_id"], e["start"], e["end"], e["r"])
+               for e in payload["matches"]]
+    return LeakReport(cfg, matches, [(e["id"], e["reason"]) for e in payload["skipped_queries"]])
 
 
 def _int_counts(matrix: MatchMatrix) -> np.ndarray:
@@ -330,21 +315,15 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
             f'>{_escape(sid)}</text>'
         )
     ly = top + n_rows * cell + 18
-    parts.append(
-        f'<rect x="{left:.1f}" y="{ly:.1f}" width="14" height="14" {_cell_style(0, max_count)}/>'
-        f'<text x="{left + 18:.1f}" y="{ly + 11:.1f}" font-size="11" '
-        f'font-family="sans-serif">0 matches</text>'
-    )
-    if max_count > 0:
-        steps = sorted({1, max(1, max_count // 2), max_count})
-        x = left + 110
-        for count in steps:
-            parts.append(
-                f'<rect x="{x:.1f}" y="{ly:.1f}" width="14" height="14" {_cell_style(count, max_count)}/>'
-                f'<text x="{x + 18:.1f}" y="{ly + 11:.1f}" font-size="11" '
-                f'font-family="sans-serif">{count}</text>'
-            )
-            x += 56
+    steps = sorted({1, max(1, max_count // 2), max_count}) if max_count > 0 else []
+    x = left  # the zero swatch, then one per step: 110 and then 56 apart
+    for count, label in [(0, "0 matches")] + [(count, count) for count in steps]:
+        parts.append(
+            f'<rect x="{x:.1f}" y="{ly:.1f}" width="14" height="14" {_cell_style(count, max_count)}/>'
+            f'<text x="{x + 18:.1f}" y="{ly + 11:.1f}" font-size="11" '
+            f'font-family="sans-serif">{label}</text>'
+        )
+        x += 56 if count else 110
     parts.append("</svg>\n")
     styles = {}  # count -> the style of its cells, added as counts first appear
     with open(path, "w", encoding="utf-8") as fh:

@@ -10,8 +10,9 @@ The queries are validated and centred once, as one block, and each donor
 is swept by one ``sliding_correlations`` call against all of them. The call
 passes the threshold, so the sweep returns only the windows its BLAS
 prefilter cannot rule out, each with the exact kernel's r; the match set
-and every r are those of an exhaustive sweep. With workers, each process
-scans one contiguous block of queries and returns its hits as arrays.
+and every r are those of an exhaustive sweep. The skipped queries are
+found first, from the series alone; each worker process scans one
+contiguous block of the rest, and no pool starts for fewer than two.
 
 The hits stay arrays from the sweep to the writers: a ``MatchTable`` holds
 the query index, donor index, start, end and r of every match, in (query,
@@ -32,7 +33,7 @@ import numpy as np
 
 from .collection import SeriesCollection, _is_int
 from .corr import MIN_WINDOW, query_block, sliding_correlations
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ConsistencyError, ContractViolation
 
 TOO_SHORT = "too-short"
 ZERO_VARIANCE_QUERY = "zero-variance-query"
@@ -43,6 +44,9 @@ AUTO = "auto"
 # |r| >= cutoff - CUTOFF_TOLERANCE counts as a match: the tolerance keeps
 # exact copies detectable at cutoff=1 despite floating-point roundoff
 CUTOFF_TOLERANCE = 1e-10
+
+# the columns of no hits, which seed each concatenation of hits
+_NO_HITS = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)
 
 
 def _is_real(value) -> bool:
@@ -84,6 +88,19 @@ class ScanConfig:
         if self.workers == AUTO:
             return os.cpu_count() or 1
         return self.workers
+
+
+# the kind a field of a record or skip must be, as errors name it, and its
+# check; a field not named here must be a str
+_KINDS = {"start": ("an integer", _is_int), "end": ("an integer", _is_int), "r": ("a real number", _is_real)}
+_STR = ("a string", lambda value: isinstance(value, str))
+
+
+def _check_fields(owner, **fields):
+    for key, value in fields.items():
+        kind, is_kind = _KINDS.get(key, _STR)
+        if not is_kind(value):
+            raise ConsistencyError(f"{owner} {key} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +155,14 @@ class MatchTable(Table):
 
     @classmethod
     def from_rows(cls, records):
-        """The table of a sequence of MatchRecords (each distinct id kept once)."""
+        """The table of a sequence of MatchRecords (each distinct id kept once),
+        or a table as it is. ConsistencyError for the first record whose ids are
+        not str, start or end not an integer, or r not real (a bool is neither)."""
         if isinstance(records, MatchTable):
             return records
         records, index = list(records), {}
+        for m in records:
+            _check_fields("match", **vars(m))
         qi = [index.setdefault(m.query_id, len(index)) for m in records]
         di = [index.setdefault(m.donor_id, len(index)) for m in records]
         # ints beyond int64 make an object array, which keeps their values; an
@@ -167,7 +188,9 @@ class MatchTable(Table):
 class LeakReport:
     """Scan output: matches grouped by query in collection order, plus the
     queries that could not be scanned at all. ``matches`` is given as a
-    MatchTable or any sequence of MatchRecords and held as a MatchTable."""
+    MatchTable or any sequence of MatchRecords and held as a MatchTable.
+    ConsistencyError for a record that ``MatchTable.from_rows`` rejects or
+    a skipped (id, reason) that is not two str."""
 
     config: ScanConfig
     matches: Sequence[MatchRecord]
@@ -175,6 +198,8 @@ class LeakReport:
 
     def __post_init__(self):
         self.matches = MatchTable.from_rows(self.matches)
+        for sid, reason in self.skipped_queries:
+            _check_fields("skipped query", id=sid, reason=reason)
 
 
 def _query_skip_reason(series, h):
@@ -189,20 +214,13 @@ def _query_skip_reason(series, h):
     return None
 
 
-def _scan_block(collection, cfg, query_indices):
-    """The hits of the queries ``query_indices`` as arrays of query index,
-    donor index, start and r, in (query, donor, offset) order, and the skip
-    reasons of those that cannot be scanned."""
+def _scan_block(collection, cfg, query_of):
+    """The hits of the scannable queries ``query_of`` as arrays of query
+    index, donor index, start and r, in (query, donor, offset) order."""
     h = cfg.h
     entries = collection.entries
-    reasons = [(qi, _query_skip_reason(entries[qi], h)) for qi in query_indices]
-    skipped = [(entries[qi].id, reason) for qi, reason in reasons if reason is not None]
-    query_of = np.array([qi for qi, reason in reasons if reason is None], dtype=int)
-    # the hits' columns per donor, after an empty entry for a block without hits
-    found = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)]
-    if len(query_of) == 0:
-        return found[0], skipped
     queries = query_block(np.stack([entries[qi].values[-h:] for qi in query_of]))
+    found = [_NO_HITS]
     for di, donor in enumerate(entries):
         if len(donor.values) < h:
             continue  # no length-h windows to match
@@ -216,31 +234,33 @@ def _scan_block(collection, cfg, query_indices):
                       profile.r_values[rows[keep], cols[keep]]))
     qs, ds, starts, rs = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((starts, ds, qs))
-    return (qs[order], ds[order], starts[order], rs[order]), skipped
+    return qs[order], ds[order], starts[order], rs[order]
 
 
 def scan(collection: SeriesCollection, cfg: ScanConfig) -> LeakReport:
     """Run the leak scan over the whole collection.
 
-    With cfg.workers > 1 each worker process scans one contiguous block of
-    query series; the observable output is identical for every worker
-    count because the blocks are merged back in collection order.
+    The skipped queries are found first. The rest are split into
+    min(workers, scannable) contiguous blocks, each scanned by a worker
+    process when there are two or more; the output is identical for every
+    worker count because the blocks are merged back in collection order.
     """
-    n = len(collection)
-    if n == 0:
+    if len(collection) == 0:
         raise ContractViolation("empty collection")
-    workers = min(cfg.resolved_workers(), n)
-    blocks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
+    reasons = [_query_skip_reason(series, cfg.h) for series in collection.entries]
+    skipped = [(series.id, reason) for series, reason in zip(collection.entries, reasons) if reason]
+    scannable = np.flatnonzero([reason is None for reason in reasons])
+    workers = min(cfg.resolved_workers(), len(scannable))
+    blocks = np.array_split(scannable, workers) if workers else []
     scan_block = partial(_scan_block, collection, cfg)
-    if workers == 1:
-        per_block = [scan_block(blocks[0])]
+    if len(blocks) < 2:
+        per_block = list(map(scan_block, blocks))
     else:
-        # imported here: it loads multiprocessing, which a one-worker run never needs
+        # imported here: it loads multiprocessing, which a one-block run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         # one task per worker, so each worker unpickles the collection once
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_block = list(pool.map(scan_block, blocks))
-    qi, di, start, r = (np.concatenate(column) for column in zip(*(hits for hits, _ in per_block)))
-    return LeakReport(cfg, MatchTable(collection.ids(), qi, di, start, start + cfg.h - 1, r),
-                      [s for _, skipped in per_block for s in skipped])
+    qi, di, start, r = (np.concatenate(column) for column in zip(_NO_HITS, *per_block))
+    return LeakReport(cfg, MatchTable(collection.ids(), qi, di, start, start + cfg.h - 1, r), skipped)

@@ -412,7 +412,8 @@ class TestOutputCollisions:
             "scan-report-is-input", "explain-report-is-input"])
     def test_exits_2_and_input_unchanged(self, usage_csv, tmp_path, args, message):
         data = tmp_path / "leaks.csv"
-        data.write_bytes(open(usage_csv, "rb").read())
+        with open(usage_csv, "rb") as fh:
+            data.write_bytes(fh.read())
         before = data.read_bytes()
         args = [a.format(tmp=tmp_path) for a in args]
         proc = run_cli(*args, "--h", "5", cwd=tmp_path)

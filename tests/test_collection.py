@@ -53,6 +53,23 @@ class TestLongCsv:
         with pytest.raises(ts.ValidationError, match=r"'x'.*position 2"):
             ts.load_collection(p, "long-csv")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", r"c\.csv: empty file"),
+        ("series_id,index,value\nx,1,0.5,9\n", r"c\.csv:2: expected 3 cells, got 4"),
+        ("series_id,index,value\nx,1,0.5\n ,2,0.7\n", r"c\.csv:3: empty series_id"),
+        ("series_id,index,value\nx,one,0.5\n", r"c\.csv:2: index 'one' is not an integer"),
+    ], ids=["empty-file", "four-cells", "blank-id", "word-index"])
+    def test_malformed_file_or_row_named(self, tmp_path, text, message):
+        p = write(tmp_path / "c.csv", text)
+        with pytest.raises(ts.FormatError, match=message):
+            ts.load_collection(p, "long-csv")
+
+    def test_blank_and_whitespace_rows_skipped(self, tmp_path):
+        p = write(tmp_path / "c.csv", "series_id,index,value\n\nx,1,0.5\n , ,\t\n \nx,2,0.7\n")
+        c = ts.load_collection(p, "long-csv")
+        assert c.ids() == ["x"]
+        assert list(c.get("x").values) == [0.5, 0.7]
+
     def test_nan_literal_is_missing(self, tmp_path):
         p = write(tmp_path / "c.csv", "series_id,index,value\nx,1,0.5\nx,2,nan\n")
         with pytest.raises(ts.ValidationError):
@@ -166,8 +183,9 @@ class TestWideCsvAgainstReference:
         ("x,y\n", "series 'x' has no observations"),
         ("\n\n", []),
         ("\n1,2\n", "c.csv:2: row has 2 cells, header has 0"),
+        ("", "c.csv: empty file"),
     ], ids=["nan-then-padding", "bad-cell-in-a-later-column", "long-row-after-a-bad-cell",
-            "header-only", "blank-first-line", "blank-first-line-then-a-row"])
+            "header-only", "blank-first-line", "blank-first-line-then-a-row", "empty-file"])
     def test_edge_cases(self, tmp_path, text, want):
         path = write(tmp_path / "c.csv", text)
         self.check(path)
@@ -262,6 +280,15 @@ class TestJson:
     def test_object_or_array_element_is_not_a_number(self, tmp_path, item):
         p = write(tmp_path / "c.json", '{"a": [1.0, 2.0, ' + item + "]}")
         with pytest.raises(ts.FormatError, match="series 'a' element 3 is not a number"):
+            ts.load_collection(p, "json")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[[1.0, 2.0]]", "top-level JSON value must be an object"),
+        ('{"a": 5}', "series 'a' is not an array"),
+    ])
+    def test_not_an_object_of_arrays(self, tmp_path, text, message):
+        p = write(tmp_path / "c.json", text)
+        with pytest.raises(ts.FormatError, match=message):
             ts.load_collection(p, "json")
 
     def test_empty_array_has_no_observations(self, tmp_path):
@@ -414,6 +441,19 @@ class TestInvariants:
         p = write(tmp_path / "c.txt", "x")
         with pytest.raises(ts.ValidationError, match="unknown format"):
             ts.load_collection(p, "tsv")
+
+    def test_unknown_write_format_writes_nothing(self, tmp_path):
+        with pytest.raises(ts.ValidationError, match="unknown format 'xml'"):
+            ts.write_collection(ts.from_dict({"a": [1.0, 2.0]}), tmp_path / "c.xml", "xml")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_missing_policy(self):
+        with pytest.raises(ts.ValidationError, match="unknown missing policy 'drop'"):
+            ts.MissingPolicy("drop")
+
+    def test_get_unknown_id(self):
+        with pytest.raises(KeyError, match="no series named 'b'"):
+            ts.from_dict({"a": [1.0, 2.0]}).get("b")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ts.ValidationError, match="not found"):

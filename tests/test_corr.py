@@ -164,6 +164,11 @@ class TestSlidingCorrelations:
         with pytest.raises(ts.ContractViolation):
             ts.sliding_correlations([1, 2], [1, 2, 3], 2)
 
+    @pytest.mark.parametrize("missing", [(9,), (-1,)])
+    def test_missing_position_out_of_range(self, missing):
+        with pytest.raises(ts.ContractViolation, match="missing positions out of range"):
+            ts.sliding_correlations([1, 2, 4], [1, 5, 2, 8, 3], 3, missing=missing)
+
     def test_missing_overlap_skips(self):
         profile = ts.sliding_correlations([1, 2, 3], np.arange(8.0), 3, missing=(3,))
         skipped_offsets = {o for o, reason in profile.skipped if reason == MISSING_OVERLAP}

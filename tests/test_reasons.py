@@ -41,6 +41,10 @@ class TestFitAffine:
         with pytest.raises(ts.ContractViolation):
             ts.fit_affine([2, 2, 2], [1, 2, 3])
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ts.ContractViolation, match="length mismatch: 3 vs 4"):
+            ts.fit_affine([1, 2, 4], [1, 2, 3, 5])
+
     def test_residual_tiny_when_r_is_one(self):
         rng = np.random.default_rng(8)
         for _ in range(50):

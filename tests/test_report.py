@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -254,6 +255,33 @@ class TestSerialization:
         with pytest.raises(error, match=field):
             ts.report_from_payload(payload)
 
+    @pytest.mark.parametrize("matches, skipped, message", [
+        # json would write these as true, 1.5 and "0.5", or fail over a half-written file
+        ([MatchRecord("a", "b", True, 3, 1.0)], [], "match start must be an integer, got True"),
+        ([MatchRecord("a", "b", 1.5, 3, 1.0)], [], "match start must be an integer, got 1.5"),
+        ([MatchRecord("a", "b", 1, 3, "0.5")], [], "match r must be a real number, got '0.5'"),
+        ([MatchRecord(5, "x", 1, 3, 1.0)], [], "match query_id must be a string, got 5"),
+        ([], [("a", 5)], "skipped query reason must be a string, got 5"),
+    ], ids=["bool-start", "float-start", "string-r", "int-id", "int-skip-reason"])
+    def test_hand_built_report_field_rejected(self, matches, skipped, message):
+        with pytest.raises(ts.ConsistencyError, match=re.escape(message)):
+            ts.LeakReport(ts.ScanConfig(h=3), matches, skipped)
+
+    def test_non_string_id_rejected_before_any_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ts.ConsistencyError, match="match query_id must be a string, got 5"):
+            ts.write_report(ts.LeakReport(ts.ScanConfig(h=3), [MatchRecord(5, "x", 1, 3, 1.0)]), path)
+        assert not path.exists()
+
+    def test_every_table_built_from_records_checks_them(self, usage_collection):
+        c, _ = usage_collection
+        bad = MatchRecord("y", "x", 1.5, 5, 1.0)
+        reasoned = ts.ReasonedMatch(bad, ts.AffineFit(1.0, 0.0, 0.0), ReasonKind.EXACT_MATCH, False, None)
+        for call in (lambda: ts.collapse_overlaps([bad]), lambda: ts.tally([reasoned]),
+                     lambda: ts.assess_usefulness(bad, c, ts.ReasonConfig(horizon=5))):
+            with pytest.raises(ts.ConsistencyError, match="match start must be an integer, got 1.5"):
+                call()
+
     def test_integer_values_read_as_floats(self, tmp_path):
         payload = {"config": {"h": 5, "cutoff": 1}, "skipped_queries": [],
                    "matches": [{"query_id": "y", "donor_id": "x", "start": 2, "end": 6, "r": -1}]}
@@ -366,6 +394,21 @@ class TestSerialization:
         ts.write_report(report, tmp_path / f"x.{fmt}", fmt, reasoned=reasoned, horizon=reason_horizon)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reasons_horizon_rejected_without_a_useful_match(self, usage_collection, tmp_path, fmt):
+        c, _ = usage_collection
+        report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
+        reasoned = ts.reason_report(report, c, ts.ReasonConfig(horizon=20))
+        assert len(reasoned) == 3 and not any(rm.useful for rm in reasoned)
+        path = tmp_path / f"x.{fmt}"
+        with pytest.raises(ts.ConsistencyError, match="predicts 20 values"):
+            ts.write_report(report, path, fmt, reasoned=reasoned)
+        assert not path.exists()
+        ts.write_report(report, path, fmt, reasoned=reasoned, horizon=20)
+        # a list of reasons with no useful one states no horizon, so h is recorded
+        ts.write_report(report, tmp_path / "list.json", "json", reasoned=list(reasoned))
+        assert json.loads((tmp_path / "list.json").read_text())["config"]["horizon"] == 5
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("predicted", [None, [], [1.0] * 4, ([1.0] * 4, [1.0] * 5)])
     def test_useful_match_without_its_predictions_rejected(self, usage_collection, tmp_path, fmt,
                                                             predicted):
@@ -383,6 +426,11 @@ class TestSerialization:
         with pytest.raises(ts.ConsistencyError, match=message):
             ts.write_report(report, tmp_path / f"x.{fmt}", fmt, reasoned=reasoned)
         assert not (tmp_path / f"x.{fmt}").exists()
+
+    def test_unknown_report_format_writes_nothing(self, tmp_path):
+        with pytest.raises(ts.ConsistencyError, match="unknown report format 'xml'"):
+            ts.write_report(ts.LeakReport(ts.ScanConfig(h=3), []), tmp_path / "x.xml", "xml")
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_mismatched_reasoned_length_rejected(self, usage_collection, tmp_path):
         c, _ = usage_collection

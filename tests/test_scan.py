@@ -1,5 +1,7 @@
 import importlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -259,6 +261,31 @@ class TestParallel:
         assert four.matches == one.matches
         assert four.skipped_queries == one.skipped_queries == [
             ("short", TOO_SHORT), ("flat", ZERO_VARIANCE_QUERY)]
+
+    def test_one_scannable_query_starts_no_pool(self):
+        # the skips are found before the sweep, so one scannable query makes
+        # one block, which is scanned in the calling process
+        code = ("import sys, tsleakscan as ts; "
+                "c = ts.from_dict({'short': [1.0, 2.0], 'flat': [3.0, 3.0, 3.0, 3.0], "
+                "'ok': [1.0, 4.0, 2.0, 8.0, 1.0, 4.0, 2.0]}); "
+                "report = ts.scan(c, ts.ScanConfig(h=3, cutoff=0.99, workers=4)); "
+                "print(len(report.matches), len(report.skipped_queries), "
+                "'concurrent.futures.process' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "2", "False"]
+
+    def test_skip_reason_found_once_per_series(self, monkeypatch):
+        # in the calling process, before the pool's workers get their blocks
+        scan_module = importlib.import_module("tsleakscan.scan")
+        reason_of = scan_module._query_skip_reason
+        seen = []
+        monkeypatch.setattr(scan_module, "_query_skip_reason",
+                            lambda series, h: seen.append(series.id) or reason_of(series, h))
+        c = ts.from_dict({"short": [1.0, 2.0], "a": [1.0, 4.0, 2.0, 8.0], "b": [2.0, 7.0, 1.0, 5.0]})
+        report = ts.scan(c, ts.ScanConfig(h=3, cutoff=0.5, workers=2))
+        assert seen == ["short", "a", "b"]
+        assert report.skipped_queries == [("short", TOO_SHORT)]
 
     def test_every_query_skipped_through_pool(self):
         c = ts.from_dict({"short": [1.0, 2.0], "flat": [3.0, 3.0, 3.0, 3.0],
