@@ -21,8 +21,8 @@ from pathlib import Path
 from . import report as rpt
 from .collection import REJECT, SPLIT_SKIP, MissingPolicy, load_collection
 from .errors import ConfigError, LeakScanError
-from .reasons import ReasonConfig, ReasonKind, collapse_overlaps, reason_report, tally
-from .scan import AUTO, ScanConfig, chunks, scan
+from .reasons import _KINDS, ReasonConfig, ReasonKind, collapse_overlaps, reason_report, tally
+from .scan import AUTO, ROWS_PER_CHUNK, ScanConfig, chunks, scan
 
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
 _FOOTER_LABELS = {ReasonKind.EXACT_MATCH: "exact"}
@@ -109,9 +109,10 @@ def _run_scan(args):
     return collection, scan(collection, args.cfg)
 
 
-def _match_line(row):
-    query_id, donor_id, start, end, r = row[:5]
-    return f"{query_id} -> {donor_id}: {start}-{end}, r={r:.3f}"
+# the stdout line of a match, and of an explained one, filled from the columns of a chunk
+_MATCH_LINE = "%s -> %s: %s-%s, r=%.3f"
+_SCAN_LINE = _MATCH_LINE + "\n"
+_EXPLAIN_LINE = _MATCH_LINE + ", %s, %s\n"
 
 
 def _print_skips(report):
@@ -124,7 +125,7 @@ def cmd_scan(args) -> int:
     matches = report.matches
     if args.collapse_overlaps:
         matches = collapse_overlaps(matches)
-    sys.stdout.writelines(_match_line(row) + "\n" for rows in chunks(matches) for row in rows)
+    sys.stdout.writelines("".join([_SCAN_LINE % row for row in rows]) for rows in chunks(matches))
     _print_skips(report)
     if not matches:
         print("no leaks detected")
@@ -137,15 +138,19 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _explain_line(row):
-    """The stdout line of one row of ``chunks(matches, reasons)``."""
-    kind, _, _, _, useful, predicted = row[5:]
-    line = f"{_match_line(row)}, {kind.value}, "
-    if not useful:
-        return line + "not useful\n"
-    # a missing donor value is printed "?"
-    predicted = " ".join(["?" if v is None else format(v, ".6g") for v in predicted])
-    return f"{line}useful; predicted test: {predicted}\n"
+def _six_digits(values) -> list:
+    return list(map("%.6g".__mod__, values))
+
+
+def _explain_lines(reasoned):
+    """The stdout lines of the explained matches, ROWS_PER_CHUNK at a time;
+    a missing predicted value is printed "?"."""
+    for lo in range(0, len(reasoned), ROWS_PER_CHUNK):
+        hi = lo + ROWS_PER_CHUNK
+        kinds = [_KINDS[k].value for k in reasoned.kind[lo:hi].tolist()]
+        verdicts = ["not useful" if p is None else "useful; predicted test: " + p
+                    for p in reasoned.predicted_texts(lo, hi, _six_digits, "?", " ")]
+        yield "".join([_EXPLAIN_LINE % row for row in zip(*reasoned.base.columns(lo, hi), kinds, verdicts)])
 
 
 def cmd_explain(args) -> int:
@@ -153,7 +158,7 @@ def cmd_explain(args) -> int:
     reasoned = reason_report(report, collection, args.reason_cfg)
     if args.collapse_overlaps:
         reasoned = collapse_overlaps(reasoned)
-    sys.stdout.writelines(_explain_line(row) for rows in chunks(reasoned.base, reasoned) for row in rows)
+    sys.stdout.writelines(_explain_lines(reasoned))
     _print_skips(report)
     kinds, useful = tally(reasoned)
     if not len(reasoned):

@@ -13,7 +13,9 @@ Three on-disk formats are supported:
 Collection order always follows input order (it later fixes the row and
 column order of the match matrix). The loaders only parse, reading each
 series as floats, NaN for an empty cell or a ``null``; the CSV loaders fill
-float64 buffers a row at a time, so no cell's text outlives its row.
+float64 buffers a row at a time, so no cell's text outlives its row, and
+the JSON loader reads its object a member at a time, so each series'
+Python floats become a float64 array before the next series is read.
 ``_finish_series`` strips the id and decides what is missing: every
 non-finite value, which it rejects or stores as 0.0. ``SeriesCollection``
 checks ids, observations, finiteness and missing positions.
@@ -24,8 +26,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -219,25 +223,77 @@ def _load_long_csv(path, policy):
     return [_finish_series(sid, np.frombuffer(series), policy, path) for sid, series in values.items()]
 
 
-def _load_json(path, policy):
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _json_values(path, sid, raw):
+    """The float64 array of the JSON value of series ``sid``, NaN for each
+    null, or the FormatError that names what in it is not a number."""
+    if not isinstance(raw, list):
+        return FormatError(f"{path}: series {sid!r} is not an array")
+    if not set(map(type, raw)) <= {float, type(None)}:
+        i = next(i for i, item in enumerate(raw) if not (item is None or isinstance(item, float)))
+        return FormatError(f"{path}: series {sid!r} element {i + 1} is not a number")
+    return np.array(raw, dtype=np.float64)
+
+
+def _json_members(text, decoder, convert):
+    """[(key, convert(key, value))] of the members of the JSON object
+    ``text``, each value converted as soon as it is read; None when ``text``
+    is not one object."""
+    space = _JSON_SPACE.match
+    pos = space(text).end()
+    if not text.startswith("{", pos):
+        return None
+    pos, members = space(text, pos + 1).end(), []
+    while members or not text.startswith("}", pos):
+        if not text.startswith('"', pos):
+            return None
+        key, pos = decoder.raw_decode(text, pos)
+        pos = space(text, pos).end()
+        if not text.startswith(":", pos):
+            return None
+        value, pos = decoder.raw_decode(text, space(text, pos + 1).end())
+        members.append((key, convert(key, value)))
+        pos = space(text, pos).end()
+        if not text.startswith(",", pos):
+            break
+        pos = space(text, pos + 1).end()
+    if not text.startswith("}", pos):
+        return None
+    return members if space(text, pos + 1).end() == len(text) else None
+
+
+def _json_series(path):
+    """(id, values) per member of the JSON object in ``path``: the values'
+    float64 array, or the FormatError of the first element that is not a
+    number. Each series' list of floats lives only until its array is made;
+    text that is not one object is left to json.loads, for its error."""
     with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    # an object reads as its (key, value) pairs, so a repeated id reaches
+    # SeriesCollection; a number reads as a float, as in the CSV loaders,
+    # so an integer literal too large for a float is inf
+    options = {"object_pairs_hook": tuple, "parse_int": float}
+    convert = partial(_json_values, path)
+    try:
+        members = _json_members(text, json.JSONDecoder(**options), convert)
+    except ValueError:
+        members = None
+    if members is None:
         try:
-            # an object reads as its (key, value) pairs, so a repeated id reaches
-            # SeriesCollection; a number reads as a float, as in the CSV loaders,
-            # so an integer literal too large for a float is inf
-            data = json.load(fh, object_pairs_hook=tuple, parse_int=float)
+            json.loads(text, **options)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(data, tuple):
         raise FormatError(f"{path}: top-level JSON value must be an object")
-    entries = []
-    for sid, raw in data:
-        if not isinstance(raw, list):
-            raise FormatError(f"{path}: series {sid!r} is not an array")
-        values = [math.nan if item is None else item for item in raw]
-        for i, item in enumerate(values):
-            if not isinstance(item, float):
-                raise FormatError(f"{path}: series {sid!r} element {i + 1} is not a number")
+    return members
+
+
+def _load_json(path, policy):
+    entries = []  # made once the file's text is gone, so the text and the copies never meet
+    for sid, values in _json_series(path):
+        if isinstance(values, FormatError):
+            raise values
         entries.append(_finish_series(sid, values, policy, path))
     return entries
 

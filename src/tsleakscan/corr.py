@@ -2,13 +2,16 @@
 
 ``sliding_correlations`` correlates k query segments, prepared once by
 ``query_block``, with every window of a target (the AB-join of the matrix
-profile), so a scan makes one O(n*h*k) call per donor. Each window and query
-is centred on its own mean after an exact power-of-two scaling (see
-``centre``), so r stays accurate for a low-variance window inside a
-high-variance series and at any finite scale; only an exactly constant
-window has no r. The sweep copies no window: it reads the target and its
-gap mask through read-only views whose row i is ``x[i:i + h]``, and gathers
-the valid windows a block at a time, never an (m, h) array of floats.
+profile), so a scan makes one O(n*h*k) call per group of donors laid end
+to end. Each window and query is centred on its own mean after an exact
+power-of-two scaling (see ``centre``), so r stays accurate for a
+low-variance window inside a high-variance series and at any finite scale;
+only an exactly constant window has no r. The sweep copies no window: it
+reads the target through a read-only view whose row i is ``x[i:i + h]``,
+and gathers the valid windows a block at a time, never an (m, h) array of
+floats. A window is constant, or overlaps a gap, when a running count of
+changes between neighbouring values, or of gaps, does not change, or
+does, across it: O(m) memory, whatever h.
 
 Given a ``threshold``, the sweep rules windows out with a BLAS matrix
 product of unit rows, an approximate r that provably lies within
@@ -199,6 +202,13 @@ def pearson(a, b) -> float | None:
     return float(_correlate(a[None], np.ones(1, dtype=bool), query_block(b))[1][0, 0])
 
 
+def _any_in_windows(flags, width):
+    """Whether each run of ``width`` neighbouring ``flags`` holds a true one,
+    from a running count of them: O(len(flags)) memory, not O(len * width)."""
+    count = np.concatenate(([0], np.cumsum(flags)))
+    return count[width:] > count[:-width]
+
+
 def _check_sweep_args(query, target, h, missing):
     queries = query if isinstance(query, QueryBlock) else query_block(query)
     target = np.ascontiguousarray(_as_vector(target, "target"))  # for the window views
@@ -244,10 +254,12 @@ def sliding_correlations(query, target, h, *, missing=(), threshold=None) -> Sli
     windows.flags.writeable = False
     gaps = np.zeros(len(target), dtype=bool)
     gaps[missing] = True
-    overlaps = np.ndarray((m, h), bool, gaps, strides=gaps.strides * 2).any(axis=1)
-    valid = ~(windows == windows[:, :1]).all(axis=1) & ~overlaps
-    skipped = [(int(s), MISSING_OVERLAP if overlaps[s - 1] else ZERO_VARIANCE_WINDOW)
-               for s in np.flatnonzero(~valid) + 1]
+    overlaps = _any_in_windows(gaps, h)
+    # a window is constant when no two neighbouring values in it differ
+    valid = _any_in_windows(target[1:] != target[:-1], h - 1) & ~overlaps
+    invalid = np.flatnonzero(~valid)
+    reasons = (ZERO_VARIANCE_WINDOW, MISSING_OVERLAP)
+    skipped = list(zip((invalid + 1).tolist(), [reasons[o] for o in overlaps[invalid].tolist()]))
     bound = None if threshold is None else threshold - prefilter_slack(h)
     keep, r = _correlate(windows, valid, queries, bound)
     return SlidingProfile(np.flatnonzero(keep) + 1, r if queries.values.ndim == 2 else r[:, 0], skipped)

@@ -49,7 +49,7 @@ import numpy as np
 from .collection import SeriesCollection, _is_int
 from .corr import MIN_WINDOW, centre
 from .errors import ConfigError, ConsistencyError, ContractViolation
-from .scan import LeakReport, MatchRecord, MatchTable, Table
+from .scan import _REAL, LeakReport, MatchRecord, MatchTable, Table, _check_fields, _is_real
 
 
 class ReasonKind(str, Enum):
@@ -106,6 +106,15 @@ class ReasonedMatch:
 
 _KINDS = list(ReasonKind)  # a kind code is the position of its kind here
 
+# the kind each field of a ReasonedMatch beyond its record must be, and its check
+_FIELDS = {
+    "m": _REAL, "c": _REAL, "max_residual": _REAL,
+    "kind": ("a ReasonKind", lambda value: isinstance(value, ReasonKind)),
+    "useful": ("a bool", lambda value: isinstance(value, (bool, np.bool_))),
+    "predicted_test": ("a list of real numbers and None",
+                       lambda values: all(v is None or _is_real(v) for v in values or ())),
+}
+
 
 class ReasonTable(Table):
     """The explanations of the matches of the MatchTable ``base`` as columns:
@@ -120,11 +129,16 @@ class ReasonTable(Table):
 
     @classmethod
     def from_rows(cls, rows):
-        """The table of a sequence of ReasonedMatches; ConsistencyError unless
-        the useful ones all predict as many values."""
+        """The table of a sequence of ReasonedMatches. ConsistencyError for the
+        first whose m, c or max_residual is not real, kind not a ReasonKind,
+        useful not a bool or, when useful, a predicted value neither real nor
+        None, or unless the useful ones all predict as many values."""
         if isinstance(rows, ReasonTable):
             return rows
         rows = list(rows)
+        for rm in rows:
+            _check_fields("reasoned match", _FIELDS, **vars(rm.fit), kind=rm.kind, useful=rm.useful,
+                          predicted_test=rm.predicted_test if rm.useful else None)
         predicted = [rm.predicted_test or () for rm in rows if rm.useful]
         shape = (len(predicted), len(predicted[0]) if predicted else 0)
         if any(len(p) != shape[1] for p in predicted):
@@ -139,12 +153,16 @@ class ReasonTable(Table):
     def __len__(self):
         return len(self.useful)
 
+    def _useful_rows(self, lo, hi):
+        """The rows of the predicted block that rows lo..hi-1 own."""
+        first = np.count_nonzero(self.useful[:lo])
+        return slice(first, first + np.count_nonzero(self.useful[lo:hi]))
+
     def columns(self, lo, hi):
         """kinds, m, c, max_residual, useful and predicted (a list, with None
         where missing, or None when not useful) of rows lo..hi-1."""
         useful = self.useful[lo:hi].tolist()
-        first = np.count_nonzero(self.useful[:lo])
-        rows = slice(first, first + sum(useful))
+        rows = self._useful_rows(lo, hi)
         predicted = self.predicted[rows].tolist()
         for i, j in zip(*np.nonzero(self.missing[rows])):
             predicted[i][j] = None
@@ -152,6 +170,18 @@ class ReasonTable(Table):
         return ([_KINDS[k] for k in self.kind[lo:hi].tolist()], self.m[lo:hi].tolist(),
                 self.c[lo:hi].tolist(), self.max_residual[lo:hi].tolist(), useful,
                 [next(predicted) if u else None for u in useful])
+
+    def predicted_texts(self, lo, hi, texts, missing, sep):
+        """Per row lo..hi-1, None when it is not useful, else its predicted
+        values as one str: ``texts`` of them as a list of floats, with
+        ``missing`` for a missing one, joined by ``sep``."""
+        rows = self._useful_rows(lo, hi)
+        values = texts(self.predicted[rows].ravel().tolist())
+        for i in np.flatnonzero(self.missing[rows]).tolist():
+            values[i] = missing
+        width = self.horizon
+        joined = iter([sep.join(values[i * width:(i + 1) * width]) for i in range(rows.stop - rows.start)])
+        return [next(joined) if useful else None for useful in self.useful[lo:hi].tolist()]
 
     def _rows(self, lo, hi):
         return [ReasonedMatch(MatchRecord(*row[:5]), AffineFit(*row[6:9]), row[5], row[9], row[10])

@@ -21,12 +21,15 @@ writes them, with json's NaN and Infinity; ``[]`` and ``{}`` when empty.
 The JSON and CSV writers read the columns of the report's ``MatchTable``
 and of the ``ReasonTable`` of ``reason_report``; a list of reasoned
 matches is turned into a table first. They format ROWS_PER_CHUNK matches
-at a time from the Python values of those columns, one f-string per JSON
-entry, and write each chunk as soon as it is built, so no payload dict,
-row object or list of the report's size is made and the document is never
-held in memory. Ids, kinds and skip reasons are str; start and end are
-int; r, m, c and each predicted value are written as the float64 they are
-stored as, and a missing predicted value as null. The document up to the
+at a time from the Python values of those columns and write each chunk as
+soon as it is built, so no payload dict, row object or list of the
+report's size is made and the document is never held in memory. Each JSON
+entry is one template filled from the chunk's column lists: the ids are
+encoded once per table, and each float column is repr'd by one ``map`` per
+chunk, with json's names put back for the non-finite values. Ids, kinds
+and skip reasons are str; start and end are int; r, m, c and each
+predicted value are written as the float64 they are stored as, and a
+missing predicted value as null. The document up to the
 matches is ``json.dumps`` of the payload without them, so the config's
 numbers are written, or rejected, as ``json.dump`` would; ``ScanConfig``
 stores h and ``ReasonConfig`` the horizon as int. ``_json_parts`` is the
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -53,8 +57,8 @@ import numpy as np
 
 from .collection import SeriesCollection
 from .errors import ConfigError, ConsistencyError
-from .reasons import ReasonConfig, ReasonTable, _locate
-from .scan import LeakReport, MatchRecord, ScanConfig, _is_real, chunks
+from .reasons import _KINDS, ReasonConfig, ReasonTable, _locate
+from .scan import ROWS_PER_CHUNK, LeakReport, MatchRecord, ScanConfig, _is_real, chunks
 
 
 @dataclass
@@ -112,29 +116,38 @@ def report_payload(report: LeakReport, reasoned=None, horizon: int | None = None
 
 _JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# the "matches" items as json.dump(indent=1) lays out their dicts at that
+# depth; predicted_test is never empty, and its values are one level below
+# the entry's keys
+_JSON_MATCH = '  {\n   "query_id": %s,\n   "donor_id": %s,\n   "start": %s,\n   "end": %s,\n   "r": %s'
+_JSON_PLAIN = _JSON_MATCH + "\n  }"
+_JSON_EXPLAINED = _JSON_MATCH + ',\n   "kind": %s,\n   "m": %s,\n   "c": %s,\n   "useful": %s\n  }'
+_JSON_USEFUL = 'true,\n   "predicted_test": [\n    %s\n   ]'
+_JSON_KINDS = [encode_basestring_ascii(kind.value) for kind in _KINDS]
 
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _JSON_FLOAT_NAMES.get(text, text)
+
+def _json_floats(values) -> list:
+    """The JSON text of each float of a list: its repr, or json's NaN, Infinity or -Infinity."""
+    texts = list(map(float.__repr__, values))
+    # a non-finite value makes the sum non-finite; an overflow may too, and costs only the lookups
+    return texts if math.isfinite(sum(values)) else [_JSON_FLOAT_NAMES.get(t, t) for t in texts]
 
 
-def _json_entry(row) -> str:
-    """The "matches" item of one row of ``chunks``, as json.dump(indent=1)
-    lays out its dict at that depth."""
-    query_id, donor_id, start, end, r = row[:5]
-    text = (f'  {{\n   "query_id": {encode_basestring_ascii(query_id)},'
-            f'\n   "donor_id": {encode_basestring_ascii(donor_id)},'
-            f'\n   "start": {start},\n   "end": {end},\n   "r": {_json_float(r)}')
-    if len(row) == 5:
-        return text + "\n  }"
-    kind, m, c, _, useful, predicted = row[5:]
-    text += (f',\n   "kind": {encode_basestring_ascii(kind.value)},'
-             f'\n   "m": {_json_float(m)},\n   "c": {_json_float(c)}')
-    if not useful:
-        return text + ',\n   "useful": false\n  }'
-    # predicted_test is never empty; its values are one level below the entry's keys
-    values = ",\n    ".join(["null" if v is None else _json_float(v) for v in predicted])
-    return f'{text},\n   "useful": true,\n   "predicted_test": [\n    {values}\n   ]\n  }}'
+def _json_entries(matches, reasons=None):
+    """The "matches" items of a JSON report, ROWS_PER_CHUNK at a time, each
+    one template filled from the chunk's columns."""
+    ids = [encode_basestring_ascii(sid) for sid in matches.ids]
+    template = _JSON_PLAIN if reasons is None else _JSON_EXPLAINED
+    for lo in range(0, len(matches), ROWS_PER_CHUNK):
+        hi = lo + ROWS_PER_CHUNK
+        *fields, r = matches.columns(lo, hi, ids)
+        fields.append(_json_floats(r))
+        if reasons is not None:
+            predicted = reasons.predicted_texts(lo, hi, _json_floats, "null", ",\n    ")
+            fields += ([_JSON_KINDS[k] for k in reasons.kind[lo:hi].tolist()],
+                       _json_floats(reasons.m[lo:hi].tolist()), _json_floats(reasons.c[lo:hi].tolist()),
+                       ["false" if p is None else _JSON_USEFUL % p for p in predicted])
+        yield [template % row for row in zip(*fields)]
 
 
 def _json_parts(report: LeakReport, tables, horizon: int | None):
@@ -147,8 +160,8 @@ def _json_parts(report: LeakReport, tables, horizon: int | None):
     # json.dumps gives the value of the empty "matches" as "[]\n}"
     yield json.dumps({"config": config, "skipped_queries": skipped, "matches": []}, indent=1)[:-4]
     sep = "[\n"
-    for rows in chunks(*tables):
-        yield sep + ",\n".join(map(_json_entry, rows))
+    for entries in _json_entries(*tables):
+        yield sep + ",\n".join(entries)
         sep = ",\n"
     yield "\n ]\n}\n" if len(tables[0]) else "[]\n}\n"
 

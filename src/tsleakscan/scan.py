@@ -6,13 +6,19 @@ taken as the query and swept across every series in the collection
 absolute correlation clears the cutoff become matches; the single trivial
 hit of a query against its own terminal position is removed.
 
-The queries are validated and centred once, as one block, and each donor
-is swept by one ``sliding_correlations`` call against all of them. The call
-passes the threshold, so the sweep returns only the windows its BLAS
-prefilter cannot rule out, each with the exact kernel's r; the match set
-and every r are those of an exhaustive sweep. The skipped queries are
-found first, from the series alone; each worker process scans one
-contiguous block of the rest, and no pool starts for fewer than two.
+The queries are validated and centred once, as one block. The donors are
+laid end to end, each followed by one separator position passed as
+missing, so no window spans two donors, and each group of consecutive
+donors is swept by one ``sliding_correlations`` call against all the
+queries; one ``searchsorted`` maps the hits back to (donor, start). The
+call passes the threshold, so the sweep returns only the windows its BLAS
+prefilter cannot rule out, each with its whole row of exact r, one value
+per query; a group is therefore bounded in windows and in windows x
+queries (``GROUP_WINDOWS``, ``GROUP_VALUES``), since each query keeps at
+least its own terminal window. The match set and every r are those of an
+exhaustive sweep of each donor on its own. The skipped queries are found
+first, from the series alone; each worker process scans one contiguous
+block of the rest, and no pool starts for fewer than two.
 
 The hits stay arrays from the sweep to the writers: a ``MatchTable`` holds
 the query index, donor index, start, end and r of every match, in (query,
@@ -47,6 +53,12 @@ CUTOFF_TOLERANCE = 1e-10
 
 # the columns of no hits, which seed each concatenation of hits
 _NO_HITS = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)
+
+# a sweep returns the r of each window it keeps against every query, so the
+# donors swept together are bounded in windows and in windows x queries
+GROUP_WINDOWS = 1 << 14
+GROUP_VALUES = 1 << 20
+_SEPARATOR = np.zeros(1)  # the value between two donors in a group, never read
 
 
 def _is_real(value) -> bool:
@@ -92,13 +104,16 @@ class ScanConfig:
 
 # the kind a field of a record or skip must be, as errors name it, and its
 # check; a field not named here must be a str
-_KINDS = {"start": ("an integer", _is_int), "end": ("an integer", _is_int), "r": ("a real number", _is_real)}
+_REAL = ("a real number", _is_real)
+_FIELDS = {"start": ("an integer", _is_int), "end": ("an integer", _is_int), "r": _REAL}
 _STR = ("a string", lambda value: isinstance(value, str))
 
 
-def _check_fields(owner, **fields):
+def _check_fields(owner, kinds=_FIELDS, /, **fields):
+    """ConsistencyError for the first field whose value is not of the kind
+    that ``kinds`` names for it."""
     for key, value in fields.items():
-        kind, is_kind = _KINDS.get(key, _STR)
+        kind, is_kind = kinds.get(key, _STR)
         if not is_kind(value):
             raise ConsistencyError(f"{owner} {key} must be {kind}, got {value!r}")
 
@@ -175,8 +190,10 @@ class MatchTable(Table):
     def __len__(self):
         return len(self.r)
 
-    def columns(self, lo, hi):
-        ids = self.ids
+    def columns(self, lo, hi, ids=None):
+        """query ids, donor ids, start, end and r of rows lo..hi-1; ``ids``, in
+        place of the table's own, gives the text of each id."""
+        ids = self.ids if ids is None else ids
         return ([ids[i] for i in self.qi[lo:hi].tolist()], [ids[i] for i in self.di[lo:hi].tolist()],
                 self.start[lo:hi].tolist(), self.end[lo:hi].tolist(), self.r[lo:hi].tolist())
 
@@ -214,23 +231,48 @@ def _query_skip_reason(series, h):
     return None
 
 
+def _donor_groups(lengths, h, k):
+    """The (first, stop) index ranges of consecutive donors of ``lengths``
+    swept together against k queries: a group's target, its donors with one
+    separator between each two, has at most min(GROUP_WINDOWS,
+    GROUP_VALUES // k) windows, or holds one donor."""
+    cap = min(GROUP_WINDOWS, GROUP_VALUES // k)
+    groups, first, windows = [], 0, -h
+    for j, n in enumerate(lengths):
+        if j > first and windows + n + 1 > cap:
+            groups.append((first, j))
+            first, windows = j, -h
+        windows += n + 1
+    return groups + [(first, len(lengths))]
+
+
 def _scan_block(collection, cfg, query_of):
     """The hits of the scannable queries ``query_of`` as arrays of query
     index, donor index, start and r, in (query, donor, offset) order."""
     h = cfg.h
     entries = collection.entries
     queries = query_block(np.stack([entries[qi].values[-h:] for qi in query_of]))
+    # the donors with a length-h window, laid end to end, each followed by one
+    # separator position that is passed as missing, so no window spans two
+    donors = np.array([di for di, s in enumerate(entries) if len(s.values) >= h])
+    lengths = np.array([len(entries[di].values) for di in donors])
+    first = np.cumsum(lengths + 1) - lengths - 1
+    flat = np.concatenate([part for di in donors for part in (entries[di].values, _SEPARATOR)])
+    gaps = np.zeros(len(flat), dtype=bool)
+    gaps[first + lengths] = True
+    gaps[[first[j] + p for j, di in enumerate(donors) for p in entries[di].missing]] = True
     found = [_NO_HITS]
-    for di, donor in enumerate(entries):
-        if len(donor.values) < h:
-            continue  # no length-h windows to match
-        profile = sliding_correlations(queries, donor.values, h, missing=donor.missing,
+    for g0, g1 in _donor_groups(lengths, h, len(query_of)):
+        lo, hi = first[g0], first[g1 - 1] + lengths[g1 - 1]
+        profile = sliding_correlations(queries, flat[lo:hi], h, missing=np.flatnonzero(gaps[lo:hi]),
                                        threshold=cfg.threshold)
         rows, cols = np.nonzero(np.abs(profile.r_values) >= cfg.threshold)
-        starts = profile.offsets[rows]
+        at = lo + profile.offsets[rows] - 1  # each hit's first position in flat
+        owner = np.searchsorted(first, at, side="right") - 1
+        starts = at - first[owner] + 1
         # the query trivially matches its own terminal position
-        keep = (query_of[cols] != di) | (starts != len(donor.values) - h + 1)
-        found.append((query_of[cols[keep]], np.full(keep.sum(), di), starts[keep],
+        keep = (query_of[cols] != donors[owner]) | (starts != lengths[owner] - h + 1)
+        found.append((query_of[cols[keep]], donors[owner[keep]], starts[keep],
                       profile.r_values[rows[keep], cols[keep]]))
     qs, ds, starts, rs = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((starts, ds, qs))

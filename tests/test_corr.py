@@ -419,6 +419,26 @@ class TestSweepMemory:
         assert peak < m * h * np.dtype(np.float64).itemsize
 
 
+    def test_window_masks_need_no_window_sized_array(self):
+        # the constant and gap tests read running counts of the target, not an
+        # (m, h) mask, so a long window costs no more memory than a short one
+        h = 2000
+        rng = np.random.default_rng(35)
+        target = rng.normal(size=20_000)
+        target[5000:9000] = 1.5
+        tracemalloc.start()
+        try:
+            profile = ts.sliding_correlations(target[-h:], target, h, missing=(12_000,), threshold=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = len(target) - h + 1
+        assert profile.offsets[-1] == m
+        reasons = [reason for _, reason in profile.skipped]
+        assert (reasons.count(ZERO_VARIANCE_WINDOW), reasons.count(MISSING_OVERLAP)) == (4000 - h + 1, h)
+        assert peak < m * h // 8
+
+
 class TestOracleEquivalence:
     def test_naive_oracle_descending_ramp(self):
         profile = naive_sliding_oracle([1, 2, 3], [3, 2, 1, 0], 3)

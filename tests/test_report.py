@@ -273,6 +273,37 @@ class TestSerialization:
             ts.write_report(ts.LeakReport(ts.ScanConfig(h=3), [MatchRecord(5, "x", 1, 3, 1.0)]), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("field, value, message", [
+        # the writers would write these as 2.0, NaN, 1.0, true, "exact-match" and 2.0
+        ("fit", ts.AffineFit("2", 0.0, 0.0), "reasoned match m must be a real number, got '2'"),
+        ("fit", ts.AffineFit(1.0, None, 0.0), "reasoned match c must be a real number, got None"),
+        ("fit", ts.AffineFit(1.0, 0.0, True), "reasoned match max_residual must be a real number, got True"),
+        ("useful", "false", "reasoned match useful must be a bool, got 'false'"),
+        ("kind", "exact-match", "reasoned match kind must be a ReasonKind, got 'exact-match'"),
+        ("predicted_test", [1.0, "2", None, 4.0, 5.0],
+         "reasoned match predicted_test must be a list of real numbers and None, got [1.0, '2', None"),
+    ], ids=["string-m", "none-c", "bool-residual", "string-useful", "string-kind", "string-prediction"])
+    def test_hand_built_reason_field_rejected_before_any_file(self, usage_collection, tmp_path, fmt,
+                                                              field, value, message):
+        c, _ = usage_collection
+        report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
+        reasoned = list(ts.reason_report(report, c))
+        useful = next(i for i, rm in enumerate(reasoned) if rm.useful)
+        path = tmp_path / f"x.{fmt}"
+        # numpy scalars are numbers and bools too, and write as the Python values do
+        ts.write_report(report, path, fmt, reasoned=reasoned)
+        written = path.read_bytes()
+        ts.write_report(report, path, fmt, reasoned=[
+            replace(rm, useful=np.bool_(rm.useful), fit=ts.AffineFit(*map(np.float64, vars(rm.fit).values())))
+            for rm in reasoned])
+        assert path.read_bytes() == written
+        path.unlink()
+        reasoned[useful] = replace(reasoned[useful], **{field: value})
+        with pytest.raises(ts.ConsistencyError, match=re.escape(message)):
+            ts.write_report(report, path, fmt, reasoned=reasoned)
+        assert not path.exists()
+
     def test_every_table_built_from_records_checks_them(self, usage_collection):
         c, _ = usage_collection
         bad = MatchRecord("y", "x", 1.5, 5, 1.0)

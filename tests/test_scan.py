@@ -2,6 +2,7 @@ import importlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,16 +133,18 @@ class TestPrefilter:
             found.append(bool(hits))
         assert found[0] and not found[-1]
 
-    def test_one_module_global_sweep_per_donor(self, monkeypatch):
+    def test_one_module_global_sweep_per_group(self, monkeypatch):
         # the benchmark's tracer wraps tsleakscan.scan.sliding_correlations and
-        # reads three positional arguments and the profile's offsets and skips
+        # reads three positional arguments, the threshold keyword and the
+        # profile's offsets and skips
         scan_module = importlib.import_module("tsleakscan.scan")
         sweep = scan_module.sliding_correlations
         calls = []
 
         def spy(*args, **kwargs):
             profile = sweep(*args, **kwargs)
-            calls.append((len(args), kwargs["threshold"], len(profile.skipped)))
+            calls.append((len(args), kwargs["threshold"], len(args[1]), len(profile.offsets),
+                          len(profile.skipped)))
             return profile
 
         monkeypatch.setattr(scan_module, "sliding_correlations", spy)
@@ -150,8 +153,86 @@ class TestPrefilter:
                           "flat": [4.0] * 12})
         cfg = ts.ScanConfig(h=5, cutoff=0.9)
         ts.scan(c, cfg)
-        assert [call[:2] for call in calls] == [(3, cfg.threshold)] * 3
-        assert calls[2][2] == 8  # every window of "flat" is constant
+        # a, b and flat end to end, a separator after a and after b; each
+        # separator rules out the h windows over it, and flat's 8 are constant
+        [call] = calls
+        assert call[:3] == (3, cfg.threshold, 30 + 1 + 25 + 1 + 12)
+        assert call[4] == 2 * 5 + 8
+        calls.clear()
+        monkeypatch.setattr(scan_module, "GROUP_WINDOWS", 1)  # one donor a group
+        ts.scan(c, cfg)
+        assert [call[:3] for call in calls] == [(3, cfg.threshold, n) for n in (30, 25, 12)]
+        assert [call[4] for call in calls] == [0, 0, 8]
+
+
+class TestDonorGroups:
+    """The donors are swept in groups laid end to end; the matches must not
+    depend on how they are grouped, to the last bit of each r."""
+
+    @staticmethod
+    def collection():
+        rng = np.random.default_rng(41)
+        values = [np.cumsum(rng.normal(size=int(rng.integers(3, 70)))) for _ in range(40)]
+        missing = [()] * 40
+        values[3][:] = 4.0  # a constant series
+        values[5] = np.cumsum(rng.normal(size=60))
+        values[5][10:30] = 2.5  # a constant run inside a donor
+        for i, gap in ((7, (20, 21)), (8, (57,))):  # a gap inside a donor, and one in a query's tail
+            values[i] = np.cumsum(rng.normal(size=60))
+            values[i][list(gap)] = 0.0
+            missing[i] = gap
+        # planted copies, exact and affine, into another donor and into itself
+        values[9] = np.cumsum(rng.normal(size=50))
+        values[10] = np.cumsum(rng.normal(size=30))
+        values[9][10:16] = values[10][-6:]
+        values[9][30:36] = -2.0 * values[9][-6:] + 1.0
+        return ts.SeriesCollection([ts.Series(f"s{i:02d}", v, m) for i, (v, m) in enumerate(zip(values, missing))])
+
+    @staticmethod
+    def columns(report):
+        t = report.matches
+        return (t.ids, t.qi.tolist(), t.di.tolist(), t.start.tolist(), t.end.tolist(), t.r.tobytes(),
+                report.skipped_queries)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cutoff", [1.0, 0.9])
+    def test_columns_equal_one_donor_a_group(self, monkeypatch, workers, cutoff):
+        # one donor a group is the sweep of each donor on its own
+        c = self.collection()
+        assert min(len(s) for s in c) < 6
+        cfg = ts.ScanConfig(h=6, cutoff=cutoff, workers=workers)
+        scan_module = importlib.import_module("tsleakscan.scan")
+        grouped = self.columns(ts.scan(c, cfg))
+        assert len(grouped[1]) >= 2 and ("s08", MISSING_IN_QUERY) in grouped[-1]
+        for windows in (1, 100):  # one donor a group, then a few donors a group
+            monkeypatch.setattr(scan_module, "GROUP_WINDOWS", windows)
+            assert self.columns(ts.scan(c, cfg)) == grouped
+
+    def test_groups_bounded_in_windows_and_queries(self):
+        scan_module = importlib.import_module("tsleakscan.scan")
+        lengths, h = [40] * 1000 + [50_000] + [10] * 5, 6
+        for k in (1, 100, 5000):
+            cap = min(scan_module.GROUP_WINDOWS, scan_module.GROUP_VALUES // k)
+            groups = scan_module._donor_groups(lengths, h, k)
+            assert [g for group in groups for g in range(*group)] == list(range(len(lengths)))
+            for first, stop in groups:
+                windows = sum(n + 1 for n in lengths[first:stop]) - h
+                assert windows <= cap or stop == first + 1
+
+    def test_traced_peak_of_many_short_series_at_cutoff_one(self):
+        # every query keeps its own terminal window, so a sweep of every donor
+        # at once would return a (queries x queries) block of r, 18 MiB here
+        rng = np.random.default_rng(43)
+        c = ts.from_dict({f"s{i:04d}": np.cumsum(rng.normal(size=int(rng.integers(20, 40))))
+                          for i in range(1500)})
+        tracemalloc.start()
+        try:
+            report = ts.scan(c, ts.ScanConfig(h=6, cutoff=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.matches) == 0
+        assert peak < 4 * 2**20
 
 
 class TestAgainstBruteForce:
