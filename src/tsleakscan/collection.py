@@ -124,6 +124,25 @@ class SeriesCollection:
         except KeyError:
             raise KeyError(f"no series named {series_id!r}") from None
 
+    def _layout(self):
+        """``(flat, first, lengths, gaps)``: series i at ``flat[first[i]:][:lengths[i]]``,
+        each followed by a separator (0.0); ``gaps`` marks the missing values and
+        the separators, so a window of ``flat`` free of gaps lies within one series."""
+        lengths = np.array([len(s.values) for s in self.entries], dtype=int)
+        first = np.cumsum(lengths + 1) - lengths - 1
+        flat = np.zeros(lengths.sum() + len(lengths))
+        gaps = np.zeros(len(flat), dtype=bool)
+        gaps[first + lengths] = True
+        for s, at in zip(self.entries, first.tolist()):
+            flat[at:at + len(s.values)] = s.values
+        gaps[[at + p for s, at in zip(self.entries, first.tolist()) for p in s.missing]] = True
+        return flat, first, lengths, gaps
+
+
+def _gather(flat, first, width):
+    """The (k, width) block of ``flat[first[i]:first[i] + width]`` rows."""
+    return flat[first[:, None] + np.arange(width)]
+
 
 def from_dict(data) -> SeriesCollection:
     """Build a collection from a mapping id -> sequence of finite reals."""

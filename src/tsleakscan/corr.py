@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .collection import _is_int
 from .errors import ContractViolation
 
 MIN_WINDOW = 3  # below this every non-constant window correlates at +-1
@@ -212,14 +213,15 @@ def _any_in_windows(flags, width):
 def _check_sweep_args(query, target, h, missing):
     queries = query if isinstance(query, QueryBlock) else query_block(query)
     target = np.ascontiguousarray(_as_vector(target, "target"))  # for the window views
-    if h < MIN_WINDOW:
-        raise ContractViolation(f"window length must be >= {MIN_WINDOW}, got {h}")
+    if not _is_int(h) or h < MIN_WINDOW:
+        raise ContractViolation(f"window length must be an integer >= {MIN_WINDOW}, got {h!r}")
     if queries.rows.shape[1] != h:
         raise ContractViolation(f"query has {queries.rows.shape[1]} observations, expected h={h}")
     if len(target) < h:
         raise ContractViolation(f"target shorter than window: {len(target)} < {h}")
-    missing = sorted(set(int(i) for i in missing))
-    if missing and (missing[0] < 0 or missing[-1] >= len(target)):
+    if not all(map(_is_int, missing := list(missing))):
+        raise ContractViolation(f"missing positions must be integers, got {missing!r}")
+    if missing and (min(missing) < 0 or max(missing) >= len(target)):
         raise ContractViolation("missing positions out of range")
     return queries, target, h, missing
 

@@ -17,20 +17,20 @@ of the collection, the window starts at position 1 or later, spans at
 least MIN_WINDOW observations, is no longer than its query series and ends
 within its donor, and neither the donor window nor the query segment (the
 query series' last ``end - start + 1`` observations) covers a missing
-value, whose 0.0 filler is not data. The first record in report order
-that fails a check raises ConsistencyError, with the message of the first
-check it fails; ``build_matrix`` counts through the same checks.
-``reason_report`` then fits all matches of one query segment together:
-their donor windows are gathered into a (k, h) block by one fancy index
-into the collection's values laid end to end, each row is centred once,
-and every slope, intercept, residual and window scale is an array
-operation over the block. The continuations of every useful match are one
-more fancy index. ``assess_usefulness`` is this path run on a one-row
-table, and ``fit_affine`` the one-row case of the same fit. Each row gets
-the bits a fit of its match alone would get: the reductions run along the
-last axis of each row, and the cross term is a matmul of each row with the
-query, which gives the bits of the dot product ``qc @ wc``; a row sum
-would not.
+value (a gap of the collection's ``_layout``, which ``_locate`` reads and
+hands on). The first record in report order that fails a check raises
+ConsistencyError, with the message of the first check it fails;
+``build_matrix`` counts through the same checks. ``reason_report`` then
+fits all matches of one query segment together: their donor windows are
+gathered into a (k, h) block by one fancy index into the layout, each row
+is centred once, and every slope, intercept, residual and window scale is
+an array operation over the block. The continuations of every useful
+match are one more fancy index. ``assess_usefulness`` is this path run on
+a one-row table, and ``fit_affine`` the one-row case of the same fit.
+Each row gets the bits a fit of its match alone would get: the reductions
+run along the last axis of each row, and the cross term is a matmul of
+each row with the query, which gives the bits of the dot product
+``qc @ wc``; a row sum would not.
 
 The result is a ``ReasonTable`` of arrays: each fit, its kind code (from
 ``classify``'s comparisons on the arrays) and useful flag, and one block of
@@ -46,7 +46,7 @@ from enum import Enum
 
 import numpy as np
 
-from .collection import SeriesCollection, _is_int
+from .collection import SeriesCollection, _gather, _is_int
 from .corr import MIN_WINDOW, centre
 from .errors import ConfigError, ConsistencyError, ContractViolation
 from .scan import _REAL, LeakReport, MatchRecord, MatchTable, Table, _check_fields, _is_real
@@ -265,33 +265,23 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
     return reasoned.useful, reasoned.predicted_test
 
 
-def _gather(flat, first, width):
-    """The (k, width) block of ``flat[first[i]:first[i] + width]`` rows."""
-    return flat[first[:, None] + np.arange(width)]
-
-
 def _locate(matches: MatchTable, collection: SeriesCollection):
     """The query index, donor index, start and end of each match as arrays,
-    then the series lengths, their offsets in the values laid end to end and
-    the missing mask of those values. The first match in report order that
+    then the collection's ``_layout``. The first match in report order that
     fails a record check of the module docstring raises ConsistencyError.
     """
-    entries = collection.entries
-    # an unknown id gets index -1, which picks the sentinel length 0
-    lengths = np.array([len(s.values) for s in entries] + [0])
-    first = np.cumsum(lengths) - lengths
-    missing = np.zeros(first[-1], dtype=bool)
-    missing[[first[i] + p for i, s in enumerate(entries) for p in s.missing]] = True
+    flat, first, lengths, gaps = layout = collection._layout()
+    first, lengths = np.r_[first, len(flat)], np.r_[lengths, 0]  # what index -1, an unknown id, picks
     index = np.array([collection._index.get(sid, -1) for sid in matches.ids], dtype=int)
     qi, di, start, end = index[matches.qi], index[matches.di], matches.start, matches.end
     span = end - start + 1
-    # the bounds of each donor window and query segment in ``missing``, clipped
-    # for the records that an earlier check already fails; an int cast, as an
-    # empty match list and ints beyond int64 make float and object arrays
+    # the bounds of each donor window and query segment in ``flat``, clipped for the
+    # records an earlier check fails (only those reach a separator); an int cast, as
+    # an empty match list and ints beyond int64 make float and object arrays
     query_end = first[qi] + lengths[qi]
     bounds = np.clip([first[di] + start - 1, first[di] + end, query_end - span, query_end],
-                     0, len(missing)).astype(int)
-    before = np.concatenate(([0], np.cumsum(missing)))[bounds]  # missing values before each bound
+                     0, len(flat)).astype(int)
+    before = np.searchsorted(np.flatnonzero(gaps), bounds)  # gaps before each bound
     checks = (qi < 0, di < 0, (start < 1) | (span < MIN_WINDOW), span > lengths[qi], end > lengths[di],
               before[1] > before[0], before[3] > before[2])
     failing = np.logical_or.reduce(checks)
@@ -310,7 +300,7 @@ def _locate(matches: MatchTable, collection: SeriesCollection):
             "covers a missing value",
         )
         raise ConsistencyError(next(text for text, check in zip(messages, checks) if check[i]))
-    return qi, di, start, end, lengths, first, missing
+    return qi, di, start, end, layout
 
 
 def reason_report(report: LeakReport, collection: SeriesCollection,
@@ -327,17 +317,14 @@ def reason_report(report: LeakReport, collection: SeriesCollection,
 
 def _explain(matches: MatchTable, collection: SeriesCollection, horizon: int) -> ReasonTable:
     """Explain each match, in order, with a continuation of ``horizon`` values."""
-    entries = collection.entries
-    qi, di, start, end, lengths, first, missing = _locate(matches, collection)
+    qi, di, start, end, (flat, first, lengths, gaps) = _locate(matches, collection)
     span = end - start + 1
-    flat = np.concatenate([s.values for s in entries])
-    window_first = first[di] + start - 1
     m, c, max_residual, scale = (np.empty(len(matches)) for _ in range(4))
     order = np.lexsort((span, qi))  # stable: each block in report order
     bounds = np.flatnonzero(np.diff(qi[order]) | np.diff(span[order])) + 1
     for block in np.split(order, bounds) if len(order) else ():
-        q, h = entries[qi[block[0]]], span[block[0]]
-        windows = _gather(flat, window_first[block], h)
+        q, h = collection.entries[qi[block[0]]], span[block[0]]
+        windows = _gather(flat, first[di[block]] + start[block] - 1, h)
         m[block], c[block], max_residual[block] = _fit_rows(q.values[-h:], windows)
         scale[block] = scale_of(windows)
 
@@ -345,7 +332,7 @@ def _explain(matches: MatchTable, collection: SeriesCollection, horizon: int) ->
     continuation_first = first[di[useful]] + end[useful]
     predicted = (_gather(flat, continuation_first, horizon) - c[useful, None]) / m[useful, None]
     return ReasonTable(matches, m, c, max_residual, _kind_codes(m, c, max_residual, scale), useful,
-                       predicted, _gather(missing, continuation_first, horizon))
+                       predicted, _gather(gaps, continuation_first, horizon))
 
 
 def collapse_overlaps(matches):

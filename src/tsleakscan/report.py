@@ -79,11 +79,10 @@ def build_matrix(report: LeakReport, collection: SeriesCollection) -> MatchMatri
     Raises ``reason_report``'s ConsistencyError for the first match in
     report order that fails a record check of ``reasons._locate``.
     """
-    ids = collection.ids()
-    qi, di, *_ = _locate(report.matches, collection)
-    counts = np.zeros((len(ids), len(ids)), dtype=int)
+    qi, di = _locate(report.matches, collection)[:2]
+    counts = np.zeros((len(collection),) * 2, dtype=int)
     np.add.at(counts, (qi, di), 1)
-    return MatchMatrix(list(ids), list(ids), counts)
+    return MatchMatrix(collection.ids(), collection.ids(), counts)
 
 
 def _tables(report: LeakReport, reasoned, horizon: int | None):

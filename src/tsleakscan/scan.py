@@ -6,19 +6,19 @@ taken as the query and swept across every series in the collection
 absolute correlation clears the cutoff become matches; the single trivial
 hit of a query against its own terminal position is removed.
 
-The queries are validated and centred once, as one block. The donors are
-laid end to end, each followed by one separator position passed as
-missing, so no window spans two donors, and each group of consecutive
-donors is swept by one ``sliding_correlations`` call against all the
-queries; one ``searchsorted`` maps the hits back to (donor, start). The
-call passes the threshold, so the sweep returns only the windows its BLAS
-prefilter cannot rule out, each with its whole row of exact r, one value
-per query; a group is therefore bounded in windows and in windows x
-queries (``GROUP_WINDOWS``, ``GROUP_VALUES``), since each query keeps at
-least its own terminal window. The match set and every r are those of an
-exhaustive sweep of each donor on its own. The skipped queries are found
-first, from the series alone; each worker process scans one contiguous
-block of the rest, and no pool starts for fewer than two.
+The scan reads every series' values laid end to end by
+``SeriesCollection._layout``. The queries are gathered from it and centred
+once, as one block; each group of consecutive donors in it is swept by one
+``sliding_correlations`` call against all the queries, with the layout's
+gaps as missing, so no window spans two donors, and one ``searchsorted``
+maps the hits back to (donor, start). The call passes the threshold, so
+the sweep returns only the windows its BLAS prefilter cannot rule out,
+each with its whole row of exact r, one value per query; a group is
+therefore bounded in windows and in windows x queries (``GROUP_WINDOWS``,
+``GROUP_VALUES``), since each query keeps at least its own terminal
+window. The match set and every r are those of an exhaustive sweep of
+each donor on its own. The skipped queries are found first, from the
+series alone; each worker process scans one contiguous block of the rest.
 
 The hits stay arrays from the sweep to the writers: a ``MatchTable`` holds
 the query index, donor index, start, end and r of every match, in (query,
@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .collection import SeriesCollection, _is_int
+from .collection import SeriesCollection, _gather, _is_int
 from .corr import MIN_WINDOW, query_block, sliding_correlations
 from .errors import ConfigError, ConsistencyError, ContractViolation
 
@@ -58,7 +58,6 @@ _NO_HITS = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)
 # donors swept together are bounded in windows and in windows x queries
 GROUP_WINDOWS = 1 << 14
 GROUP_VALUES = 1 << 20
-_SEPARATOR = np.zeros(1)  # the value between two donors in a group, never read
 
 
 def _is_real(value) -> bool:
@@ -232,10 +231,10 @@ def _query_skip_reason(series, h):
 
 
 def _donor_groups(lengths, h, k):
-    """The (first, stop) index ranges of consecutive donors of ``lengths``
-    swept together against k queries: a group's target, its donors with one
+    """The (first, stop) index ranges of consecutive series of ``lengths``
+    swept together against k queries: a group's target, its series with one
     separator between each two, has at most min(GROUP_WINDOWS,
-    GROUP_VALUES // k) windows, or holds one donor."""
+    GROUP_VALUES // k) windows, or holds one series."""
     cap = min(GROUP_WINDOWS, GROUP_VALUES // k)
     groups, first, windows = [], 0, -h
     for j, n in enumerate(lengths):
@@ -250,29 +249,22 @@ def _scan_block(collection, cfg, query_of):
     """The hits of the scannable queries ``query_of`` as arrays of query
     index, donor index, start and r, in (query, donor, offset) order."""
     h = cfg.h
-    entries = collection.entries
-    queries = query_block(np.stack([entries[qi].values[-h:] for qi in query_of]))
-    # the donors with a length-h window, laid end to end, each followed by one
-    # separator position that is passed as missing, so no window spans two
-    donors = np.array([di for di, s in enumerate(entries) if len(s.values) >= h])
-    lengths = np.array([len(entries[di].values) for di in donors])
-    first = np.cumsum(lengths + 1) - lengths - 1
-    flat = np.concatenate([part for di in donors for part in (entries[di].values, _SEPARATOR)])
-    gaps = np.zeros(len(flat), dtype=bool)
-    gaps[first + lengths] = True
-    gaps[[first[j] + p for j, di in enumerate(donors) for p in entries[di].missing]] = True
+    flat, first, lengths, gaps = collection._layout()
+    queries = query_block(_gather(flat, first[query_of] + lengths[query_of] - h, h))
     found = [_NO_HITS]
     for g0, g1 in _donor_groups(lengths, h, len(query_of)):
         lo, hi = first[g0], first[g1 - 1] + lengths[g1 - 1]
+        if hi - lo < h:  # series too short for a window
+            continue
         profile = sliding_correlations(queries, flat[lo:hi], h, missing=np.flatnonzero(gaps[lo:hi]),
                                        threshold=cfg.threshold)
         rows, cols = np.nonzero(np.abs(profile.r_values) >= cfg.threshold)
         at = lo + profile.offsets[rows] - 1  # each hit's first position in flat
-        owner = np.searchsorted(first, at, side="right") - 1
-        starts = at - first[owner] + 1
+        donor = np.searchsorted(first, at, side="right") - 1
+        starts = at - first[donor] + 1
         # the query trivially matches its own terminal position
-        keep = (query_of[cols] != donors[owner]) | (starts != lengths[owner] - h + 1)
-        found.append((query_of[cols[keep]], donors[owner[keep]], starts[keep],
+        keep = (query_of[cols] != donor) | (starts != lengths[donor] - h + 1)
+        found.append((query_of[cols[keep]], donor[keep], starts[keep],
                       profile.r_values[rows[keep], cols[keep]]))
     qs, ds, starts, rs = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((starts, ds, qs))

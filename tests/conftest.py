@@ -271,6 +271,19 @@ def block_fit_collection(h, scale, seed):
     return ts.SeriesCollection(series)
 
 
+def reference_layout(collection):
+    """``SeriesCollection._layout`` as Python lists, built a series at a
+    time: its values and then one separator 0.0, the separator and the
+    series' missing positions marked as gaps."""
+    flat, first, lengths, gaps = [], [], [], []
+    for s in collection:
+        first.append(len(flat))
+        lengths.append(len(s.values))
+        flat += s.values.tolist() + [0.0]
+        gaps += [i in s.missing for i in range(len(s.values))] + [True]
+    return flat, first, lengths, gaps
+
+
 def reference_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None:
     """Reference heatmap writer: one f-string per cell, the whole document
     built in memory and written at once.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import tsleakscan as ts
 from tsleakscan.collection import REJECT, SPLIT_SKIP, _load_wide_csv
 
-from conftest import reference_wide_csv
+from conftest import reference_layout, reference_wide_csv
 
 
 def write(path, text):
@@ -415,6 +415,43 @@ class TestRoundTrip:
         assert c1.ids() == c2.ids()
         for a, b in zip(c1, c2):
             assert a.values.tobytes() == b.values.tobytes()
+
+
+class TestLayout:
+    """Every series' values laid end to end, as the scan and the match checks read them."""
+
+    @staticmethod
+    def collection():
+        rng = np.random.default_rng(17)
+        gap = np.cumsum(rng.normal(size=12))
+        gap[[3, 4, 9]] = 0.0
+        return ts.SeriesCollection([
+            ts.Series("gap", gap, missing=(9, 3, 4)), ts.Series("constant", [2.5] * 7),
+            ts.Series("short", [7.0, -1.0]), ts.Series("one", [9.0]),
+            ts.Series("walk", np.cumsum(rng.normal(size=10)), missing=(0,)),
+        ])
+
+    def test_equals_reference(self):
+        c = self.collection()
+        flat, first, lengths, gaps = c._layout()
+        assert (flat.dtype, gaps.dtype) == (np.float64, bool)
+        assert (flat.tolist(), first.tolist(), lengths.tolist(), gaps.tolist()) == reference_layout(c)
+        for s, at, n in zip(c, first, lengths):
+            assert flat[at:at + n].tobytes() == s.values.tobytes()
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 5])
+    def test_windows_free_of_gaps_lie_within_one_series(self, h):
+        # "short" and "one" are shorter than h = 3 and 5: they hold no such window
+        c = self.collection()
+        flat, first, lengths, gaps = c._layout()
+        for i in range(len(flat) - h + 1):
+            if not gaps[i:i + h].any():
+                j = int(np.searchsorted(first, i, side="right")) - 1
+                assert first[j] <= i and i + h <= first[j] + lengths[j]
+                assert flat[i:i + h].tolist() == c.entries[j].values[i - first[j]:][:h].tolist()
+
+    def test_empty_collection(self):
+        assert [len(part) for part in ts.SeriesCollection([])._layout()] == [0, 0, 0, 0]
 
 
 class TestInvariants:

@@ -169,6 +169,23 @@ class TestSlidingCorrelations:
         with pytest.raises(ts.ContractViolation, match="missing positions out of range"):
             ts.sliding_correlations([1, 2, 4], [1, 5, 2, 8, 3], 3, missing=missing)
 
+    # a float position was truncated to an index, and a bool or str read as one
+    @pytest.mark.parametrize("missing", [(1.7,), (True,), ("2",), (np.float64(2.0),), (0, 2.0)])
+    def test_missing_position_not_an_integer(self, missing):
+        with pytest.raises(ts.ContractViolation, match="missing positions must be integers"):
+            ts.sliding_correlations([1, 2, 4], [1, 5, 2, 8, 3], 3, missing=missing)
+
+    @pytest.mark.parametrize("h", [4.0, np.float64(3.0), True])
+    def test_window_length_not_an_integer(self, h):
+        with pytest.raises(ts.ContractViolation, match="window length must be an integer >= 3"):
+            ts.sliding_correlations([1, 2, 4, 3], [1, 5, 2, 8, 3], h)
+
+    def test_numpy_integers_accepted(self):
+        profile = ts.sliding_correlations([1, 2, 4], [1, 5, 2, 8, 3], np.int64(3),
+                                          missing=np.array([1], dtype=np.int32))
+        assert profile.offsets.tolist() == [3]
+        assert profile.skipped == [(1, MISSING_OVERLAP), (2, MISSING_OVERLAP)]
+
     def test_missing_overlap_skips(self):
         profile = ts.sliding_correlations([1, 2, 3], np.arange(8.0), 3, missing=(3,))
         skipped_offsets = {o for o, reason in profile.skipped if reason == MISSING_OVERLAP}

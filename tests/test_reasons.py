@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,33 @@ class TestReasonReport:
         continuation = donor[rm.base.end:rm.base.end + 5]
         forward = rm.fit.m * np.array(rm.predicted_test) + rm.fit.c
         assert forward == pytest.approx(continuation, rel=1e-9)
+
+
+class TestReasonMemory:
+    # the fits read the collection's layout once: 8 B per value of flat and 1 B
+    # of gaps; a running count of the gaps at every position would add 8 B more
+    BUDGET = 12  # traced bytes per value
+
+    def test_traced_peak_per_value(self):
+        rng = np.random.default_rng(61)
+        values = [np.cumsum(rng.normal(size=2000)) for _ in range(20)]
+        missing = [(100 * i + 7, 100 * i + 8) if i % 5 == 0 else () for i in range(20)]
+        for i in range(1, 20, 4):  # an affine image of the previous series' tail
+            values[i][600:612] = 3.0 * values[i - 1][-12:] - 1.0
+        for v, gaps in zip(values, missing):
+            v[list(gaps)] = 0.0
+        c = ts.SeriesCollection([ts.Series(f"s{i:02d}", v, gaps)
+                                 for i, (v, gaps) in enumerate(zip(values, missing))])
+        report = ts.scan(c, ts.ScanConfig(h=12))
+        tracemalloc.start()
+        try:
+            reasoned = ts.reason_report(report, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(rm.base.donor_id, rm.base.start, rm.kind) for rm in reasoned] == [
+            (f"s{i:02d}", 601, ReasonKind.AFFINE_TRANSFORM) for i in range(1, 20, 4)]
+        assert peak / sum(len(s) for s in c) < self.BUDGET
 
 
 class TestForwardConsistency:

@@ -153,14 +153,16 @@ class TestPrefilter:
                           "flat": [4.0] * 12})
         cfg = ts.ScanConfig(h=5, cutoff=0.9)
         ts.scan(c, cfg)
-        # a, b and flat end to end, a separator after a and after b; each
-        # separator rules out the h windows over it, and flat's 8 are constant
+        # every series end to end, a separator after each but the last; the
+        # separators rule out the windows over them, 26-33 (around short) and
+        # 55-59, and flat's 8 windows are constant
         [call] = calls
-        assert call[:3] == (3, cfg.threshold, 30 + 1 + 25 + 1 + 12)
-        assert call[4] == 2 * 5 + 8
+        assert call[:3] == (3, cfg.threshold, 30 + 1 + 2 + 1 + 25 + 1 + 12)
+        assert call[4] == 8 + 5 + 8
         calls.clear()
-        monkeypatch.setattr(scan_module, "GROUP_WINDOWS", 1)  # one donor a group
+        monkeypatch.setattr(scan_module, "GROUP_WINDOWS", 1)  # one series a group
         ts.scan(c, cfg)
+        # short, a group too short for a window, is not swept
         assert [call[:3] for call in calls] == [(3, cfg.threshold, n) for n in (30, 25, 12)]
         assert [call[4] for call in calls] == [0, 0, 8]
 
