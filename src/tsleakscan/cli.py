@@ -22,7 +22,7 @@ from . import report as rpt
 from .collection import REJECT, SPLIT_SKIP, MissingPolicy, load_collection
 from .errors import ConfigError, LeakScanError
 from .reasons import _KINDS, ReasonConfig, ReasonKind, collapse_overlaps, reason_report, tally
-from .scan import AUTO, ROWS_PER_CHUNK, ScanConfig, chunks, scan
+from .scan import AUTO, ROWS_PER_CHUNK, ScanConfig, scan
 
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
 _FOOTER_LABELS = {ReasonKind.EXACT_MATCH: "exact"}
@@ -125,7 +125,8 @@ def cmd_scan(args) -> int:
     matches = report.matches
     if args.collapse_overlaps:
         matches = collapse_overlaps(matches)
-    sys.stdout.writelines("".join([_SCAN_LINE % row for row in rows]) for rows in chunks(matches))
+    sys.stdout.writelines("".join([_SCAN_LINE % row for row in zip(*matches.columns(lo, lo + ROWS_PER_CHUNK))])
+                          for lo in range(0, len(matches), ROWS_PER_CHUNK))
     _print_skips(report)
     if not matches:
         print("no leaks detected")
@@ -148,8 +149,8 @@ def _explain_lines(reasoned):
     for lo in range(0, len(reasoned), ROWS_PER_CHUNK):
         hi = lo + ROWS_PER_CHUNK
         kinds = [_KINDS[k].value for k in reasoned.kind[lo:hi].tolist()]
-        verdicts = ["not useful" if p is None else "useful; predicted test: " + p
-                    for p in reasoned.predicted_texts(lo, hi, _six_digits, "?", " ")]
+        verdicts = ["not useful" if p is None else "useful; predicted test: " + " ".join(p)
+                    for p in reasoned.render_predicted(lo, hi, _six_digits, "?")]
         yield "".join([_EXPLAIN_LINE % row for row in zip(*reasoned.base.columns(lo, hi), kinds, verdicts)])
 
 

@@ -18,7 +18,7 @@ the JSON loader reads its object a member at a time, so each series'
 Python floats become a float64 array before the next series is read.
 ``_finish_series`` strips the id and decides what is missing: every
 non-finite value, which it rejects or stores as 0.0. ``SeriesCollection``
-checks ids, observations, finiteness and missing positions.
+checks ids (distinct str), values (1-D, non-empty, finite) and missing positions.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import re
 import struct
 from dataclasses import dataclass, field
@@ -65,6 +66,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Series:
     """One named univariate series.
@@ -92,11 +97,15 @@ class SeriesCollection:
     def __post_init__(self):
         self._index = {}
         for pos, s in enumerate(self.entries):
+            if not isinstance(s.id, str):
+                raise ValidationError(f"series id {s.id!r} is not a string")
             if s.id in self._index:
                 raise ValidationError(f"duplicate series id {s.id!r}")
-            if len(s.values) < 1:
-                raise ValidationError(f"series {s.id!r} has no observations")
             arr = np.asarray(s.values, dtype=np.float64)
+            if arr.ndim != 1:
+                raise ValidationError(f"series {s.id!r} values are {arr.ndim}-dimensional, not 1-dimensional")
+            if len(arr) < 1:
+                raise ValidationError(f"series {s.id!r} has no observations")
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"series {s.id!r} contains non-finite values")
             if not all(_is_int(p) and 0 <= p < len(arr) for p in s.missing):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collection import _is_int
+from .collection import _is_int, _is_real
 from .errors import ContractViolation
 
 MIN_WINDOW = 3  # below this every non-constant window correlates at +-1
@@ -210,7 +210,7 @@ def _any_in_windows(flags, width):
     return count[width:] > count[:-width]
 
 
-def _check_sweep_args(query, target, h, missing):
+def _check_sweep_args(query, target, h, missing, threshold=None):
     queries = query if isinstance(query, QueryBlock) else query_block(query)
     target = np.ascontiguousarray(_as_vector(target, "target"))  # for the window views
     if not _is_int(h) or h < MIN_WINDOW:
@@ -223,6 +223,8 @@ def _check_sweep_args(query, target, h, missing):
         raise ContractViolation(f"missing positions must be integers, got {missing!r}")
     if missing and (min(missing) < 0 or max(missing) >= len(target)):
         raise ContractViolation("missing positions out of range")
+    if threshold is not None and not (_is_real(threshold) and threshold == threshold):  # NaN != NaN
+        raise ContractViolation(f"threshold must be a real number other than NaN, got {threshold!r}")
     return queries, target, h, missing
 
 
@@ -245,12 +247,13 @@ def sliding_correlations(query, target, h, *, missing=(), threshold=None) -> Sli
         |r~| >= threshold - ``prefilter_slack(h)`` against some query: every
         window with |r| >= threshold against some query is among them, each
         with the row of ``r_values`` that a sweep without a threshold gives.
+        A bool, non-real or NaN threshold raises ContractViolation.
 
     Returns
     -------
     SlidingProfile
     """
-    queries, target, h, missing = _check_sweep_args(query, target, h, missing)
+    queries, target, h, missing = _check_sweep_args(query, target, h, missing, threshold)
     m = len(target) - h + 1
     windows = np.ndarray((m, h), target.dtype, target, strides=target.strides * 2)
     windows.flags.writeable = False

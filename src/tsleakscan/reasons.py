@@ -35,7 +35,8 @@ each row with the query, which gives the bits of the dot product
 The result is a ``ReasonTable`` of arrays: each fit, its kind code (from
 ``classify``'s comparisons on the arrays) and useful flag, and one block of
 the useful matches' predicted values. Like the scan's ``MatchTable`` it is
-a sequence of rows (``ReasonedMatch``) built only when asked for.
+a sequence of rows (``ReasonedMatch``) built only when asked for. Its rows
+and every writer render the predicted block through ``render_predicted``.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ from enum import Enum
 
 import numpy as np
 
-from .collection import SeriesCollection, _gather, _is_int
+from .collection import SeriesCollection, _gather, _is_int, _is_real
 from .corr import MIN_WINDOW, centre
 from .errors import ConfigError, ConsistencyError, ContractViolation
-from .scan import _REAL, LeakReport, MatchRecord, MatchTable, Table, _check_fields, _is_real
+from .scan import _REAL, LeakReport, MatchRecord, MatchTable, Table, _check_fields
 
 
 class ReasonKind(str, Enum):
@@ -153,35 +154,27 @@ class ReasonTable(Table):
     def __len__(self):
         return len(self.useful)
 
-    def _useful_rows(self, lo, hi):
-        """The rows of the predicted block that rows lo..hi-1 own."""
-        first = np.count_nonzero(self.useful[:lo])
-        return slice(first, first + np.count_nonzero(self.useful[lo:hi]))
-
     def columns(self, lo, hi):
-        """kinds, m, c, max_residual, useful and predicted (a list, with None
-        where missing, or None when not useful) of rows lo..hi-1."""
-        useful = self.useful[lo:hi].tolist()
-        rows = self._useful_rows(lo, hi)
-        predicted = self.predicted[rows].tolist()
-        for i, j in zip(*np.nonzero(self.missing[rows])):
-            predicted[i][j] = None
-        predicted = iter(predicted)
+        """kinds, m, c, max_residual, useful and predicted (a list of floats,
+        with None where missing, or None when not useful) of rows lo..hi-1."""
         return ([_KINDS[k] for k in self.kind[lo:hi].tolist()], self.m[lo:hi].tolist(),
-                self.c[lo:hi].tolist(), self.max_residual[lo:hi].tolist(), useful,
-                [next(predicted) if u else None for u in useful])
+                self.c[lo:hi].tolist(), self.max_residual[lo:hi].tolist(), self.useful[lo:hi].tolist(),
+                self.render_predicted(lo, hi, list, None))
 
-    def predicted_texts(self, lo, hi, texts, missing, sep):
-        """Per row lo..hi-1, None when it is not useful, else its predicted
-        values as one str: ``texts`` of them as a list of floats, with
-        ``missing`` for a missing one, joined by ``sep``."""
-        rows = self._useful_rows(lo, hi)
-        values = texts(self.predicted[rows].ravel().tolist())
+    def render_predicted(self, lo, hi, convert, missing):
+        """The one renderer of the predicted block: per row lo..hi-1, None
+        when it is not useful, else a list of its predicted values,
+        ``convert`` of them all as one list of floats, with ``missing`` in
+        place of a missing one."""
+        useful = self.useful[lo:hi]
+        first = np.count_nonzero(self.useful[:lo])
+        rows = slice(first, first + np.count_nonzero(useful))
+        values = convert(self.predicted[rows].ravel().tolist())
         for i in np.flatnonzero(self.missing[rows]).tolist():
             values[i] = missing
         width = self.horizon
-        joined = iter([sep.join(values[i * width:(i + 1) * width]) for i in range(rows.stop - rows.start)])
-        return [next(joined) if useful else None for useful in self.useful[lo:hi].tolist()]
+        lists = iter([values[i * width:(i + 1) * width] for i in range(rows.stop - rows.start)])
+        return [next(lists) if u else None for u in useful.tolist()]
 
     def _rows(self, lo, hi):
         return [ReasonedMatch(MatchRecord(*row[:5]), AffineFit(*row[6:9]), row[5], row[9], row[10])

@@ -18,22 +18,20 @@ follows; ": " between key and value; strings ASCII-escaped, with
 ``\\uXXXX`` for non-ASCII and control characters; floats as ``repr``
 writes them, with json's NaN and Infinity; ``[]`` and ``{}`` when empty.
 
-The JSON and CSV writers read the columns of the report's ``MatchTable``
-and of the ``ReasonTable`` of ``reason_report``; a list of reasoned
-matches is turned into a table first. They format ROWS_PER_CHUNK matches
-at a time from the Python values of those columns and write each chunk as
-soon as it is built, so no payload dict, row object or list of the
-report's size is made and the document is never held in memory. Each JSON
-entry is one template filled from the chunk's column lists: the ids are
-encoded once per table, and each float column is repr'd by one ``map`` per
-chunk, with json's names put back for the non-finite values. Ids, kinds
-and skip reasons are str; start and end are int; r, m, c and each
-predicted value are written as the float64 they are stored as, and a
-missing predicted value as null. The document up to the
-matches is ``json.dumps`` of the payload without them, so the config's
-numbers are written, or rejected, as ``json.dump`` would; ``ScanConfig``
-stores h and ``ReasonConfig`` the horizon as int. ``_json_parts`` is the
-one layout: ``report_payload`` is ``json.loads`` of its text.
+The JSON and CSV writers read the report's ``MatchTable`` and, when it is
+explained, its ``ReasonTable`` (a list of reasoned matches is made one).
+``_report_rows`` fills their rows from one ROWS_PER_CHUNK chunk at a time
+of the columns each writes, as Python values, and each chunk is written as
+soon as it is built: no payload dict, row object or list of the report's
+size is made. The CSV writer reads no other column; the JSON writer reads
+the predicted block through ``ReasonTable.render_predicted`` and fills one
+``%`` template per entry, with the ids encoded once per table and each
+float column repr'd by one ``_json_floats`` call per chunk. r, m, c and
+each predicted value are written as the float64 they are stored as, a
+missing one as null. The document up to the matches is ``json.dumps`` of
+the payload without them, so the config's numbers are written, or
+rejected, as ``json.dump`` would. ``_json_parts`` is the one layout:
+``report_payload`` is ``json.loads`` of its text.
 
 The SVG heatmap is written a row at a time: each row of cells is one join
 of strings formatted once per column, once per row and once per distinct
@@ -55,10 +53,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .collection import SeriesCollection
+from .collection import SeriesCollection, _is_real
 from .errors import ConfigError, ConsistencyError
 from .reasons import _KINDS, ReasonConfig, ReasonTable, _locate
-from .scan import ROWS_PER_CHUNK, LeakReport, MatchRecord, ScanConfig, _is_real, chunks
+from .scan import ROWS_PER_CHUNK, LeakReport, MatchRecord, ScanConfig
 
 
 @dataclass
@@ -123,6 +121,7 @@ _JSON_PLAIN = _JSON_MATCH + "\n  }"
 _JSON_EXPLAINED = _JSON_MATCH + ',\n   "kind": %s,\n   "m": %s,\n   "c": %s,\n   "useful": %s\n  }'
 _JSON_USEFUL = 'true,\n   "predicted_test": [\n    %s\n   ]'
 _JSON_KINDS = [encode_basestring_ascii(kind.value) for kind in _KINDS]
+_CSV_KINDS = [kind.value for kind in _KINDS]
 
 
 def _json_floats(values) -> list:
@@ -132,21 +131,26 @@ def _json_floats(values) -> list:
     return texts if math.isfinite(sum(values)) else [_JSON_FLOAT_NAMES.get(t, t) for t in texts]
 
 
-def _json_entries(matches, reasons=None):
-    """The "matches" items of a JSON report, ROWS_PER_CHUNK at a time, each
-    one template filled from the chunk's columns."""
-    ids = [encode_basestring_ascii(sid) for sid in matches.ids]
-    template = _JSON_PLAIN if reasons is None else _JSON_EXPLAINED
+def _report_rows(tables, ids, floats, kinds, useful):
+    """The rows of a report, ROWS_PER_CHUNK at a time, each a tuple filled
+    from the chunk's columns: the text in ``ids`` of each id, start, end and
+    ``floats`` of r, then for an explained report the text in ``kinds`` of
+    each kind code, ``floats`` of m and of c, and ``useful(reasons, lo, hi)``."""
+    matches = tables[0]
     for lo in range(0, len(matches), ROWS_PER_CHUNK):
         hi = lo + ROWS_PER_CHUNK
         *fields, r = matches.columns(lo, hi, ids)
-        fields.append(_json_floats(r))
-        if reasons is not None:
-            predicted = reasons.predicted_texts(lo, hi, _json_floats, "null", ",\n    ")
-            fields += ([_JSON_KINDS[k] for k in reasons.kind[lo:hi].tolist()],
-                       _json_floats(reasons.m[lo:hi].tolist()), _json_floats(reasons.c[lo:hi].tolist()),
-                       ["false" if p is None else _JSON_USEFUL % p for p in predicted])
-        yield [template % row for row in zip(*fields)]
+        fields.append(floats(r))
+        for reasons in tables[1:]:
+            fields += ([kinds[k] for k in reasons.kind[lo:hi].tolist()], floats(reasons.m[lo:hi].tolist()),
+                       floats(reasons.c[lo:hi].tolist()), useful(reasons, lo, hi))
+        yield zip(*fields)
+
+
+def _json_useful(reasons, lo, hi) -> list:
+    """The JSON "useful" value of rows lo..hi-1, and a useful one's predicted_test."""
+    return ["false" if p is None else _JSON_USEFUL % ",\n    ".join(p)
+            for p in reasons.render_predicted(lo, hi, _json_floats, "null")]
 
 
 def _json_parts(report: LeakReport, tables, horizon: int | None):
@@ -158,21 +162,21 @@ def _json_parts(report: LeakReport, tables, horizon: int | None):
     skipped = [{"id": sid, "reason": reason} for sid, reason in report.skipped_queries]
     # json.dumps gives the value of the empty "matches" as "[]\n}"
     yield json.dumps({"config": config, "skipped_queries": skipped, "matches": []}, indent=1)[:-4]
+    template = _JSON_PLAIN if horizon is None else _JSON_EXPLAINED
+    ids = [encode_basestring_ascii(sid) for sid in tables[0].ids]
     sep = "[\n"
-    for entries in _json_entries(*tables):
-        yield sep + ",\n".join(entries)
+    for rows in _report_rows(tables, ids, _json_floats, _JSON_KINDS, _json_useful):
+        yield sep + ",\n".join([template % row for row in rows])
         sep = ",\n"
     yield "\n ]\n}\n" if len(tables[0]) else "[]\n}\n"
 
 
-def _csv_row(row) -> list:
-    """The CSV line of one row of ``chunks``: floats to 12 significant
-    digits, booleans in lower case."""
-    line = [*row[:4], format(row[4], ".12g")]
-    if len(row) == 5:
-        return line
-    kind, m, c, _, useful, _ = row[5:]
-    return line + [kind.value, format(m, ".12g"), format(c, ".12g"), "true" if useful else "false"]
+def _csv_floats(values) -> list:
+    return [format(v, ".12g") for v in values]
+
+
+def _csv_useful(reasons, lo, hi) -> list:
+    return ["true" if u else "false" for u in reasons.useful[lo:hi].tolist()]
 
 
 def write_report(report: LeakReport, path, format="json", reasoned=None,
@@ -196,8 +200,8 @@ def write_report(report: LeakReport, path, format="json", reasoned=None,
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for rows in chunks(*tables):
-                writer.writerows(map(_csv_row, rows))
+            for rows in _report_rows(tables, tables[0].ids, _csv_floats, _CSV_KINDS, _csv_useful):
+                writer.writerows(rows)
 
 
 def read_report(path) -> dict:
@@ -273,16 +277,16 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
     One rect per cell; zero cells are white with a pale border so they read
     as empty, nonzero cells follow a blue ramp with a legend. Up to 50
     series a side, each cell holds a ``<title>`` naming its pair and count.
-    Column labels are rotated by ``label_angle`` degrees, which must be
-    finite (ConfigError otherwise).
+    Column labels are rotated by ``label_angle`` degrees, which must be a
+    finite real number, not a bool (ConfigError otherwise).
 
     The cells are written a row at a time, each row one join of strings
     formatted once per column, once per row and once per distinct count, so
     memory does not grow with the number of cells. Everything that can
     raise runs before the file is opened.
     """
-    if not np.isfinite(label_angle):
-        raise ConfigError(f"label_angle must be finite, got {label_angle!r}")
+    if not (_is_real(label_angle) and np.isfinite(label_angle)):
+        raise ConfigError(f"label_angle must be finite and a real number, got {label_angle!r}")
     counts = _int_counts(matrix)
     n_rows, n_cols = counts.shape
     size = max(n_rows, n_cols)

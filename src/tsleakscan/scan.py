@@ -29,7 +29,6 @@ when asked for; the writers format its columns a chunk at a time. A
 
 from __future__ import annotations
 
-import numbers
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .collection import SeriesCollection, _gather, _is_int
+from .collection import SeriesCollection, _gather, _is_int, _is_real
 from .corr import MIN_WINDOW, query_block, sliding_correlations
 from .errors import ConfigError, ConsistencyError, ContractViolation
 
@@ -58,10 +57,6 @@ _NO_HITS = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)
 # donors swept together are bounded in windows and in windows x queries
 GROUP_WINDOWS = 1 << 14
 GROUP_VALUES = 1 << 20
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -152,12 +147,6 @@ class Table(Sequence):
 
     def __add__(self, other):
         return list(self) + list(other)
-
-
-def chunks(*tables):
-    """Per ROWS_PER_CHUNK rows, the columns of equal-length tables zipped."""
-    for lo in range(0, len(tables[0]), ROWS_PER_CHUNK):
-        yield zip(*(column for table in tables for column in table.columns(lo, lo + ROWS_PER_CHUNK)))
 
 
 class MatchTable(Table):

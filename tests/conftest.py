@@ -442,6 +442,25 @@ def reference_json_report(report, reasoned, horizon, path) -> None:
         fh.write(f'{{\n "config": {config}\n }},\n "skipped_queries": {skipped},\n "matches": {matches}\n}}\n')
 
 
+def reference_csv_report(report, reasoned, path) -> None:
+    """Reference CSV report writer: one ``csv.writer`` row per record, and
+    per reasoned match, with floats formatted ``format(x, ".12g")`` and
+    useful in lower case; ``reasoned`` is a list or None."""
+    header = ["query_id", "donor_id", "start", "end", "r"]
+    if reasoned is not None:
+        header += ["kind", "m", "c", "useful"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, m in enumerate(report.matches):
+            row = [m.query_id, m.donor_id, m.start, m.end, format(m.r, ".12g")]
+            if reasoned is not None:
+                rm = reasoned[i]
+                row += [rm.kind.value, format(rm.fit.m, ".12g"), format(rm.fit.c, ".12g"),
+                        "true" if rm.useful else "false"]
+            writer.writerow(row)
+
+
 def reference_match_line(m) -> str:
     """Reference stdout line of one match of ``scan``, without its newline."""
     return f"{m.query_id} -> {m.donor_id}: {m.start}-{m.end}, r={m.r:.3f}"

@@ -488,6 +488,26 @@ class TestInvariants:
         assert c.get("a").missing == (0, 1, 3)
         assert all(type(p) is int for p in c.get("a").missing)
 
+    # a non-str id was accepted: the JSON writer then failed after opening its
+    # file, and the scan on a skip of it
+    @pytest.mark.parametrize("sid", [5, np.int64(5), None, b"a", ("a",)])
+    def test_id_not_a_string_rejected(self, sid):
+        with pytest.raises(ts.ValidationError, match=f"^{re.escape(f'series id {sid!r} is not a string')}$"):
+            ts.SeriesCollection([ts.Series("a", [1.0, 2.0]), ts.Series(sid, [1.0, 2.0, 3.0])])
+
+    def test_numpy_str_id_accepted(self):
+        c = ts.SeriesCollection([ts.Series(np.str_("a"), [1.0, 2.0])])
+        assert c.ids() == ["a"]
+
+    # 2-D values failed in the scan's layout, and a 0-d value raised a bare TypeError
+    @pytest.mark.parametrize("values, ndim", [
+        ([[1.0, 2.0], [3.0, 4.0]], 2), (np.ones((3, 1)), 2), (np.ones((1, 1, 4)), 3), (5.0, 0), (np.float64(5), 0),
+    ])
+    def test_values_not_one_dimensional_rejected(self, values, ndim):
+        message = f"^series 'x' values are {ndim}-dimensional, not 1-dimensional$"
+        with pytest.raises(ts.ValidationError, match=message):
+            ts.SeriesCollection([ts.Series("a", [1.0, 2.0]), ts.Series("x", values)])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ts.ValidationError):
             ts.from_dict({"a": [1.0, float("nan")]})

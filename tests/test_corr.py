@@ -180,6 +180,17 @@ class TestSlidingCorrelations:
         with pytest.raises(ts.ContractViolation, match="window length must be an integer >= 3"):
             ts.sliding_correlations([1, 2, 4, 3], [1, 5, 2, 8, 3], h)
 
+    # True was read as 1, NaN kept no window, and a str raised a bare TypeError
+    @pytest.mark.parametrize("threshold", [True, False, float("nan"), np.float64("nan"), "0.5", 1j])
+    def test_threshold_not_a_real_number_rejected(self, threshold):
+        with pytest.raises(ts.ContractViolation, match="threshold must be a real number other than NaN"):
+            ts.sliding_correlations([1, 2, 4], [1, 5, 2, 8, 3, 1, 2, 4], 3, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.5, 1, np.float32(0.5), Fraction(1, 2), -float("inf")])
+    def test_real_threshold_accepted(self, threshold):
+        profile = ts.sliding_correlations([1, 2, 4], [1, 5, 2, 8, 3, 1, 2, 4], 3, threshold=threshold)
+        assert profile.offsets[-1] == 6 and profile.r_values[-1] == 1.0
+
     def test_numpy_integers_accepted(self):
         profile = ts.sliding_correlations([1, 2, 4], [1, 5, 2, 8, 3], np.int64(3),
                                           missing=np.array([1], dtype=np.int32))

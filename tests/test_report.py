@@ -15,7 +15,7 @@ import tsleakscan as ts
 from tsleakscan.reasons import ReasonKind
 from tsleakscan.scan import MatchRecord
 
-from conftest import (reference_collapse, reference_heatmap, reference_json_report,
+from conftest import (reference_collapse, reference_csv_report, reference_heatmap, reference_json_report,
                       reference_matrix_csv)
 
 # ids with quotes, backslashes, control and non-ASCII characters among any others
@@ -171,6 +171,37 @@ def periodic_collection(n_series, seed):
         t = np.arange(int(rng.integers(150, 220))) + rng.integers(12)
         data[f"p{i:02d}"] = rng.uniform(1, 5) * np.sin(2 * np.pi * t / 12) + rng.uniform(-10, 10)
     return ts.from_dict(data)
+
+
+# ids the CSV writer must quote: a comma, a quote, line breaks, and non-ASCII text
+CSV_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "é€😀", " padded "]
+NON_FINITE = [float("nan"), float("inf"), -float("inf"), 1e300, -0.0, 5e-324, 0.987654321098765]
+
+
+def csv_case(name):
+    """(report, reasoned) of the CSV report tests: reasoned is a ReasonTable
+    or a list of ReasonedMatches, useful or not, that predict 3 values each."""
+    kinds = list(ReasonKind)
+    if name == "empty":
+        return ts.LeakReport(ts.ScanConfig(h=3, cutoff=0.5), [], [("a,b", "too-short")]), []
+    if name in ("periodic", "periodic-collapsed"):
+        c = periodic_collection(3, seed=5)
+        report = ts.scan(c, ts.ScanConfig(h=6, cutoff=0.95))
+        reasoned = ts.reason_report(report, c, ts.ReasonConfig(horizon=3))
+        if name == "periodic-collapsed":
+            reasoned = ts.collapse_overlaps(reasoned)
+            report = replace(report, matches=reasoned.base)
+        return report, reasoned
+    ids, values = (CSV_IDS, [0.5, 0.25, 1.0]) if name == "quoted-ids" else (["q", "d"], NON_FINITE)
+    matches, reasoned = [], []
+    for i in range(12):  # r, m and c each cycle through the values; every third match is useful
+        match = MatchRecord(ids[i % len(ids)], ids[-1 - i % len(ids)], i + 1, i + 3, values[i % len(values)])
+        fit = ts.AffineFit(values[(i + 1) % len(values)], values[(i + 2) % len(values)], 0.0)
+        useful = i % 3 == 0
+        matches.append(match)
+        reasoned.append(ts.ReasonedMatch(match, fit, kinds[i % len(kinds)], useful,
+                                         [1.0, None, 2.0] if useful else None))
+    return ts.LeakReport(ts.ScanConfig(h=3, cutoff=0.5), matches), reasoned
 
 
 class TestMemoryPerMatch:
@@ -380,6 +411,15 @@ class TestSerialization:
         assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
         assert f'"cutoff": {plain!r}' in (tmp_path / "plain.json").read_text()
 
+    @pytest.mark.parametrize("name", ["quoted-ids", "non-finite", "periodic", "periodic-collapsed", "empty"])
+    @pytest.mark.parametrize("explained", [False, True])
+    def test_csv_bytes_equal_reference(self, name, explained, tmp_path):
+        report, reasoned = csv_case(name)
+        reasoned = reasoned if explained else None
+        ts.write_report(report, tmp_path / "new.csv", "csv", reasoned=reasoned, horizon=3 if explained else None)
+        reference_csv_report(report, reasoned, tmp_path / "reference.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_csv_reasoned_columns(self, usage_collection, tmp_path):
         c, _ = usage_collection
         report = ts.scan(c, ts.ScanConfig(h=5, cutoff=1.0))
@@ -570,7 +610,10 @@ class TestHeatmap:
         assert (tmp_path / "zero.svg").stat().st_size > 16 * 2**20
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("label_angle", [float("nan"), float("inf"), -float("inf")])
+    # NaN, the infinities and values that are not real numbers: True was drawn
+    # as a 1 degree rotation, and "90" raised a bare numpy TypeError
+    @pytest.mark.parametrize("label_angle", [float("nan"), float("inf"), -float("inf"),
+                                             True, False, "90", None, 1j, [90.0]])
     def test_non_finite_label_angle_rejected(self, label_angle, tmp_path):
         matrix = ts.MatchMatrix(["a"], ["a"], np.ones((1, 1), dtype=int))
         with pytest.raises(ts.ConfigError, match="label_angle must be finite"):
