@@ -13,11 +13,15 @@ floats. A window is constant, or overlaps a gap, when a running count of
 changes between neighbouring values, or of gaps, does not change, or
 does, across it: O(m) memory, whatever h.
 
-Given a ``threshold``, the sweep rules windows out with a BLAS matrix
-product of unit rows, an approximate r that provably lies within
-``prefilter_slack(h)`` of the kernel's (a lower-bound pruning in the style
-of the UCR suite); the same centred rows then give the exact r of the
-windows it keeps, bit for bit the r of a sweep without a threshold.
+Given a ``threshold``, the sweep first rules windows out with an
+approximate r~ that provably lies within ``prefilter_slack(h)`` of the
+kernel's r (a lower-bound pruning in the style of the UCR suite). The
+prefilter reads a block of windows lag-major, as an (h, b) view whose row j
+is the contiguous slice ``x[s + j:s + j + b]``: it scales, centres and
+normalises all b windows with reductions across rows, and takes each
+window's largest |r~| over chunks of queries, one BLAS product each. Only
+the windows it keeps are gathered and centred row by row; they give the
+exact r, bit for bit the r of a sweep without a threshold.
 """
 
 from __future__ import annotations
@@ -38,10 +42,13 @@ MISSING_OVERLAP = "missing-overlap"
 # or a block of windows centred together, whose temporaries then stay in cache
 _BLOCK_VALUES = 1 << 14
 
-# multiply-adds per prefilter matrix product. OpenBLAS, the BLAS of numpy's
-# wheels, runs a product this small on the calling thread; a larger one wakes
-# its worker threads, which then spin on the CPUs that scan workers need: on
-# 2 CPUs, 1428 random walks scanned in 0.6 s with one worker, 2-19 s with two
+# multiply-adds per prefilter matrix product, (queries, h) @ (h, windows): a
+# block of _BLOCK_VALUES // h windows meets about 16 queries at a time, and a
+# target with fewer windows more.
+# OpenBLAS, the BLAS of numpy's wheels, runs a product this small on the
+# calling thread; a larger one wakes its worker threads, which then spin on
+# the CPUs that scan workers need: on 2 CPUs, 1428 random walks scanned in
+# 0.6 s with one worker, 2-19 s with two
 _PRODUCT_SIZE = 1 << 18
 
 
@@ -57,7 +64,8 @@ class SlidingProfile:
     holds only the windows the prefilter could not rule out: every window
     with |r| >= threshold against some query, and perhaps a few whose
     largest |r| falls short of it by less than twice ``prefilter_slack(h)``.
-    Each row of ``r_values`` is the same in both cases.
+    The prefilter centres its windows on its own, lag-major, so it decides
+    nothing about r: each row of ``r_values`` is the same in both cases.
     """
 
     offsets: np.ndarray
@@ -111,52 +119,80 @@ def query_block(query) -> QueryBlock:
     return QueryBlock(query, rows, css, rows / np.sqrt(css)[:, None])
 
 
+def _largest_r(x, unit, per):
+    """Each window's largest |r~| against the unit query rows ``unit``.
+
+    ``x`` is lag-major, an (h, b) view whose column i is window i, so each
+    window is scaled and centred as ``centre`` does it, but with reductions
+    across rows of b contiguous values. Each chunk of ``per`` queries is one
+    product with the centred windows, whose largest |entries| per window
+    are divided by its norm at the end. A constant window gets a stand-in
+    norm of 1, not a division by 0; the caller drops it as invalid.
+    """
+    _, exp = np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))
+    x = np.ldexp(x, -exp)
+    n = len(x)
+    x -= x.sum(axis=0) / n
+    x -= x.sum(axis=0) / n
+    norm = np.sqrt(np.einsum("ij,ij->j", x, x))
+    norm[norm == 0] = 1.0
+    best = np.zeros(x.shape[1])
+    for j in range(0, len(unit), per):
+        p = unit[j:j + per] @ x
+        np.maximum(best, np.abs(p, out=p).max(axis=0), out=best)
+    return best / norm
+
+
+def _exact_r(rows, queries: QueryBlock):
+    """The Pearson r, before clipping, of each row (none of them constant)
+    against every query, in chunks of ``_BLOCK_VALUES`` products: each sum
+    of products a last-axis reduction."""
+    w, _ = centre(rows)
+    css_w = (w * w).sum(axis=1)
+    q = queries.rows
+    step = max(1, _BLOCK_VALUES // q.size)
+    return [(w[j:j + step, None, :] * q).sum(axis=2) / np.sqrt(css_w[j:j + step, None] * queries.css)
+            for j in range(0, len(w), step)]
+
+
 def _correlate(windows, valid, queries: QueryBlock, bound=None):
     """``(keep, r)``: which windows (rows) are kept, and the Pearson r of
     each kept window against every query (row).
 
-    The ``valid`` windows are gathered and centred ``_BLOCK_VALUES`` values
-    at a time. Given a ``bound``, a block's unit rows are multiplied by the
-    queries' in products of at most ``_PRODUCT_SIZE`` multiply-adds (where
-    one row allows), and a window is kept when |r~| >= bound against some
-    query; without one, every valid window is. The kept rows then give r,
-    each sum of products a last-axis reduction in one order, so a window
-    equal to a query gets r == 1.0 exactly (a BLAS product would not), and
-    a row's r does not depend on its block. No valid row may be constant.
+    Given a ``bound``, a valid window is kept when its |r~| (``_largest_r``,
+    a block of ``_BLOCK_VALUES`` values at a time) is >= bound against some
+    query; without one, every valid window is. The kept rows are then
+    gathered a block at a time and give r (``_exact_r``), each sum of
+    products a last-axis reduction in one order, so a window equal to a
+    query gets r == 1.0 exactly (a BLAS product would not), and a row's r
+    does not depend on its block.
     """
-    h, q = windows.shape[1], queries.rows
-    keep = valid.copy()
-    valid_rows = np.flatnonzero(valid)
-    r = [np.empty((0, len(q)))]
+    h = windows.shape[1]
     step = max(1, _BLOCK_VALUES // h)
-    rows = max(1, min(step, _PRODUCT_SIZE // q.size))
-    cross_rows = max(1, _BLOCK_VALUES // q.size)
-    for i in range(0, len(valid_rows), step):
-        block = valid_rows[i:i + step]
-        w, _ = centre(windows[block])
-        css_w = (w * w).sum(axis=1)
-        if bound is not None:
-            unit = w / np.sqrt(css_w)[:, None]
-            kept = np.empty(len(w), dtype=bool)
-            for j in range(0, len(w), rows):
-                approx = unit[j:j + rows] @ queries.unit.T
-                kept[j:j + rows] = np.maximum(approx.max(axis=1), -approx.min(axis=1)) >= bound
-            keep[block] = kept
-            w, css_w = w[kept], css_w[kept]
-        for j in range(0, len(w), cross_rows):
-            cross = (w[j:j + cross_rows, None, :] * q).sum(axis=2)
-            r.append(np.clip(cross / np.sqrt(css_w[j:j + cross_rows, None] * queries.css), -1.0, 1.0))
-    return keep, np.concatenate(r)
+    keep = valid.copy()
+    if bound is not None:
+        per = max(1, _PRODUCT_SIZE // (h * min(step, len(windows))))
+        for s in range(0, len(windows), step):
+            kept = keep[s:s + step]
+            if kept.any():
+                kept &= _largest_r(windows[s:s + step].T, queries.unit, per) >= bound
+    rows = np.flatnonzero(keep)
+    r = [np.empty((0, len(queries.rows)))]
+    for i in range(0, len(rows), step):
+        r += _exact_r(windows[rows[i:i + step]], queries)
+    return keep, np.clip(np.concatenate(r), -1.0, 1.0)
 
 
 def prefilter_slack(h) -> float:
     """How far the prefilter's r~ may lie from the kernel's r, for length h.
 
-    Let w and q be a window and a query as ``centre`` leaves them, u = eps/2
-    the unit roundoff and rho = <w,q> / (|w| |q|) in exact arithmetic. Both
-    sides start from these same rows: ``_correlate`` centres each window
-    once and takes r~ and r from that one centred row. A sum of h products
-    computed in any order, with or without fused multiply-adds, is within
+    Let u = eps/2 be the unit roundoff, x a window after ``centre``'s exact
+    power-of-two scaling (the same bits on both sides), x_c x centred in
+    exact arithmetic, q a query as ``centre`` leaves it, and
+    rho(v) = <v,q> / (|v| |q|) in exact arithmetic. The exact pass centres
+    x into w, with last-axis sums; the prefilter centres it into w', with
+    sums across rows, in another order. A sum of h products computed in any
+    order, with or without fused multiply-adds, is within
     gamma_h * sum|x_i y_i| of the exact sum, gamma_h = h*u / (1 - h*u), and
     by Cauchy-Schwarz sum|w_i q_i| <= |w| |q|. To first order in u:
 
@@ -164,18 +200,30 @@ def prefilter_slack(h) -> float:
       h*u * |w||q| of <w,q>; each sum of squares within a factor 1 +- h*u,
       their product and the square root add u each, so the denominator is
       within a factor 1 +- (h + 1.5)*u of |w||q|; the division adds u. So
-      |r - rho| <= (2h + 2.5)*u, and clipping to [-1, 1] cannot move r
-      away from rho, which lies in [-1, 1].
-    * r~, from the BLAS product of unit rows: each norm is within a factor
-      1 +- (h/2 + 1)*u, so each unit entry w_i/|w| and q_i/|q| is within a
-      factor 1 +- (h/2 + 2)*u; the BLAS dot product of the unit rows adds
-      h*u relative to each product. With sum |w_i q_i| / (|w||q|) <= 1,
-      |r~ - rho| <= (2h + 4)*u.
+      |r - rho(w)| <= (2h + 2.5)*u, and clipping to [-1, 1] cannot move r
+      away from rho(w), which lies in [-1, 1].
+    * r~, from the BLAS product of unit query rows with w', divided by
+      |w'|: each unit entry q_i/|q| is within a factor 1 +- (h/2 + 2)*u,
+      and the product adds h*u * |w'|; the computed |w'| is within a factor
+      1 +- (h/2 + 1)*u, and the division adds u. So
+      |r~ - rho(w')| <= (2h + 4)*u; |.| and max are exact.
+    * w against w': each centring subtracts two computed means, so
+      w = x_c + a*1 + e, with a constant a and e the roundings of the two
+      subtractions. If the spread |x_c| is below max|x|/8, the values and
+      the first mean lie within a factor 2 of each other and the first
+      subtraction is exact (Sterbenz); otherwise it costs u*|x_c| plus
+      terms of order h**1.5 * u**2 * |x_c|. The second costs u*|w|. So
+      across the constant direction w is x_c plus at most 2u*|x_c|, at an
+      angle of at most 2u from x_c. The constant a*1 is orthogonal to x_c,
+      and to q but for q's own mean, of order h*u*|q|; with a*sqrt(h) at
+      most of order h**1.5 * u * |x_c|, it moves rho by terms of order
+      h**3 * u**2. So |rho(w) - rho(x_c)| <= 2u, likewise for w', and
+      |rho(w') - rho(w)| <= 4u.
 
-    Together |r~ - r| <= (4h + 6.5)*u = (2h + 3.25)*eps, so |r| >= t
-    implies |r~| >= t - (2h + 3.25)*eps. The slack returned, 4*(h + 2)*eps,
-    is twice that bound rounded up; the rest covers the terms of order
-    (h*u)**2, the rounding of ``threshold - slack``, and underflow: a
+    Together |r~ - r| <= (4h + 10.5)*u = (2h + 5.25)*eps, so |r| >= t
+    implies |r~| >= t - (2h + 5.25)*eps. The slack returned, 4*(h + 2)*eps,
+    is at least 1.7 times that bound; the rest covers the terms of order
+    h**3 * u**2, the rounding of ``threshold - slack``, and underflow: a
     non-constant row scaled into [0.5, 1) keeps a centred norm above about
     2**-56, so underflowing products move r by hundreds of orders of
     magnitude less than eps. The bound assumes a conventional matrix

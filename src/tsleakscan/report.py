@@ -278,14 +278,18 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
     as empty, nonzero cells follow a blue ramp with a legend. Up to 50
     series a side, each cell holds a ``<title>`` naming its pair and count.
     Column labels are rotated by ``label_angle`` degrees, which must be a
-    finite real number, not a bool (ConfigError otherwise).
+    real number, not a bool, with a finite float (ConfigError otherwise).
 
     The cells are written a row at a time, each row one join of strings
     formatted once per column, once per row and once per distinct count, so
     memory does not grow with the number of cells. Everything that can
     raise runs before the file is opened.
     """
-    if not (_is_real(label_angle) and np.isfinite(label_angle)):
+    try:  # a Fraction is drawn as its float; an int past float's range overflows
+        angle = float(label_angle) if _is_real(label_angle) else math.nan
+    except OverflowError:
+        angle = math.inf
+    if not math.isfinite(angle):
         raise ConfigError(f"label_angle must be finite and a real number, got {label_angle!r}")
     counts = _int_counts(matrix)
     n_rows, n_cols = counts.shape
@@ -327,7 +331,7 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
         y = top - 4
         parts.append(
             f'<text x="{x:.1f}" y="{y:.1f}" font-size="{font:.1f}" text-anchor="start" '
-            f'font-family="sans-serif" transform="rotate({-label_angle:g} {x:.1f} {y:.1f})"'
+            f'font-family="sans-serif" transform="rotate({-angle:g} {x:.1f} {y:.1f})"'
             f'>{_escape(sid)}</text>'
         )
     ly = top + n_rows * cell + 18

@@ -310,6 +310,22 @@ def prefilter_target(rng, h, scale, queries):
     return target * scale
 
 
+def bound_target(rng, h, kind, scale):
+    """A random walk, a series holding a stretch of low variance within a
+    1e6 times larger spread, or one whose values lie a few ulps apart."""
+    n = int(rng.integers(h, 4 * h + 40))
+    if kind == "walk":
+        return np.cumsum(rng.normal(size=n)) * scale
+    if kind == "low-variance":
+        target = 1e6 * rng.normal(size=n)
+        at = int(rng.integers(0, n))
+        stretch = target[at:at + int(rng.integers(h, 3 * h))]
+        stretch[:] = 1e6 * rng.normal() + 10.0 ** rng.integers(-9, 0) * rng.normal(size=len(stretch))
+        return target * scale
+    mean = rng.uniform(0.5, 2.0) * scale
+    return mean + np.spacing(mean) * rng.integers(-3, 4, size=n)
+
+
 class TestPrefilter:
     @given(seed=st.integers(0, 2**32 - 1), h=st.sampled_from([3, 6, 18]),
            scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
@@ -375,6 +391,47 @@ class TestPrefilter:
         assert cut.offsets.tolist() == [s + 1 for s in starts]
         assert np.array_equal(cut.r_values, full.r_values[starts])
         assert np.array_equal(np.abs(cut.r_values).max(axis=1), np.ones(len(starts)))
+
+    def test_matches_only_in_the_last_partial_query_chunk(self):
+        # the running max over query chunks must read the last one, which is
+        # shorter than the rest; the second plant is negated, so r = -1
+        rng = np.random.default_rng(12)
+        h = 16
+        step = corr._BLOCK_VALUES // h
+        per = corr._PRODUCT_SIZE // (h * step)
+        k = 2 * per + 3
+        assert k % per and (k - 2) // per == k // per  # both plants in the last chunk
+        target = rng.normal(size=2 * step)
+        starts = [300, step + 200]
+        queries = rng.normal(size=(k, h))
+        queries[-2] = target[starts[0]:starts[0] + h]
+        queries[-1] = -target[starts[1]:starts[1] + h]
+        cut = ts.sliding_correlations(queries, target, h, threshold=1.0 - 1e-10)
+        assert cut.offsets.tolist() == [s + 1 for s in starts]
+        assert cut.r_values[0, -2] == 1.0 and cut.r_values[1, -1] == -1.0
+
+    # r~ centres each window lag-major, in another summation order than the
+    # exact r; the bound must hold across scales, low variance and few ulps
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(3, 64), exponent=st.integers(-300, 300),
+           kind=st.sampled_from(["walk", "low-variance", "few-ulps"]), k=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_largest_r_within_slack_of_exact(self, seed, h, exponent, kind, k):
+        rng = np.random.default_rng(seed)
+        target = bound_target(rng, h, kind, 10.0 ** exponent)
+        # a window of the target, a negated one and random rows, so the
+        # largest |r| runs from about 0 to exactly 1
+        queries = rng.normal(size=(k, h)) * 10.0 ** exponent
+        at = rng.integers(0, len(target) - h + 1, size=2)
+        queries[0] = target[at[0]:at[0] + h]
+        if k > 1:
+            queries[1] = -target[at[1]:at[1] + h]
+        queries = queries[(queries != queries[:, :1]).any(axis=1)]
+        assume(len(queries))
+        full = ts.sliding_correlations(queries, target, h)
+        windows = np.lib.stride_tricks.sliding_window_view(target, h)
+        approx = corr._largest_r(windows.T, corr.query_block(queries).unit, 2)
+        exact = np.abs(full.r_values).max(axis=1)
+        assert np.all(np.abs(approx[full.offsets - 1] - exact) <= corr.prefilter_slack(h))
 
 
 class TestWindowViews:

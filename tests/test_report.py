@@ -5,6 +5,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -561,6 +562,15 @@ class TestHeatmap:
         ts.render_heatmap(matrix, path, label_angle=45)
         assert "rotate(-45" in path.read_text()
 
+    # a real number is drawn as its float; a Fraction and an int past int64,
+    # which numpy cannot take, raised a bare numpy TypeError
+    @pytest.mark.parametrize("label_angle, drawn", [(Fraction(1, 2), "rotate(-0.5 "),
+                                                    (10**20, "rotate(-1e+20 "), (np.float32(12.5), "rotate(-12.5 ")])
+    def test_real_label_angle_drawn_as_its_float(self, label_angle, drawn, tmp_path):
+        matrix = ts.MatchMatrix(["a"], ["a"], np.ones((1, 1), dtype=int))
+        ts.render_heatmap(matrix, tmp_path / "heat.svg", label_angle=label_angle)
+        assert drawn in (tmp_path / "heat.svg").read_text()
+
     def test_large_matrix_under_size_gate(self, tmp_path):
         n = 181
         rng = np.random.default_rng(1)
@@ -610,10 +620,13 @@ class TestHeatmap:
         assert (tmp_path / "zero.svg").stat().st_size > 16 * 2**20
         assert peak < 8 * 2**20
 
-    # NaN, the infinities and values that are not real numbers: True was drawn
-    # as a 1 degree rotation, and "90" raised a bare numpy TypeError
+    # NaN, the infinities, ints past float's range and values that are not
+    # real numbers: True was drawn as a 1 degree rotation, and "90" and 10**400
+    # raised a bare numpy TypeError
     @pytest.mark.parametrize("label_angle", [float("nan"), float("inf"), -float("inf"),
-                                             True, False, "90", None, 1j, [90.0]])
+                                             True, False, "90", None, 1j, [90.0],
+                                             pytest.param(10**400, id="10**400"),
+                                             pytest.param(-10**400, id="-10**400")])
     def test_non_finite_label_angle_rejected(self, label_angle, tmp_path):
         matrix = ts.MatchMatrix(["a"], ["a"], np.ones((1, 1), dtype=int))
         with pytest.raises(ts.ConfigError, match="label_angle must be finite"):
