@@ -6,9 +6,13 @@ Three on-disk formats are supported:
   observation, ``index`` 1-based and contiguous per series.
 * ``wide-csv``: header row of series ids, one column per series, shorter
   series padded at the bottom: a column's trailing blank or whitespace-only
-  cells are padding, while a trailing ``nan`` cell is a missing value.
+  cells are padding, while a trailing ``nan`` cell is a missing value. The
+  writer marks every missing value ``nan``.
 * ``json``: object mapping id -> array of numbers, ``null`` marking a
   missing value.
+
+The CSV loaders skip a UTF-8 byte-order mark, which Excel and R write; a
+JSON file that starts with one gets ``json.loads``'s error.
 
 Collection order always follows input order (it later fixes the row and
 column order of the match matrix). The loaders only parse, reading each
@@ -186,7 +190,7 @@ def _finish_series(sid, values, policy, where):
 
 def _load_wide_csv(path, policy):
     grid, bad = bytearray(), {}  # bad: column -> the FormatError of its first bad cell
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -220,7 +224,7 @@ def _load_wide_csv(path, policy):
 def _load_long_csv(path, policy):
     expected_header = ["series_id", "index", "value"]
     values: dict[str, bytearray] = {}  # float64s, in order of first appearance
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -351,13 +355,14 @@ def _observed(s: Series) -> list:
     return [None if i in missing else v for i, v in enumerate(s.values.tolist())]
 
 
-def _cell(v) -> str:
+def _cell(v, missing) -> str:
     # repr round-trips every finite double exactly
-    return "" if v is None else repr(v)
+    return missing if v is None else repr(v)
 
 
 def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
-    """Serialize a collection; the long-csv/json writers round-trip exactly."""
+    """Serialize a collection; every format round-trips exactly, the wide CSV
+    marking a missing value ``nan``, as a blank trailing cell is padding."""
     path = Path(path)
     if format == "long-csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -365,14 +370,14 @@ def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
             writer.writerow(["series_id", "index", "value"])
             for s in c:
                 for i, v in enumerate(_observed(s)):
-                    writer.writerow([s.id, i + 1, _cell(v)])
+                    writer.writerow([s.id, i + 1, _cell(v, "")])
     elif format == "wide-csv":
         columns = [_observed(s) for s in c]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(c.ids())
             for i in range(max((len(col) for col in columns), default=0)):
-                writer.writerow([_cell(col[i]) if i < len(col) else "" for col in columns])
+                writer.writerow([_cell(col[i], "nan") if i < len(col) else "" for col in columns])
     elif format == "json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({s.id: _observed(s) for s in c}, fh, indent=1)

@@ -17,10 +17,10 @@ Given a ``threshold``, the sweep first rules windows out with an
 approximate r~ that provably lies within ``prefilter_slack(h)`` of the
 kernel's r (a lower-bound pruning in the style of the UCR suite). The
 prefilter reads a block of windows lag-major, as an (h, b) view whose row j
-is the contiguous slice ``x[s + j:s + j + b]``: it scales, centres and
-normalises all b windows with reductions across rows, and takes each
-window's largest |r~| over chunks of queries, one BLAS product each. Only
-the windows it keeps are gathered and centred row by row; they give the
+is the contiguous slice ``x[s + j:s + j + b]``: it centres all b windows
+with ``centre`` along axis 0, normalises them, and takes each window's
+largest |r~| over chunks of queries, one BLAS product each. Only the
+windows it keeps are gathered and centred row by row; they give the
 exact r, bit for bit the r of a sweep without a threshold.
 """
 
@@ -64,8 +64,8 @@ class SlidingProfile:
     holds only the windows the prefilter could not rule out: every window
     with |r| >= threshold against some query, and perhaps a few whose
     largest |r| falls short of it by less than twice ``prefilter_slack(h)``.
-    The prefilter centres its windows on its own, lag-major, so it decides
-    nothing about r: each row of ``r_values`` is the same in both cases.
+    The prefilter only picks windows and decides nothing about r: each row
+    of ``r_values`` is the same in both cases.
     """
 
     offsets: np.ndarray
@@ -82,20 +82,29 @@ def _as_vector(x, name, ndims=(1,)):
     return arr
 
 
-def centre(x):
-    """Centre ``x`` (each row, if two-dimensional) on its own mean.
+def scale_of(x, axis=-1):
+    """max|x| along ``axis``, of a window or of each of a block, taken exactly
+    as max(max x, -min x), with no |x| temporary; never 0 for a matched window."""
+    return np.maximum(x.max(axis), -x.min(axis))
+
+
+def centre(x, axis=-1):
+    """Scale and centre ``x`` (each window along ``axis``, if a block).
 
     Returns ``(xc, exp)`` with ``xc * 2**exp`` the centred values: the exact
-    scaling by ``2**-exp`` brings max|x| into [0.5, 1), so sums of products
-    of ``xc`` neither overflow nor, for a non-constant row, vanish. The mean
-    is taken twice because, when the spread is a few ulps of the mean, the
-    rounding of the first mean is as large as the spread.
+    scaling by ``2**-exp`` into a fresh array brings ``scale_of(x, axis)``
+    into [0.5, 1), so sums of products of ``xc`` neither overflow nor, for a
+    non-constant window, vanish. The mean is subtracted twice, in place,
+    because, when the spread is a few ulps of the mean, the rounding of the
+    first mean is as large as the spread. Every window and query is centred
+    here, the prefilter's lag-major blocks along axis 0.
     """
-    _, exp = np.frexp(np.abs(x).max(axis=-1))
-    x = np.ldexp(x, -exp[..., None])
-    n = x.shape[-1]
-    x = x - x.sum(axis=-1, keepdims=True) / n
-    return x - x.sum(axis=-1, keepdims=True) / n, exp
+    _, exp = np.frexp(scale_of(x, axis))
+    x = np.ldexp(x, -np.expand_dims(exp, axis))
+    n = x.shape[axis]
+    x -= x.sum(axis, keepdims=True) / n
+    x -= x.sum(axis, keepdims=True) / n
+    return x, exp
 
 
 @dataclass(frozen=True)
@@ -122,18 +131,14 @@ def query_block(query) -> QueryBlock:
 def _largest_r(x, unit, per):
     """Each window's largest |r~| against the unit query rows ``unit``.
 
-    ``x`` is lag-major, an (h, b) view whose column i is window i, so each
-    window is scaled and centred as ``centre`` does it, but with reductions
+    ``x`` is lag-major, an (h, b) view whose column i is window i, so
+    ``centre`` scales and centres each window along axis 0, with reductions
     across rows of b contiguous values. Each chunk of ``per`` queries is one
     product with the centred windows, whose largest |entries| per window
     are divided by its norm at the end. A constant window gets a stand-in
     norm of 1, not a division by 0; the caller drops it as invalid.
     """
-    _, exp = np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))
-    x = np.ldexp(x, -exp)
-    n = len(x)
-    x -= x.sum(axis=0) / n
-    x -= x.sum(axis=0) / n
+    x, _ = centre(x, axis=0)
     norm = np.sqrt(np.einsum("ij,ij->j", x, x))
     norm[norm == 0] = 1.0
     best = np.zeros(x.shape[1])
@@ -187,14 +192,15 @@ def prefilter_slack(h) -> float:
     """How far the prefilter's r~ may lie from the kernel's r, for length h.
 
     Let u = eps/2 be the unit roundoff, x a window after ``centre``'s exact
-    power-of-two scaling (the same bits on both sides), x_c x centred in
-    exact arithmetic, q a query as ``centre`` leaves it, and
-    rho(v) = <v,q> / (|v| |q|) in exact arithmetic. The exact pass centres
-    x into w, with last-axis sums; the prefilter centres it into w', with
-    sums across rows, in another order. A sum of h products computed in any
-    order, with or without fused multiply-adds, is within
-    gamma_h * sum|x_i y_i| of the exact sum, gamma_h = h*u / (1 - h*u), and
-    by Cauchy-Schwarz sum|w_i q_i| <= |w| |q|. To first order in u:
+    power-of-two scaling, x_c x centred in exact arithmetic, q a query as
+    ``centre`` leaves it, and rho(v) = <v,q> / (|v| |q|) in exact
+    arithmetic. From the same scaled bits x, both sides go through
+    ``centre``, along different axes: the exact pass into w along the last
+    axis, the prefilter into w' along axis 0, summing in another order. A
+    sum of h products computed in any order, with or without fused
+    multiply-adds, is within gamma_h * sum|x_i y_i| of the exact sum,
+    gamma_h = h*u / (1 - h*u), and by Cauchy-Schwarz sum|w_i q_i| <= |w| |q|.
+    To first order in u:
 
     * r, from the last-axis cross term: the cross term is within
       h*u * |w||q| of <w,q>; each sum of squares within a factor 1 +- h*u,

@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .collection import SeriesCollection, _gather, _is_int, _is_real
-from .corr import MIN_WINDOW, centre
+from .corr import MIN_WINDOW, centre, scale_of
 from .errors import ConfigError, ConsistencyError, ContractViolation
 from .scan import _REAL, LeakReport, MatchRecord, MatchTable, Table, _check_fields
 
@@ -185,14 +185,6 @@ class ReasonTable(Table):
         rows = (np.cumsum(self.useful) - 1)[index[self.useful[index]]]
         return ReasonTable(base, self.m[index], self.c[index], self.max_residual[index],
                            self.kind[index], self.useful[index], self.predicted[rows], self.missing[rows])
-
-
-def scale_of(w):
-    """max|w| of a window, or of each row of a block of windows.
-
-    A matched window is never constant, so this is never zero.
-    """
-    return np.abs(w).max(axis=-1)
 
 
 def _fit_rows(q, windows):

@@ -43,6 +43,25 @@ def _centred(x):
     return x
 
 
+def reference_centre(x, axis=-1):
+    """``centre`` written out in its two reference forms, whose bits it must
+    give: along the last axis, max|x| from ``np.abs`` and each mean
+    subtracted into a new array; along axis 0, for an (h, b) lag-major block,
+    max(max x, -min x) and each mean subtracted in place."""
+    if axis == 0:
+        _, exp = np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))
+        x = np.ldexp(x, -exp)
+        n = len(x)
+        x -= x.sum(axis=0) / n
+        x -= x.sum(axis=0) / n
+        return x, exp
+    _, exp = np.frexp(np.abs(x).max(axis=-1))
+    x = np.ldexp(x, -exp[..., None])
+    n = x.shape[-1]
+    x = x - x.sum(axis=-1, keepdims=True) / n
+    return x - x.sum(axis=-1, keepdims=True) / n, exp
+
+
 def brute_pearson(a, b):
     """Textbook Pearson via the stdlib, independent of the package kernel."""
     try:

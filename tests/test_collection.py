@@ -205,6 +205,22 @@ def _grid(seed=7, n_series=40, length=3000):
     return ts.from_dict({f"s{j:02d}": rng.normal(size=length) for j in range(n_series)})
 
 
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" export and R's fileEncoding = "UTF-8-BOM" start the
+    # file with one; it is not part of the header's first cell
+    @pytest.mark.parametrize("fmt, text", [
+        ("long-csv", "series_id,index,value\na,1,1.5\na,2,\na,3,-2\nb,1,3\n"),
+        ("wide-csv", "a,b\n1.5,3\n,\n-2,\n"),
+    ])
+    def test_loads_as_without_one(self, tmp_path, fmt, text):
+        policy = ts.MissingPolicy(SPLIT_SKIP)
+        plain = ts.load_collection(write(tmp_path / "plain.csv", text), fmt, policy)
+        marked = ts.load_collection(write(tmp_path / "marked.csv", "\ufeff" + text), fmt, policy)
+        assert (tmp_path / "marked.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert marked.ids() == plain.ids() == ["a", "b"]
+        assert [(s.values.tobytes(), s.missing) for s in marked] == [(s.values.tobytes(), s.missing) for s in plain]
+
+
 class TestLoaderMemory:
     # the traced peak of load_collection on this 40 x 3000 grid was 94 B per
     # cell for the wide CSV, whose rows stayed lists of cell strings until the
@@ -406,6 +422,23 @@ class TestRoundTrip:
             ts.write_collection(c, p, fmt)
             back = ts.load_collection(p, fmt, ts.MissingPolicy(SPLIT_SKIP))
             assert back.get("x").missing == (1,)
+
+    @pytest.mark.parametrize("fmt", ["long-csv", "json", "wide-csv"])
+    def test_missing_values_anywhere_round_trip(self, tmp_path, fmt):
+        # a trailing missing value must not read back as the wide CSV's padding
+        c = ts.SeriesCollection([
+            ts.Series("leading", np.array([0.0, 0.0, 2.5, -1.0]), missing=(0, 1)),
+            ts.Series("interior", np.array([1.0, 0.0, 0.0, 4.0, 5.0]), missing=(1, 2)),
+            ts.Series("trailing", np.array([1.0, 2.0, 0.0]), missing=(2,)),
+            ts.Series("all-but-one", np.array([3.0, 0.0, 0.0, 0.0]), missing=(1, 2, 3)),
+            ts.Series("only-missing", np.array([0.0]), missing=(0,)),
+            ts.Series("longest", np.arange(7.0) / 3),
+        ])
+        p = tmp_path / f"m.{fmt}"
+        ts.write_collection(c, p, fmt)
+        back = ts.load_collection(p, fmt, ts.MissingPolicy(SPLIT_SKIP))
+        assert [(s.id, s.values.tobytes(), s.missing) for s in back] == \
+            [(s.id, s.values.tobytes(), s.missing) for s in c]
 
     def test_load_is_deterministic(self, tmp_path):
         p = tmp_path / "c.json"

@@ -11,7 +11,7 @@ import tsleakscan as ts
 from tsleakscan import corr
 from tsleakscan.corr import MISSING_OVERLAP, ZERO_VARIANCE_WINDOW
 
-from conftest import brute_pearson, brute_sliding, naive_sliding_oracle, reference_sweep
+from conftest import brute_pearson, brute_sliding, naive_sliding_oracle, reference_centre, reference_sweep
 
 finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -324,6 +324,24 @@ def bound_target(rng, h, kind, scale):
         return target * scale
     mean = rng.uniform(0.5, 2.0) * scale
     return mean + np.spacing(mean) * rng.integers(-3, 4, size=n)
+
+
+class TestCentre:
+    # one centre scales and centres the exact pass's windows, the queries, the
+    # fits and the prefilter's lag-major blocks; prefilter_slack's proof rests
+    # on both sides starting from its scaled bits, so they are pinned to the
+    # reference forms, across scales, low variance and values a few ulps apart
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(3, 64), exponent=st.integers(-300, 300),
+           kind=st.sampled_from(["walk", "low-variance", "few-ulps"]))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_the_reference_forms(self, seed, h, exponent, kind):
+        target = bound_target(np.random.default_rng(seed), h, kind, 10.0 ** exponent)
+        windows = np.lib.stride_tricks.sliding_window_view(target, h)  # read-only, as the sweep's
+        for x, axis in [(windows, -1), (windows.T, 0), (windows[-1], -1)]:
+            (xc, exp), (want, want_exp) = corr.centre(x, axis), reference_centre(x, axis)
+            assert xc.shape == want.shape and xc.tobytes() == want.tobytes()
+            assert np.array_equal(exp, want_exp)
+            assert np.array_equal(corr.scale_of(x, axis), np.abs(x).max(axis))
 
 
 class TestPrefilter:
