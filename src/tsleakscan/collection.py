@@ -22,7 +22,8 @@ the JSON loader reads its object a member at a time, so each series'
 Python floats become a float64 array before the next series is read.
 ``_finish_series`` strips the id and decides what is missing: every
 non-finite value, which it rejects or stores as 0.0. ``SeriesCollection``
-checks ids (distinct str), values (1-D, non-empty, finite) and missing positions.
+checks ids (distinct str), values (1-D, non-empty, finite) and missing positions,
+and lays its series out once, read-only (``_layout``), for the scan, its workers and the match checks.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class SeriesCollection:
 
     entries: list[Series]
     _index: dict[str, int] = field(init=False, repr=False)
+    _laid_out: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {}
@@ -138,18 +140,21 @@ class SeriesCollection:
             raise KeyError(f"no series named {series_id!r}") from None
 
     def _layout(self):
-        """``(flat, first, lengths, gaps)``: series i at ``flat[first[i]:][:lengths[i]]``,
-        each followed by a separator (0.0); ``gaps`` marks the missing values and
-        the separators, so a window of ``flat`` free of gaps lies within one series."""
-        lengths = np.array([len(s.values) for s in self.entries], dtype=int)
-        first = np.cumsum(lengths + 1) - lengths - 1
-        flat = np.zeros(lengths.sum() + len(lengths))
-        gaps = np.zeros(len(flat), dtype=bool)
-        gaps[first + lengths] = True
-        for s, at in zip(self.entries, first.tolist()):
-            flat[at:at + len(s.values)] = s.values
-        gaps[[at + p for s, at in zip(self.entries, first.tolist()) for p in s.missing]] = True
-        return flat, first, lengths, gaps
+        """``(flat, first, lengths, gaps)``, read-only and built once: series i at
+        ``flat[first[i]:][:lengths[i]]``, each followed by a separator (0.0); ``gaps`` marks
+        the missing values and the separators, so a window of ``flat`` free of gaps lies in one series."""
+        if self._laid_out is None:
+            lengths = np.array([len(s.values) for s in self.entries], dtype=int)
+            first = np.cumsum(lengths + 1) - lengths - 1
+            flat = np.zeros(lengths.sum() + len(lengths))
+            gaps = np.zeros(len(flat), dtype=bool)
+            for s, at in zip(self.entries, first.tolist()):
+                flat[at:at + len(s.values)] = s.values
+            gaps[[at + p for s, at in zip(self.entries, first.tolist()) for p in (*s.missing, len(s))]] = True
+            self._laid_out = flat, first, lengths, gaps
+            for part in self._laid_out:
+                part.flags.writeable = False
+        return self._laid_out
 
 
 def _gather(flat, first, width):
@@ -226,10 +231,9 @@ def _load_long_csv(path, policy):
     values: dict[str, bytearray] = {}  # float64s, in order of first appearance
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
         if [h.strip() for h in header] != expected_header:
             raise FormatError(
                 f"{path}:1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
@@ -363,7 +367,6 @@ def _cell(v, missing) -> str:
 def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
     """Serialize a collection; every format round-trips exactly, the wide CSV
     marking a missing value ``nan``, as a blank trailing cell is padding."""
-    path = Path(path)
     if format == "long-csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -9,28 +9,26 @@ window to cover the query's forecast horizon; in that case the donor
 continuation, mapped back through the inverse transform, is the predicted
 test segment of the query series.
 
-``_locate`` is the one place where match records are checked. Like
-``_explain``, it takes a ``MatchTable``, never a list; it reads the query
-index, donor index, start and end of every match from its columns and
-checks all of them at once, with array comparisons: both ids name series
-of the collection, the window starts at position 1 or later, spans at
-least MIN_WINDOW observations, is no longer than its query series and ends
-within its donor, and neither the donor window nor the query segment (the
-query series' last ``end - start + 1`` observations) covers a missing
-value (a gap of the collection's ``_layout``, which ``_locate`` reads and
-hands on). The first record in report order that fails a check raises
-ConsistencyError, with the message of the first check it fails;
-``build_matrix`` counts through the same checks. ``reason_report`` then
-fits all matches of one query segment together: their donor windows are
-gathered into a (k, h) block by one fancy index into the layout, each row
-is centred once, and every slope, intercept, residual and window scale is
-an array operation over the block. The continuations of every useful
-match are one more fancy index. ``assess_usefulness`` is this path run on
-a one-row table, and ``fit_affine`` the one-row case of the same fit.
-Each row gets the bits a fit of its match alone would get: the reductions
-run along the last axis of each row, and the cross term is a matmul of
-each row with the query, which gives the bits of the dot product
-``qc @ wc``; a row sum would not.
+``_locate`` is the one place where match records are checked. It reads the
+query index, donor index, start and end of every match from the columns of a
+``MatchTable`` and checks them all at once, with array comparisons: both ids
+name series of the collection, the window starts at position 1 or later,
+spans at least MIN_WINDOW observations, is no longer than its query series
+and ends within its donor, and neither the donor window nor the query
+segment (the query series' last ``end - start + 1`` observations) covers a
+missing value, a gap of the collection's ``_layout``, built once, which
+``_locate`` hands on. The first record in report order that fails a check
+raises ConsistencyError, with the message of the first check it fails;
+``build_matrix`` counts through the same checks. ``reason_report`` then fits
+all matches of one query segment together: their donor windows are gathered
+into a (k, h) block by one fancy index into the layout, each row is centred
+once, and every slope, intercept, residual and window scale is an array
+operation over the block; the continuations of every useful match are one
+more fancy index. ``assess_usefulness`` is this path run on a one-row table,
+and ``fit_affine`` the one-row case of the same fit. Each row gets the bits
+a fit of its match alone would get: the reductions run along the last axis
+of each row, and the cross term is a matmul of each row with the query,
+which gives the bits of the dot product ``qc @ wc``; a row sum would not.
 
 The result is a ``ReasonTable`` of arrays: each fit, its kind code (from
 ``classify``'s comparisons on the arrays) and useful flag, and one block of
@@ -240,13 +238,12 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
     useful, the donor continuation donor[end+1 .. end+horizon] is mapped
     through the inverse transform (v - c)/m onto the query series' scale;
     continuation positions that are missing in the donor come out as None.
-    The match is explained as ``reason_report`` explains it, from the series
-    it names alone, so its checks and errors are those of ``reason_report``.
+    The match is explained as ``reason_report`` explains it, from the
+    collection's layout, so its checks and errors are those of ``reason_report``.
     """
     if cfg.horizon is None:
         raise ConfigError("horizon not resolved; pass an explicit horizon")
-    named = [collection.get(i) for i in {match.query_id, match.donor_id} if i in collection]
-    [reasoned] = _explain(MatchTable.from_rows([match]), SeriesCollection(named), cfg.horizon)
+    [reasoned] = _explain(MatchTable.from_rows([match]), collection, cfg.horizon)
     return reasoned.useful, reasoned.predicted_test
 
 

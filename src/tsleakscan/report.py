@@ -215,15 +215,18 @@ def report_from_payload(payload: dict) -> LeakReport:
 
     Only the serialized fields are recovered: the config keeps h and cutoff,
     and workers, which a report does not record, comes back as its default.
-    Nothing is checked here: ``ScanConfig`` rejects an h or cutoff of the
-    wrong type, ``MatchTable.from_rows`` a match field and ``LeakReport`` a
-    skipped query's id or reason.
+    A missing key, or a list where the schema has an object, is a ConsistencyError;
+    ``ScanConfig`` rejects an h or cutoff of the wrong type, ``MatchTable.from_rows``
+    a match field and ``LeakReport`` a skipped query's id or reason.
     """
-    cutoff = payload["config"]["cutoff"]
-    cfg = ScanConfig(h=payload["config"]["h"], cutoff=float(cutoff) if _is_real(cutoff) else cutoff)
-    matches = [MatchRecord(e["query_id"], e["donor_id"], e["start"], e["end"], e["r"])
-               for e in payload["matches"]]
-    return LeakReport(cfg, matches, [(e["id"], e["reason"]) for e in payload["skipped_queries"]])
+    try:
+        cutoff = payload["config"]["cutoff"]
+        cfg = ScanConfig(h=payload["config"]["h"], cutoff=float(cutoff) if _is_real(cutoff) else cutoff)
+        matches = [MatchRecord(e["query_id"], e["donor_id"], e["start"], e["end"], e["r"])
+                   for e in payload["matches"]]
+        return LeakReport(cfg, matches, [(e["id"], e["reason"]) for e in payload["skipped_queries"]])
+    except (KeyError, TypeError) as exc:  # a key missing, or a list where the schema has an object
+        raise ConsistencyError(f"report payload is not an object with the report's keys: {exc!r}") from None
 
 
 def _int_counts(matrix: MatchMatrix) -> np.ndarray:

@@ -7,18 +7,20 @@ absolute correlation clears the cutoff become matches; the single trivial
 hit of a query against its own terminal position is removed.
 
 The scan reads every series' values laid end to end by
-``SeriesCollection._layout``. The queries are gathered from it and centred
-once, as one block; each group of consecutive donors in it is swept by one
-``sliding_correlations`` call against all the queries, with the layout's
-gaps as missing, so no window spans two donors, and one ``searchsorted``
-maps the hits back to (donor, start). The call passes the threshold, so
-the sweep returns only the windows its BLAS prefilter cannot rule out,
-each with its whole row of exact r, one value per query; a group is
-therefore bounded in windows and in windows x queries (``GROUP_WINDOWS``,
-``GROUP_VALUES``), since each query keeps at least its own terminal
-window. The match set and every r are those of an exhaustive sweep of
-each donor on its own. The skipped queries are found first, from the
-series alone; each worker process scans one contiguous block of the rest.
+``SeriesCollection._layout``. It first skips each query that the sweep would
+rule out as a window, one overlapping a gap or with all values equal, from
+the query's h values and gap flags gathered from the layout. The rest are
+centred once, as one block; each group of consecutive donors in the layout
+is swept by one ``sliding_correlations`` call against all the queries, with
+the layout's gaps as missing, so no window spans two donors, and one
+``searchsorted`` maps the hits back to (donor, start). The call passes the
+threshold, so the sweep returns only the windows its BLAS prefilter cannot
+rule out, each with its whole row of exact r, one value per query; a group
+is therefore bounded in windows and in windows x queries (``GROUP_WINDOWS``,
+``GROUP_VALUES``), since each query keeps at least its own terminal window.
+The match set and every r are those of an exhaustive sweep of each donor on
+its own. Each worker process gets the layout's arrays, not the series, and
+scans one contiguous block of queries.
 
 The hits stay arrays from the sweep to the writers: a ``MatchTable`` holds
 the query index, donor index, start, end and r of every match, in (query,
@@ -43,6 +45,7 @@ from .errors import ConfigError, ConsistencyError, ContractViolation
 TOO_SHORT = "too-short"
 ZERO_VARIANCE_QUERY = "zero-variance-query"
 MISSING_IN_QUERY = "missing-in-query"
+_SKIPS = (None, TOO_SHORT, MISSING_IN_QUERY, ZERO_VARIANCE_QUERY)
 
 AUTO = "auto"
 
@@ -91,9 +94,10 @@ class ScanConfig:
         return self.cutoff - CUTOFF_TOLERANCE
 
     def resolved_workers(self) -> int:
-        if self.workers == AUTO:
-            return os.cpu_count() or 1
-        return self.workers
+        if self.workers != AUTO:
+            return self.workers
+        # the CPUs this process may run on, which taskset or a cpuset can make fewer than the host's
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # the kind a field of a record or skip must be, as errors name it, and its
@@ -207,18 +211,6 @@ class LeakReport:
             _check_fields("skipped query", id=sid, reason=reason)
 
 
-def _query_skip_reason(series, h):
-    n = len(series.values)
-    if n < h:
-        return TOO_SHORT
-    if any(p >= n - h for p in series.missing):
-        return MISSING_IN_QUERY
-    tail = series.values[n - h:]
-    if np.all(tail == tail[0]):
-        return ZERO_VARIANCE_QUERY
-    return None
-
-
 def _donor_groups(lengths, h, k):
     """The (first, stop) index ranges of consecutive series of ``lengths``
     swept together against k queries: a group's target, its series with one
@@ -234,11 +226,11 @@ def _donor_groups(lengths, h, k):
     return groups + [(first, len(lengths))]
 
 
-def _scan_block(collection, cfg, query_of):
-    """The hits of the scannable queries ``query_of`` as arrays of query
-    index, donor index, start and r, in (query, donor, offset) order."""
+def _scan_block(layout, cfg, query_of):
+    """The hits of the scannable queries ``query_of`` of the collection's ``layout``
+    as arrays of query index, donor index, start and r, in (query, donor, offset) order."""
     h = cfg.h
-    flat, first, lengths, gaps = collection._layout()
+    flat, first, lengths, gaps = layout
     queries = query_block(_gather(flat, first[query_of] + lengths[query_of] - h, h))
     found = [_NO_HITS]
     for g0, g1 in _donor_groups(lengths, h, len(query_of)):
@@ -270,19 +262,24 @@ def scan(collection: SeriesCollection, cfg: ScanConfig) -> LeakReport:
     """
     if len(collection) == 0:
         raise ContractViolation("empty collection")
-    reasons = [_query_skip_reason(series, cfg.h) for series in collection.entries]
-    skipped = [(series.id, reason) for series, reason in zip(collection.entries, reasons) if reason]
-    scannable = np.flatnonzero([reason is None for reason in reasons])
+    layout = flat, first, lengths, gaps = collection._layout()
+    # each query's skip, an index in _SKIPS: fewer than h values, a gap among them, or all of them equal
+    at = (first + lengths - cfg.h)[lengths >= cfg.h]  # the first position of each query of h values
+    tails, holes = _gather(flat, at, cfg.h), _gather(gaps, at, cfg.h)
+    skips = np.ones(len(lengths), dtype=int)
+    skips[lengths >= cfg.h] = np.select([holes.any(1), (tails == tails[:, :1]).all(1)], [2, 3])
+    skipped = [(sid, _SKIPS[code]) for sid, code in zip(collection.ids(), skips.tolist()) if code]
+    scannable = np.flatnonzero(skips == 0)
     workers = min(cfg.resolved_workers(), len(scannable))
     blocks = np.array_split(scannable, workers) if workers else []
-    scan_block = partial(_scan_block, collection, cfg)
+    scan_block = partial(_scan_block, layout, cfg)
     if len(blocks) < 2:
         per_block = list(map(scan_block, blocks))
     else:
         # imported here: it loads multiprocessing, which a one-block run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        # one task per worker, so each worker unpickles the collection once
+        # one task per worker, so each worker unpickles the layout once
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_block = list(pool.map(scan_block, blocks))
     qi, di, start, r = (np.concatenate(column) for column in zip(_NO_HITS, *per_block))

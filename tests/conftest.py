@@ -22,6 +22,7 @@ from tsleakscan.corr import (
     prefilter_slack,
 )
 from tsleakscan.report import MatchMatrix, _escape, _ramp
+from tsleakscan.scan import MISSING_IN_QUERY, TOO_SHORT, ZERO_VARIANCE_QUERY
 
 
 def _centred(x):
@@ -223,6 +224,21 @@ def reason_oracle(match, collection, cfg):
     predicted = [None if match.end + i in missing else float(v)
                  for i, v in enumerate((continuation - fit.c) / fit.m)]
     return fit, kind, True, predicted
+
+
+def reference_query_skip(series, h):
+    """Why the scan skips the query of ``series``, its last h values, or
+    None: checked on the series alone, in this order, fewer than h values,
+    a missing value among them, and all of them equal."""
+    n = len(series.values)
+    if n < h:
+        return TOO_SHORT
+    if any(p >= n - h for p in series.missing):
+        return MISSING_IN_QUERY
+    tail = series.values[n - h:]
+    if np.all(tail == tail[0]):
+        return ZERO_VARIANCE_QUERY
+    return None
 
 
 def brute_scan(series_list, h, threshold):

@@ -457,6 +457,24 @@ class TestVizCommand:
         assert "error" in proc.stderr
 
 
+class TestLayoutBuiltOnce:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["explain", "viz"])
+    def test_one_layout_per_run(self, planted_json, tmp_path, monkeypatch, capsys, command, workers):
+        # the scan, its skips and blocks, and the match checks of the
+        # explanation or the matrix all read the layout built by its first call
+        from tsleakscan import cli
+        layouts = []
+        layout_of = ts.SeriesCollection._layout
+        monkeypatch.setattr(ts.SeriesCollection, "_layout",
+                            lambda self: layouts.append(layout_of(self)) or layouts[-1])
+        output = tmp_path / ("leaks.svg" if command == "viz" else "report.json")
+        args = [command, "--input", planted_json, *PLANTED_ARGS, "--workers", workers, "--output", str(output)]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        assert len(layouts) >= 2 and all(layout is layouts[0] for layout in layouts)
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, usage_csv, tmp_path):
         outs = []

@@ -287,6 +287,18 @@ class TestSerialization:
         with pytest.raises(error, match=field):
             ts.report_from_payload(payload)
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"config": {"h": 3}, "skipped_queries": [], "matches": []}, "KeyError('cutoff')"),
+        ({"config": {"h": 3, "cutoff": 1.0}, "skipped_queries": [],
+          "matches": [{"query_id": "a", "donor_id": "b", "start": 1, "end": 3}]}, "KeyError('r')"),
+        ([], "TypeError("),
+    ], ids=["config-without-cutoff", "match-without-r", "list"])
+    def test_malformed_payload_rejected(self, payload, message):
+        # a JSON file read from outside may hold anything; it fails as a report, not as Python
+        with pytest.raises(ts.ConsistencyError, match=re.escape("report payload is not an object with "
+                                                                f"the report's keys: {message}")):
+            ts.report_from_payload(payload)
+
     @pytest.mark.parametrize("matches, skipped, message", [
         # json would write these as true, 1.5 and "0.5", or fail over a half-written file
         ([MatchRecord("a", "b", True, 3, 1.0)], [], "match start must be an integer, got True"),

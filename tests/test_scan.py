@@ -1,19 +1,20 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tsleakscan as ts
 from tsleakscan.collection import SPLIT_SKIP
 from tsleakscan.scan import CUTOFF_TOLERANCE, MISSING_IN_QUERY, TOO_SHORT, ZERO_VARIANCE_QUERY
 
-from conftest import brute_pearson, brute_scan, random_collection
+from conftest import brute_pearson, brute_scan, random_collection, reference_query_skip
 
 
 class TestScanConfig:
@@ -36,6 +37,18 @@ class TestScanConfig:
             with pytest.raises(ts.ConfigError, match="cutoff must be a real number"):
                 ts.ScanConfig(h=5, cutoff=cutoff)
         assert ts.ScanConfig(h=5, cutoff=np.float64(0.9)).cutoff == 0.9
+
+    @pytest.mark.parametrize("affinity, cpus, expected", [
+        ({0}, 2, 1), ({0, 3, 5}, 8, 3), (None, 4, 4), (None, None, 1),
+    ], ids=["one-cpu-of-two", "three-of-eight", "no-affinity-call", "cpu-count-unknown"])
+    def test_auto_workers_count_the_usable_cpus(self, monkeypatch, affinity, cpus, expected):
+        # taskset or a container's cpuset leaves the process fewer CPUs than the host has
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        assert ts.ScanConfig(h=5, workers="auto").resolved_workers() == expected
 
     def test_workers_validation(self):
         for workers in (0, True, 2.0, "2"):
@@ -237,6 +250,47 @@ class TestDonorGroups:
         assert peak < 4 * 2**20
 
 
+@st.composite
+def skip_cases(draw):
+    """(collection, h), h from 3 to 8: series of 1, h - 1, h, h + 1 and up to
+    2h + 2 values, or, in some collections, none as long as h; small integer
+    values, so that equal neighbours are common, and a constant tail of any
+    length; missing values at a series' first and last positions and
+    between."""
+    h = draw(st.integers(3, 8))
+    none_long = draw(st.integers(0, 3)) == 0
+    lengths = (st.integers(1, h - 1) if none_long else
+               st.sampled_from([1, h - 1, h, h + 1]) | st.integers(1, 2 * h + 2))
+    series = []
+    for i in range(draw(st.integers(1, 6))):
+        n = draw(lengths)
+        values = draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
+        tail = draw(st.integers(0, n))
+        values[n - tail:] = [values[-1]] * tail
+        missing = draw(st.sets(st.sampled_from([0, n - 1]))) | draw(st.sets(st.integers(0, n - 1), max_size=2))
+        for p in missing:
+            values[p] = 0.0
+        series.append(ts.Series(f"s{i}", np.array(values), tuple(missing)))
+    return ts.SeriesCollection(series), h
+
+
+def _one_series_case(values, missing, h):
+    return ts.SeriesCollection([ts.Series("a", np.array(values), missing)]), h
+
+
+class TestQuerySkips:
+    @given(skip_cases())
+    @example(_one_series_case([5.0], (), 3))  # the layout holds no window of h values
+    @example(_one_series_case([0.0, 4.0, 1.0], (0,), 3))  # a gap at the query's first value
+    @example(_one_series_case([1.0, 4.0, 2.0, 2.0, 0.0], (4,), 3))  # and at its last, after equal values
+    @example(_one_series_case([3.0, 1.0, 1.0, 1.0], (), 3))
+    @settings(max_examples=300, deadline=None)
+    def test_skipped_queries_equal_the_oracle(self, case):
+        c, h = case
+        report = ts.scan(c, ts.ScanConfig(h=h, cutoff=0.9))
+        assert report.skipped_queries == [(s.id, reason) for s in c if (reason := reference_query_skip(s, h))]
+
+
 class TestAgainstBruteForce:
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -359,16 +413,24 @@ class TestParallel:
         assert proc.stdout.split() == ["1", "2", "False"]
 
     def test_skip_reason_found_once_per_series(self, monkeypatch):
-        # in the calling process, before the pool's workers get their blocks
-        scan_module = importlib.import_module("tsleakscan.scan")
-        reason_of = scan_module._query_skip_reason
-        seen = []
-        monkeypatch.setattr(scan_module, "_query_skip_reason",
-                            lambda series, h: seen.append(series.id) or reason_of(series, h))
+        # the skips are read from the layout in the calling process, which lays
+        # the collection out once for the scan and its explanation; the pool's
+        # tasks carry the layout's arrays, never a Series
+        layouts = []
+        layout_of = ts.SeriesCollection._layout
+        monkeypatch.setattr(ts.SeriesCollection, "_layout",
+                            lambda self: layouts.append(layout_of(self)) or layouts[-1])
+
+        def refuse(series):
+            raise AssertionError(f"series {series.id!r} pickled for a worker")
+
+        monkeypatch.setattr(ts.Series, "__reduce__", refuse)
         c = ts.from_dict({"short": [1.0, 2.0], "a": [1.0, 4.0, 2.0, 8.0], "b": [2.0, 7.0, 1.0, 5.0]})
         report = ts.scan(c, ts.ScanConfig(h=3, cutoff=0.5, workers=2))
-        assert seen == ["short", "a", "b"]
+        reasoned = ts.reason_report(report, c)
         assert report.skipped_queries == [("short", TOO_SHORT)]
+        assert len(reasoned) == len(report.matches) > 0
+        assert len(layouts) >= 2 and all(layout is layouts[0] for layout in layouts)
 
     def test_every_query_skipped_through_pool(self):
         c = ts.from_dict({"short": [1.0, 2.0], "flat": [3.0, 3.0, 3.0, 3.0],
