@@ -366,7 +366,11 @@ def _cell(v, missing) -> str:
 
 def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
     """Serialize a collection; every format round-trips exactly, the wide CSV
-    marking a missing value ``nan``, as a blank trailing cell is padding."""
+    marking a missing value ``nan``, as a blank trailing cell is padding.
+    The loaders strip each id, so an id that is empty or not stripped raises
+    ValidationError before the file is opened."""
+    if bad := [sid for sid in c.ids() if not sid or sid != sid.strip()]:
+        raise ValidationError(f"series id {bad[0]!r} would not round-trip: it is empty or not stripped")
     if format == "long-csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

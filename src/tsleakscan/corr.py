@@ -2,16 +2,16 @@
 
 ``sliding_correlations`` correlates k query segments, prepared once by
 ``query_block``, with every window of a target (the AB-join of the matrix
-profile), so a scan makes one O(n*h*k) call per group of donors laid end
-to end. Each window and query is centred on its own mean after an exact
-power-of-two scaling (see ``centre``), so r stays accurate for a
-low-variance window inside a high-variance series and at any finite scale;
-only an exactly constant window has no r. The sweep copies no window: it
-reads the target through a read-only view whose row i is ``x[i:i + h]``,
-and gathers the valid windows a block at a time, never an (m, h) array of
-floats. A window is constant, or overlaps a gap, when a running count of
-changes between neighbouring values, or of gaps, does not change, or
-does, across it: O(m) memory, whatever h.
+profile), so a scan makes one O(n*h*k) call per chunk of windows of all
+series laid end to end. Each window and query is centred on its own mean
+after an exact power-of-two scaling (see ``centre``), so r stays accurate
+for a low-variance window inside a high-variance series and at any finite
+scale; only an exactly constant window has no r. The sweep copies no
+window: it reads the target through a read-only view whose row i is
+``x[i:i + h]``, and gathers the valid windows a block at a time, never an
+(m, h) array of floats. A window is constant, or overlaps a gap, when a
+running count of changes between neighbouring values, or of gaps, does not
+change, or does, across it: O(m) memory, whatever h.
 
 Given a ``threshold``, the sweep first rules windows out with an
 approximate r~ that provably lies within ``prefilter_slack(h)`` of the

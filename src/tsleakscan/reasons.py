@@ -9,7 +9,7 @@ window to cover the query's forecast horizon; in that case the donor
 continuation, mapped back through the inverse transform, is the predicted
 test segment of the query series.
 
-``_locate`` is the one place where match records are checked. It reads the
+``_locate`` checks match records against the collection. It reads the
 query index, donor index, start and end of every match from the columns of a
 ``MatchTable`` and checks them all at once, with array comparisons: both ids
 name series of the collection, the window starts at position 1 or later,
@@ -19,16 +19,18 @@ segment (the query series' last ``end - start + 1`` observations) covers a
 missing value, a gap of the collection's ``_layout``, built once, which
 ``_locate`` hands on. The first record in report order that fails a check
 raises ConsistencyError, with the message of the first check it fails;
-``build_matrix`` counts through the same checks. ``reason_report`` then fits
-all matches of one query segment together: their donor windows are gathered
-into a (k, h) block by one fancy index into the layout, each row is centred
-once, and every slope, intercept, residual and window scale is an array
-operation over the block; the continuations of every useful match are one
-more fancy index. ``assess_usefulness`` is this path run on a one-row table,
-and ``fit_affine`` the one-row case of the same fit. Each row gets the bits
-a fit of its match alone would get: the reductions run along the last axis
-of each row, and the cross term is a matmul of each row with the query,
-which gives the bits of the dot product ``qc @ wc``; a row sum would not.
+``build_matrix`` counts through the same checks. ``reason_report`` then
+raises ConsistencyError for the first record, in report order, whose donor
+window or query segment is constant, as no scan's is, and fits all matches
+of one query segment together: their donor windows are gathered into a
+(k, h) block by one fancy index into the layout, each row is centred once,
+and every slope, intercept, residual and window scale is an array operation
+over the block; the continuations of every useful match are one more fancy
+index. ``assess_usefulness`` is this path run on a one-row table, and
+``fit_affine`` the one-row case of the same fit. Each row gets the bits a
+fit of its match alone would get: the reductions run along the last axis of
+each row, and the cross term is a matmul of each row with the query, which
+gives the bits of the dot product ``qc @ wc``; a row sum would not.
 
 The result is a ``ReasonTable`` of arrays: each fit, its kind code (from
 ``classify``'s comparisons on the arrays) and useful flag, and one block of
@@ -302,13 +304,22 @@ def _explain(matches: MatchTable, collection: SeriesCollection, horizon: int) ->
     qi, di, start, end, (flat, first, lengths, gaps) = _locate(matches, collection)
     span = end - start + 1
     m, c, max_residual, scale = (np.empty(len(matches)) for _ in range(4))
+    constant = np.zeros(len(matches), dtype=bool)  # a donor window or query segment with no r
     order = np.lexsort((span, qi))  # stable: each block in report order
     bounds = np.flatnonzero(np.diff(qi[order]) | np.diff(span[order])) + 1
     for block in np.split(order, bounds) if len(order) else ():
-        q, h = collection.entries[qi[block[0]]], span[block[0]]
-        windows = _gather(flat, first[di[block]] + start[block] - 1, h)
-        m[block], c[block], max_residual[block] = _fit_rows(q.values[-h:], windows)
-        scale[block] = scale_of(windows)
+        segment = collection.entries[qi[block[0]]].values[-span[block[0]]:]
+        windows = _gather(flat, first[di[block]] + start[block] - 1, len(segment))
+        constant[block] = (windows == windows[:, :1]).all(axis=1) | (segment == segment[0]).all()
+        if not constant[block].any():
+            m[block], c[block], max_residual[block] = _fit_rows(segment, windows)
+            scale[block] = scale_of(windows)
+    if constant.any():
+        match = matches[i := int(np.argmax(constant))]
+        segment = collection.entries[qi[i]].values[-span[i]:]
+        what = (f"query segment, the last {span[i]} observations of {match.query_id!r},"
+                if (segment == segment[0]).all() else f"window {match.start}..{match.end} of {match.donor_id!r}")
+        raise ConsistencyError(f"match {match.query_id!r} -> {match.donor_id!r} {what} is constant")
 
     useful = end + horizon <= lengths[di]
     continuation_first = first[di[useful]] + end[useful]

@@ -10,17 +10,17 @@ The scan reads every series' values laid end to end by
 ``SeriesCollection._layout``. It first skips each query that the sweep would
 rule out as a window, one overlapping a gap or with all values equal, from
 the query's h values and gap flags gathered from the layout. The rest are
-centred once, as one block; each group of consecutive donors in the layout
-is swept by one ``sliding_correlations`` call against all the queries, with
-the layout's gaps as missing, so no window spans two donors, and one
-``searchsorted`` maps the hits back to (donor, start). The call passes the
-threshold, so the sweep returns only the windows its BLAS prefilter cannot
-rule out, each with its whole row of exact r, one value per query; a group
-is therefore bounded in windows and in windows x queries (``GROUP_WINDOWS``,
-``GROUP_VALUES``), since each query keeps at least its own terminal window.
-The match set and every r are those of an exhaustive sweep of each donor on
-its own. Each worker process gets the layout's arrays, not the series, and
-scans one contiguous block of queries.
+centred once, as one block. The layout's windows are swept in chunks of
+consecutive starts, each one ``sliding_correlations`` call against all the
+queries with the layout's gaps as missing, so no window spans two series;
+one ``searchsorted`` maps the hits back to (donor, start). The call passes
+the threshold, so the sweep returns only the windows its BLAS prefilter
+cannot rule out, each with its whole row of exact r, one value per query. A
+chunk holds at most min(``GROUP_WINDOWS``, ``GROUP_VALUES`` // queries)
+windows, a strict bound on each sweep's windows and windows x queries,
+however long a series. The match set and every r are those of an exhaustive
+sweep of each donor on its own. Each worker process gets the layout's
+arrays, not the series, and scans one contiguous block of queries.
 
 The hits stay arrays from the sweep to the writers: a ``MatchTable`` holds
 the query index, donor index, start, end and r of every match, in (query,
@@ -56,8 +56,8 @@ CUTOFF_TOLERANCE = 1e-10
 # the columns of no hits, which seed each concatenation of hits
 _NO_HITS = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)
 
-# a sweep returns the r of each window it keeps against every query, so the
-# donors swept together are bounded in windows and in windows x queries
+# a sweep returns the r of each window it keeps against every query, so each
+# sweep takes a chunk of windows bounded in windows and in windows x queries
 GROUP_WINDOWS = 1 << 14
 GROUP_VALUES = 1 << 20
 
@@ -211,32 +211,16 @@ class LeakReport:
             _check_fields("skipped query", id=sid, reason=reason)
 
 
-def _donor_groups(lengths, h, k):
-    """The (first, stop) index ranges of consecutive series of ``lengths``
-    swept together against k queries: a group's target, its series with one
-    separator between each two, has at most min(GROUP_WINDOWS,
-    GROUP_VALUES // k) windows, or holds one series."""
-    cap = min(GROUP_WINDOWS, GROUP_VALUES // k)
-    groups, first, windows = [], 0, -h
-    for j, n in enumerate(lengths):
-        if j > first and windows + n + 1 > cap:
-            groups.append((first, j))
-            first, windows = j, -h
-        windows += n + 1
-    return groups + [(first, len(lengths))]
-
-
 def _scan_block(layout, cfg, query_of):
     """The hits of the scannable queries ``query_of`` of the collection's ``layout``
     as arrays of query index, donor index, start and r, in (query, donor, offset) order."""
     h = cfg.h
     flat, first, lengths, gaps = layout
     queries = query_block(_gather(flat, first[query_of] + lengths[query_of] - h, h))
+    step = max(1, min(GROUP_WINDOWS, GROUP_VALUES // len(query_of)))
     found = [_NO_HITS]
-    for g0, g1 in _donor_groups(lengths, h, len(query_of)):
-        lo, hi = first[g0], first[g1 - 1] + lengths[g1 - 1]
-        if hi - lo < h:  # series too short for a window
-            continue
+    for lo in range(0, len(flat) - h + 1, step):  # a chunk of step windows, starting at lo
+        hi = min(lo + step + h - 1, len(flat))
         profile = sliding_correlations(queries, flat[lo:hi], h, missing=np.flatnonzero(gaps[lo:hi]),
                                        threshold=cfg.threshold)
         rows, cols = np.nonzero(np.abs(profile.r_values) >= cfg.threshold)

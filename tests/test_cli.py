@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -473,6 +474,56 @@ class TestLayoutBuiltOnce:
         assert cli.main(args) == 0
         capsys.readouterr()
         assert len(layouts) >= 2 and all(layout is layouts[0] for layout in layouts)
+
+
+def explain_at_one_and_two_workers(path, *args):
+    """The explain stdout at one worker, after asserting that it and the JSON
+    report are the same bytes at one and two workers."""
+    outputs = []
+    for workers in ("1", "2"):
+        proc = run_cli("explain", "--input", str(path), *args, "--workers", workers)
+        assert proc.returncode == 0, proc.stderr
+        report = path.parent / f"report-{workers}.json"
+        written = run_cli("explain", "--input", str(path), *args, "--workers", workers, "--output", str(report))
+        assert written.returncode == 0, written.stderr
+        outputs.append((proc.stdout, report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    return outputs[0][0]
+
+
+class TestSweepScenarios:
+    def test_series_shorter_than_h_between_donors(self, tmp_path):
+        # s is laid out with the rest but holds no window, and a's terminal
+        # segment recurs in b past b's gap
+        path = tmp_path / "short.csv"
+        path.write_text("series_id,index,value\na,1,1\na,2,5\na,3,2\na,4,8\na,5,3\ns,1,4\ns,2,6\n"
+                        "b,1,7\nb,2,\nb,3,9\nb,4,2\nb,5,8\nb,6,3\nb,7,6\nb,8,1\nb,9,4\n")
+        out = explain_at_one_and_two_workers(path, "--h", "3", "--missing", "skip")
+        assert "a -> b: 4-6, r=1.000, exact-match, useful; predicted test: 6 1 4" in out
+        assert any(line.startswith("skipped query s: too-short") for line in out.splitlines())
+
+    def test_matches_across_prefilter_block_edges(self, tmp_path):
+        # one series of 3000 values holds an exact copy of a's terminal segment
+        # and a negated affine copy of b's, each across a prefilter block edge
+        # (h = 16, blocks of 2**14 // h = 1024 windows)
+        rng = random.Random(7)
+
+        def walk(n):
+            v, out = 0, []
+            for _ in range(n):
+                v += rng.randint(-9, 9)
+                out.append(v)
+            return out
+
+        long, a, b = walk(3000), walk(60), walk(60)
+        long[1017:1033] = a[-16:]
+        long[2040:2056] = [5 - 2 * v for v in b[-16:]]
+        path = tmp_path / "straddle.csv"
+        path.write_text("long,a,b\n" + "".join(
+            ",".join(str(c[t]) if t < len(c) else "" for c in (long, a, b)) + "\n" for t in range(3000)))
+        lines = explain_at_one_and_two_workers(path, "--format", "wide", "--h", "16").splitlines()
+        assert any(line.startswith("a -> long: 1018-1033, r=1.000, exact-match") for line in lines)
+        assert any(line.startswith("b -> long: 2041-2056, r=-1.000, negative-affine") for line in lines)
 
 
 class TestDeterminism:

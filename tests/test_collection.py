@@ -440,6 +440,16 @@ class TestRoundTrip:
         assert [(s.id, s.values.tobytes(), s.missing) for s in back] == \
             [(s.id, s.values.tobytes(), s.missing) for s in c]
 
+    @pytest.mark.parametrize("sid", [" a", "a ", ""])
+    @pytest.mark.parametrize("fmt", ["long-csv", "json", "wide-csv"])
+    def test_id_that_would_not_round_trip_is_rejected(self, tmp_path, fmt, sid):
+        # every loader strips ids and rejects an empty one
+        c = ts.from_dict({"b": [1.0, 2.0], sid: [3.0]})
+        p = tmp_path / f"ids.{fmt}"
+        with pytest.raises(ts.ValidationError, match=f"series id {sid!r}"):
+            ts.write_collection(c, p, fmt)
+        assert not p.exists()
+
     def test_load_is_deterministic(self, tmp_path):
         p = tmp_path / "c.json"
         write(p, json.dumps({"a": [1.25, 2.5], "b": [3.75]}))

@@ -420,6 +420,36 @@ class TestMalformedRecords:
             consume(record, c)
         assert str(raised.value) == message
 
+    # d's window 1..3 and e's last three values are constant, so neither has an r
+    @pytest.mark.parametrize("record, message", [
+        pytest.param(MatchRecord("q", "d", 1, 3, 1.0), "match 'q' -> 'd' window 1..3 of 'd' is constant",
+                     id="donor-window"),
+        pytest.param(MatchRecord("e", "q", 1, 3, 1.0),
+                     "match 'e' -> 'q' query segment, the last 3 observations of 'e', is constant",
+                     id="query-segment"),
+    ])
+    @pytest.mark.parametrize("consume", [
+        lambda record, c: ts.reason_report(ts.LeakReport(ts.ScanConfig(h=3), [record]), c),
+        lambda record, c: ts.assess_usefulness(record, c, ts.ReasonConfig(horizon=3)),
+    ], ids=["reason_report", "assess_usefulness"])
+    def test_constant_window_in_record(self, consume, record, message):
+        c = ts.from_dict({"q": [1, 5, 2, 8, 3], "d": [4, 4, 4, 7, 1, 2, 9], "e": [3, 1, 4, 4, 4]})
+        with pytest.raises(ts.ConsistencyError) as raised:
+            consume(record, c)
+        assert str(raised.value) == message
+
+    def test_first_constant_record_in_report_order_is_named(self):
+        # q's block is fitted before e's, but e's record comes first
+        c = ts.from_dict({"q": [1, 5, 2, 8, 3], "d": [4, 4, 4, 7, 1, 2, 9], "e": [3, 1, 4, 4, 4]})
+        report = ts.LeakReport(ts.ScanConfig(h=3), [
+            MatchRecord("q", "d", 5, 7, 1.0),
+            MatchRecord("e", "q", 1, 3, 1.0),
+            MatchRecord("q", "d", 1, 3, 1.0),
+        ])
+        with pytest.raises(ts.ConsistencyError) as raised:
+            ts.reason_report(report, c)
+        assert str(raised.value) == "match 'e' -> 'q' query segment, the last 3 observations of 'e', is constant"
+
     def test_first_malformed_record_in_report_order_is_named(self, usage_collection):
         # x's block holds the first match and x comes first in the collection,
         # so a check block by block would name x's record, not z's

@@ -149,7 +149,9 @@ class TestPrefilter:
     def test_one_module_global_sweep_per_group(self, monkeypatch):
         # the benchmark's tracer wraps tsleakscan.scan.sliding_correlations and
         # reads three positional arguments, the threshold keyword and the
-        # profile's offsets and skips
+        # profile's offsets and skips; each sweep is one group (chunk) of at
+        # most step consecutive windows of the layout, so its target holds at
+        # most step + h - 1 values, however long a series
         scan_module = importlib.import_module("tsleakscan.scan")
         sweep = scan_module.sliding_correlations
         calls = []
@@ -166,23 +168,28 @@ class TestPrefilter:
                           "flat": [4.0] * 12})
         cfg = ts.ScanConfig(h=5, cutoff=0.9)
         ts.scan(c, cfg)
-        # every series end to end, a separator after each but the last; the
-        # separators rule out the windows over them, 26-33 (around short) and
-        # 55-59, and flat's 8 windows are constant
+        # every series end to end, a separator after each; the separators rule
+        # out the windows over them, 27-34 (around short), 56-60 and 69, and
+        # flat's 8 windows are constant
+        values = 30 + 1 + 2 + 1 + 25 + 1 + 12 + 1
         [call] = calls
-        assert call[:3] == (3, cfg.threshold, 30 + 1 + 2 + 1 + 25 + 1 + 12)
-        assert call[4] == 8 + 5 + 8
-        calls.clear()
-        monkeypatch.setattr(scan_module, "GROUP_WINDOWS", 1)  # one series a group
-        ts.scan(c, cfg)
-        # short, a group too short for a window, is not swept
-        assert [call[:3] for call in calls] == [(3, cfg.threshold, n) for n in (30, 25, 12)]
-        assert [call[4] for call in calls] == [0, 0, 8]
+        assert call[:3] == (3, cfg.threshold, values)
+        assert call[4] == 8 + 5 + 8 + 1
+        for step in (1, 7):  # a, of 26 windows, spans several groups
+            calls.clear()
+            monkeypatch.setattr(scan_module, "GROUP_WINDOWS", step)
+            ts.scan(c, cfg)
+            assert all(call[:2] == (3, cfg.threshold) for call in calls)
+            assert max(call[2] for call in calls) == step + cfg.h - 1
+            # the groups cover every window once
+            assert sum(call[2] - cfg.h + 1 for call in calls) == values - cfg.h + 1
+            assert sum(call[4] for call in calls) == 8 + 5 + 8 + 1
 
 
 class TestDonorGroups:
-    """The donors are swept in groups laid end to end; the matches must not
-    depend on how they are grouped, to the last bit of each r."""
+    """The layout's windows are swept in groups (chunks) of consecutive
+    starts; the matches must not depend on where the groups start, to the
+    last bit of each r."""
 
     @staticmethod
     def collection():
@@ -212,27 +219,20 @@ class TestDonorGroups:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cutoff", [1.0, 0.9])
     def test_columns_equal_one_donor_a_group(self, monkeypatch, workers, cutoff):
-        # one donor a group is the sweep of each donor on its own
+        # groups of 1, 5 and 19 windows start inside both planted copies of
+        # s09, so their windows are split across groups; 100 windows span a
+        # few donors
         c = self.collection()
         assert min(len(s) for s in c) < 6
         cfg = ts.ScanConfig(h=6, cutoff=cutoff, workers=workers)
         scan_module = importlib.import_module("tsleakscan.scan")
         grouped = self.columns(ts.scan(c, cfg))
         assert len(grouped[1]) >= 2 and ("s08", MISSING_IN_QUERY) in grouped[-1]
-        for windows in (1, 100):  # one donor a group, then a few donors a group
+        plants = c._layout()[1][9] + np.array([10, 30])  # where s09's copies start in the layout
+        for windows in (1, 5, 19, 100):
+            assert windows == 100 or all((p + cfg.h - 1) // windows > p // windows for p in plants)
             monkeypatch.setattr(scan_module, "GROUP_WINDOWS", windows)
             assert self.columns(ts.scan(c, cfg)) == grouped
-
-    def test_groups_bounded_in_windows_and_queries(self):
-        scan_module = importlib.import_module("tsleakscan.scan")
-        lengths, h = [40] * 1000 + [50_000] + [10] * 5, 6
-        for k in (1, 100, 5000):
-            cap = min(scan_module.GROUP_WINDOWS, scan_module.GROUP_VALUES // k)
-            groups = scan_module._donor_groups(lengths, h, k)
-            assert [g for group in groups for g in range(*group)] == list(range(len(lengths)))
-            for first, stop in groups:
-                windows = sum(n + 1 for n in lengths[first:stop]) - h
-                assert windows <= cap or stop == first + 1
 
     def test_traced_peak_of_many_short_series_at_cutoff_one(self):
         # every query keeps its own terminal window, so a sweep of every donor
@@ -248,6 +248,24 @@ class TestDonorGroups:
             tracemalloc.stop()
         assert len(report.matches) == 0
         assert peak < 4 * 2**20
+
+    def test_traced_peak_of_one_long_series(self):
+        # the prefilter keeps thousands of a long random walk's windows at
+        # cutoff 0.99, each with a row of r against all 501 queries; a sweep of
+        # the whole series at once would hold about 60 MiB, a group of
+        # GROUP_VALUES // 501 windows at most 8 MiB
+        rng = np.random.default_rng(0)
+        data = {f"s{i:03d}": np.cumsum(rng.normal(size=40)) for i in range(500)}
+        data["long"] = np.cumsum(rng.normal(size=20_000))
+        c = ts.from_dict(data)
+        tracemalloc.start()
+        try:
+            report = ts.scan(c, ts.ScanConfig(h=6, cutoff=0.99))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.matches) > 10_000
+        assert peak < 20 * 2**20
 
 
 @st.composite
