@@ -1,3 +1,4 @@
+from . import report  # noqa: F401
 from .cli import main
 
 raise SystemExit(main())

@@ -16,10 +16,15 @@ JSON file that starts with one gets ``json.loads``'s error.
 
 Collection order always follows input order (it later fixes the row and
 column order of the match matrix). The loaders only parse, reading each
-series as floats, NaN for an empty cell or a ``null``; the CSV loaders fill
-float64 buffers a row at a time, so no cell's text outlives its row, and
-the JSON loader reads its object a member at a time, so each series'
-Python floats become a float64 array before the next series is read.
+series as floats, NaN for an empty cell or a ``null``. The wide CSV loader
+fills a float64 buffer a row at a time, so no cell's text outlives its row.
+The long CSV loader parses chunks of whole lines with numpy's C reader,
+``np.loadtxt``, and keeps only their float64 values and one (id, length)
+pair per run of rows; a file it does not take (see ``_long_csv_runs``) is
+read again a row at a time by ``csv.reader``, ``int`` and ``float``, which
+name its first bad row. The JSON loader reads its object a member at a
+time, so each series' Python floats become a float64 array before the next
+series is read.
 ``_finish_series`` strips the id and decides what is missing: every
 non-finite value, which it rejects or stores as 0.0. ``SeriesCollection``
 checks ids (distinct str), values (1-D, non-empty, finite) and missing positions,
@@ -29,11 +34,13 @@ and lays its series out once, read-only (``_layout``), for the scan, its workers
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
 import re
 import struct
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -99,6 +106,7 @@ class SeriesCollection:
     entries: list[Series]
     _index: dict[str, int] = field(init=False, repr=False)
     _laid_out: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _gaps_at: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {}
@@ -155,6 +163,13 @@ class SeriesCollection:
             for part in self._laid_out:
                 part.flags.writeable = False
         return self._laid_out
+
+    def _gap_positions(self):
+        """The positions of the gaps of ``_layout``, read-only and found once."""
+        if self._gaps_at is None:
+            self._gaps_at = np.flatnonzero(self._layout()[3])
+            self._gaps_at.flags.writeable = False
+        return self._gaps_at
 
 
 def _gather(flat, first, width):
@@ -226,18 +241,22 @@ def _load_wide_csv(path, policy):
     return entries
 
 
-def _load_long_csv(path, policy):
-    expected_header = ["series_id", "index", "value"]
+_LONG_HEADER = "series_id,index,value"
+_LONG_ROW = np.dtype([("id", object), ("index", np.int64), ("value", np.float64)])
+_LONG_CHUNK = 1 << 15  # characters read at a time; 4 B each in the StringIO that np.loadtxt reads
+
+
+def _long_csv_rows(path):
+    """(id, values) per series of the long CSV ``path``, read a row at a time by
+    ``csv.reader``, ``int`` and ``float``; the FormatError of the first bad row."""
     values: dict[str, bytearray] = {}  # float64s, in order of first appearance
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise FormatError(f"{path}: empty file")
-        if [h.strip() for h in header] != expected_header:
-            raise FormatError(
-                f"{path}:1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
+        if [h.strip() for h in header] != _LONG_HEADER.split(","):
+            raise FormatError(f"{path}:1: expected header {_LONG_HEADER!r}, got {','.join(header)!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(c.strip() == "" for c in row):
                 continue
@@ -256,7 +275,70 @@ def _load_long_csv(path, policy):
                 raise FormatError(f"{path}:{lineno}: series {sid!r} index {idx} is not contiguous "
                                   f"(expected {expected})")
             series += _FLOAT64.pack(_parse_cell(row[2], f"{path}:{lineno}"))
-    return [_finish_series(sid, np.frombuffer(series), policy, path) for sid, series in values.items()]
+    return [(sid, np.frombuffer(series)) for sid, series in values.items()]
+
+
+def _add_long_rows(text, values, runs):
+    """Parse the whole lines ``text`` with np.loadtxt onto ``values`` (float64s)
+    and ``runs`` (id -> rows, in file order); False where the row loop may read
+    them otherwise (see ``_long_csv_runs``)."""
+    if '"' in text or "\0" in text:  # csv.reader reads quotes, and Python < 3.11 rejects a NUL
+        return False
+    rows = np.loadtxt(io.StringIO(text), dtype=_LONG_ROW, delimiter=",", comments=None, ndmin=1)
+    ids = rows["id"]
+    heads = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])  # the first row of each run
+    lengths = np.diff(np.r_[heads, len(ids)])
+    last = next(reversed(runs), None)
+    carried = runs[last] if ids[0] == last else 0  # the rows of a run the last chunk began
+    # each run counts 1, 2, ... from its first row, a carried run from its rows so far
+    expected = np.arange(1, len(ids) + 1) - np.repeat(heads, lengths)
+    expected[:lengths[0]] += carried
+    if not np.array_equal(rows["index"], expected):
+        return False
+    if carried:
+        runs[last] += int(lengths[0])
+        heads, lengths = heads[1:], lengths[1:]
+    for sid, n in zip(ids[heads].tolist(), lengths.tolist()):
+        if not sid or sid != sid.strip() or sid in runs:
+            return False
+        runs[sid] = n
+    values += rows["value"].tobytes()
+    return True
+
+
+def _long_csv_runs(path):
+    """(id, values) per series of the long CSV ``path``, parsed by np.loadtxt a
+    chunk of whole lines at a time; None for a file that ``_long_csv_rows`` may
+    read otherwise: one with a header not written as is, a quote, a lone CR, a
+    NUL, a whitespace-only, short or long row, an id not stripped or empty, a
+    cell that numpy does not parse (an empty value, ``1_0``, a digit outside
+    ASCII, ``1.0`` as an index, ...), an index out of order or an id in two
+    runs of rows. The row loop reads such a file, or names its first bad row."""
+    values, runs = bytearray(), {}
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # some numpy versions read "1.0" as the index 1, with a warning
+            if fh.readline() not in (_LONG_HEADER, _LONG_HEADER + "\n", _LONG_HEADER + "\r\n"):
+                return None
+            text, more = "", True
+            while more:
+                more = fh.read(_LONG_CHUNK)
+                text += more
+                cut = text.rfind("\n") + 1 if more else len(text)  # the last line may lack its newline
+                if cut and not _add_long_rows(text[:cut], values, runs):
+                    return None
+                text = text[cut:]
+    except (ValueError, Warning):  # a decoding error, or a cell numpy does not parse
+        return None
+    flat, at = np.frombuffer(values), np.cumsum([0, *runs.values()]).tolist()
+    return [(sid, flat[a:b]) for sid, a, b in zip(runs, at, at[1:])]
+
+
+def _load_long_csv(path, policy):
+    series = _long_csv_runs(path)
+    if series is None:
+        series = _long_csv_rows(path)
+    return [_finish_series(sid, values, policy, path) for sid, values in series]
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
@@ -366,9 +448,10 @@ def _cell(v, missing) -> str:
 
 def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
     """Serialize a collection; every format round-trips exactly, the wide CSV
-    marking a missing value ``nan``, as a blank trailing cell is padding.
-    The loaders strip each id, so an id that is empty or not stripped raises
-    ValidationError before the file is opened."""
+    marking a missing value ``nan``, as a blank trailing cell is padding, and
+    starting with a byte-order mark when its first id starts with U+FEFF, as
+    the loader skips one. The loaders strip each id, so an id that is empty
+    or not stripped raises ValidationError before the file is opened."""
     if bad := [sid for sid in c.ids() if not sid or sid != sid.strip()]:
         raise ValidationError(f"series id {bad[0]!r} would not round-trip: it is empty or not stripped")
     if format == "long-csv":
@@ -380,7 +463,8 @@ def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
                     writer.writerow([s.id, i + 1, _cell(v, "")])
     elif format == "wide-csv":
         columns = [_observed(s) for s in c]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        bom = len(c) > 0 and c.entries[0].id.startswith("\ufeff")
+        with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(c.ids())
             for i in range(max((len(col) for col in columns), default=0)):

@@ -16,17 +16,18 @@ name series of the collection, the window starts at position 1 or later,
 spans at least MIN_WINDOW observations, is no longer than its query series
 and ends within its donor, and neither the donor window nor the query
 segment (the query series' last ``end - start + 1`` observations) covers a
-missing value, a gap of the collection's ``_layout``, built once, which
-``_locate`` hands on. The first record in report order that fails a check
-raises ConsistencyError, with the message of the first check it fails;
-``build_matrix`` counts through the same checks. ``reason_report`` then
-raises ConsistencyError for the first record, in report order, whose donor
-window or query segment is constant, as no scan's is, and fits all matches
-of one query segment together: their donor windows are gathered into a
-(k, h) block by one fancy index into the layout, each row is centred once,
-and every slope, intercept, residual and window scale is an array operation
-over the block; the continuations of every useful match are one more fancy
-index. ``assess_usefulness`` is this path run on a one-row table, and
+missing value, a gap of the collection's ``_layout``. The layout and its
+gaps' positions are built once, and ``_locate`` hands the layout on. The
+first record in report order that fails a check raises ConsistencyError,
+with the message of the first check it fails; ``build_matrix`` counts
+through the same checks. ``reason_report`` then raises ConsistencyError for
+the first record, in report order, whose donor window or query segment is
+constant, as no scan's is, and fits all matches of one query segment
+together: their donor windows are gathered into a (k, h) block by one fancy
+index into the layout, each row is centred once, and every slope,
+intercept, residual and window scale is an array operation over the block;
+the continuations of every useful match are one more fancy index.
+``assess_usefulness`` is this path run on a one-row table, and
 ``fit_affine`` the one-row case of the same fit. Each row gets the bits a
 fit of its match alone would get: the reductions run along the last axis of
 each row, and the cross term is a matmul of each row with the query, which
@@ -254,7 +255,7 @@ def _locate(matches: MatchTable, collection: SeriesCollection):
     then the collection's ``_layout``. The first match in report order that
     fails a record check of the module docstring raises ConsistencyError.
     """
-    flat, first, lengths, gaps = layout = collection._layout()
+    flat, first, lengths, _ = layout = collection._layout()
     first, lengths = np.r_[first, len(flat)], np.r_[lengths, 0]  # what index -1, an unknown id, picks
     index = np.array([collection._index.get(sid, -1) for sid in matches.ids], dtype=int)
     qi, di, start, end = index[matches.qi], index[matches.di], matches.start, matches.end
@@ -265,7 +266,7 @@ def _locate(matches: MatchTable, collection: SeriesCollection):
     query_end = first[qi] + lengths[qi]
     bounds = np.clip([first[di] + start - 1, first[di] + end, query_end - span, query_end],
                      0, len(flat)).astype(int)
-    before = np.searchsorted(np.flatnonzero(gaps), bounds)  # gaps before each bound
+    before = np.searchsorted(collection._gap_positions(), bounds)  # gaps before each bound
     checks = (qi < 0, di < 0, (start < 1) | (span < MIN_WINDOW), span > lengths[qi], end > lengths[di],
               before[1] > before[0], before[3] > before[2])
     failing = np.logical_or.reduce(checks)

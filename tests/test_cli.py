@@ -526,6 +526,41 @@ class TestSweepScenarios:
         assert any(line.startswith("b -> long: 2041-2056, r=-1.000, negative-affine") for line in lines)
 
 
+class TestLoaderScenarios:
+    def test_long_csv_with_a_byte_order_mark(self, tmp_path, capsys):
+        # as Excel's "CSV UTF-8" export and R's fileEncoding = "UTF-8-BOM" write
+        # it: the mark is not part of the header, and the first series' id is plain a
+        from tsleakscan import cli
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfseries_id,index,value\na,1,1\na,2,5\na,3,2\na,4,8\na,5,3\n"
+                         b"b,1,7\nb,2,2\nb,3,8\nb,4,3\nb,5,1\nb,6,6\n")
+        assert cli.main(["scan", "--input", str(path), "--h", "3"]) == 0
+        assert any(line.startswith("a -> b: 2-4") for line in capsys.readouterr().out.splitlines())
+
+    def test_wide_csv_series_ending_in_missing_values(self, tmp_path, capsys):
+        # each missing value is written nan, so the trailing ones read back as
+        # missing values, not as padding, and the scan skips both queries
+        from tsleakscan import cli
+        c = ts.SeriesCollection([ts.Series("a", np.array([1.0, 2.0, 0.0]), missing=(2,)),
+                                 ts.Series("b", np.array([4.0, 0.0, 6.0, 7.0, 0.0, 0.0]), missing=(1, 4, 5))])
+        path = tmp_path / "trailing.csv"
+        ts.write_collection(c, path, "wide-csv")
+        back = [(s.id, len(s), s.missing) for s in ts.load_collection(path, "wide-csv", ts.MissingPolicy(SPLIT_SKIP))]
+        assert back == [("a", 3, (2,)), ("b", 6, (1, 4, 5))], back
+        assert cli.main(["scan", "--input", str(path), "--format", "wide", "--h", "3", "--missing", "skip"]) == 0
+        skipped = [line for line in capsys.readouterr().out.splitlines() if line.startswith("skipped query")]
+        assert skipped == ["skipped query a: missing-in-query", "skipped query b: missing-in-query"]
+
+    def test_wide_csv_padding_after_nan_and_whitespace(self, tmp_path, capsys):
+        # the nan is a missing value in a's query, b's blanks are only padding
+        from tsleakscan import cli
+        path = tmp_path / "padded.csv"
+        path.write_text("a,b\n1,3\n5,1\n2,4\n8,1\nnan,5\n, \n,\t\n", encoding="utf-8")
+        assert cli.main(["scan", "--input", str(path), "--format", "wide", "--h", "3", "--missing", "skip"]) == 0
+        skipped = [line for line in capsys.readouterr().out.splitlines() if line.startswith("skipped query")]
+        assert skipped == ["skipped query a: missing-in-query"]
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, usage_csv, tmp_path):
         outs = []
@@ -544,3 +579,29 @@ def test_import_loads_no_pool_or_network_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_defers_reasons_and_report():
+    # a process that only loads a collection compiles neither; every public
+    # name still resolves, and tsleakscan.scan stays the function
+    code = """if True:
+        import sys, tsleakscan
+        print(sorted(m for m in ("tsleakscan.reasons", "tsleakscan.report", "tsleakscan.cli") if m in sys.modules))
+        import tsleakscan.reasons
+        print(callable(tsleakscan.scan), type(tsleakscan.scan).__name__)
+        print([name for name in tsleakscan.__all__ if getattr(tsleakscan, name, None) is None])
+        namespace = {}
+        exec("from tsleakscan import *", namespace)
+        print(sorted(set(tsleakscan.__all__) - set(namespace)), namespace["reason_report"] is tsleakscan.reasons.reason_report)
+        print(tsleakscan.report.write_report is tsleakscan.write_report)
+        try:
+            tsleakscan.no_such_name
+        except AttributeError as exc:
+            print(exc)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "True function", "[]", "[] True", "True",
+        "module 'tsleakscan' has no attribute 'no_such_name'",
+    ]

@@ -3,6 +3,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsleakscan as ts
-from tsleakscan.collection import REJECT, SPLIT_SKIP, _load_wide_csv
+from tsleakscan import collection
+from tsleakscan.collection import REJECT, SPLIT_SKIP, _load_long_csv, _load_wide_csv, _long_csv_runs
 
 from conftest import reference_layout, reference_wide_csv
 
@@ -138,6 +140,39 @@ WIDE_CELLS = ["", " ", "\t", "nan", "NaN", "inf", "-inf", "1_0", "-0.0", "2e-310
               "1", "2", "-3.5", "4e2", "1", "2", "-3.5", "4e2", "abc", "1e5x"]
 
 
+LONG_HEADER = "series_id,index,value\n"
+# row pieces: the np.loadtxt path takes the first few of each list as the row loop reads them
+LONG_IDS = ["a", "b", "c", "\ufeffa", "a#", "a\x1cb\x85c\u2028d", " a", "a ", "", '"a"', "a\x00"]
+LONG_INDEX_CELLS = ["{}", "+{}", " {} ", "0{}", "{}.0", "1_{}", "\u0661", "{}e0", "-{}", ""]
+LONG_VALUES = ["1", "-2.5", "1e308", "1e999", "nan", "-nan", "inf", " 3 ", "1" + "0" * 400, "7" * 5000,
+               "", "0x1p3", "1_0", "\u0661", "one", "1e"]
+LONG_ROWS = ["", " ", ",,", "a,1", "a,1,2,3"]
+
+
+@st.composite
+def long_csv_texts(draw):
+    """The text of a long CSV: runs of rows of one id, their indices counting
+    from 1, each piece drawn from the first few of its list above or, in
+    ``dirt`` percent of draws, from all of it: a header not read as is, a
+    repeated id, a bad or odd cell, a blank, whitespace-only, short or long
+    row, a lone CR."""
+    dirt = draw(st.sampled_from([0, 0, 5, 30]))
+
+    def piece(options, clean):
+        return draw(st.sampled_from(options if draw(st.integers(0, 99)) < dirt else options[:clean]))
+
+    text = piece(["", "\ufeff"], 2) + piece([LONG_HEADER, "series_id,index,value\r\n", "series_id, index,value\n",
+                                            "id,t,v\n"], 2)
+    ids = draw(st.lists(st.sampled_from(LONG_IDS[:6]), max_size=4, unique=True))
+    for sid in ids:
+        sid = piece([sid, *ids, *LONG_IDS], 1)  # an id in two runs, or one the loaders do not take
+        for i in range(1, draw(st.integers(min_value=1, max_value=6)) + 1):
+            value = draw(st.floats(allow_nan=False).map(repr)) if draw(st.booleans()) else piece(LONG_VALUES, 10)
+            row = piece([f"{sid},{piece(LONG_INDEX_CELLS, 4).format(i)},{value}", *LONG_ROWS], 1)
+            text += row + piece(["\n", "\r\n", "\r"], 2)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
 @st.composite
 def wide_grids(draw):
     """The text of a ragged wide CSV: rows shorter than, as long as or longer
@@ -148,11 +183,11 @@ def wide_grids(draw):
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
-def load_outcome(load, path, policy):
+def load_outcome(load, path, policy, errors=(ts.FormatError, ts.ValidationError)):
     """The ids, value bytes and missing positions a loader gives, or its error."""
     try:
         entries = load(path, policy)
-    except (ts.FormatError, ts.ValidationError) as exc:
+    except errors as exc:
         return type(exc), str(exc)
     return [(s.id, s.values.tobytes(), s.missing) for s in entries]
 
@@ -198,6 +233,88 @@ class TestWideCsvAgainstReference:
         else:
             c = ts.load_collection(path, "wide-csv", policy)
             assert [(s.id, len(s), s.missing) for s in c] == want
+
+
+def long_rows(*series, end="\n"):
+    """The rows of the series (id, values) as ``write_collection`` lays them out."""
+    return "".join(f"{sid},{i},{v!r}{end}" for sid, values in series
+                   for i, v in enumerate(np.asarray(values, dtype=float).tolist(), 1))
+
+
+class TestLongCsvFastPath:
+    """The np.loadtxt path against the row loop alone: the same ids, value
+    bytes and missing positions, or the same exception type and message,
+    under both policies."""
+
+    POLICIES = (ts.MissingPolicy(REJECT), ts.MissingPolicy(SPLIT_SKIP))
+
+    def check(self, path, chunk):
+        """Whether the np.loadtxt path took the file at chunks of ``chunk``
+        characters, after checking its outcome against the row loop's."""
+        with mock.patch("tsleakscan.collection._LONG_CHUNK", chunk):
+            taken = _long_csv_runs(path) is not None
+            fast = [load_outcome(_load_long_csv, path, policy, Exception) for policy in self.POLICIES]
+        with mock.patch("tsleakscan.collection._long_csv_runs", lambda path: None):
+            rows = [load_outcome(_load_long_csv, path, policy, Exception) for policy in self.POLICIES]
+        assert fast == rows, (path.read_bytes()[:200], chunk)
+        return taken
+
+    STRADDLE = long_rows(*[(sid, np.linspace(-1, 1, 2500) * 10.0 ** k) for k, sid in enumerate("abc")])
+
+    @pytest.mark.parametrize("text, taken", [
+        ("\ufeff" + LONG_HEADER + "a,1,1\na,2,2\n", True),
+        (LONG_HEADER.replace("\n", "\r\n") + long_rows(("a", [1.0, 2.0]), ("b", [3.0]), end="\r\n"), True),
+        (LONG_HEADER + "a,1,1\ra,2,2\n", False),
+        (LONG_HEADER + '"a",1,1\n', False),
+        (LONG_HEADER + "a ,1,1\nb,1,2\n", False),
+        (LONG_HEADER + ",1,1\n", False),
+        (LONG_HEADER + "a,1,1\n\na,2,2\n\n", True),
+        (LONG_HEADER + "a,1,1\n \t\na,2,2\n", False),
+        (LONG_HEADER + "a,1\na,2,2,2\n", False),
+        (LONG_HEADER + "a,1_0,1\n", False),
+        (LONG_HEADER + "a,\u0661,1\n", False),
+        (LONG_HEADER + "a,+1,1\na, 2 ,2\n", True),
+        (LONG_HEADER + "a,1.0,1\n", False),
+        (LONG_HEADER + "a,1,\n", False),
+        (LONG_HEADER + "a,1,nan\na,2,-nan\na,3,inf\na,4,1\n", True),
+        (LONG_HEADER + f"a,1,{'1' + '0' * 400}\na,2,{'7' * 5000}\na,3,1\n", True),
+        (LONG_HEADER + "a,1,1\nb,1,2\na,1,3\n", False),
+        (LONG_HEADER + "b,1,1\na,1,2\nb,2,3\n", False),
+        (LONG_HEADER + "a,1,1\na,3,2\n", False),
+        (LONG_HEADER + "a\x00,1,1\n", False),
+        ("series_id, index,value\na,1,1\n", False),
+        ("id,t,v\na,1,1\n", False),
+        (LONG_HEADER, True),
+        ("series_id,index,value", True),
+        (LONG_HEADER + "a,1,1\na,2,2", True),
+        (LONG_HEADER + STRADDLE, True),
+    ], ids=["byte-order-mark", "crlf", "lone-cr", "quoted-id", "padded-id", "empty-id", "blank-rows",
+            "whitespace-row", "short-and-long-rows", "underscore-index", "unicode-digit-index",
+            "signed-and-padded-index", "float-index", "empty-value", "nan-and-inf", "huge-integers",
+            "id-in-two-runs", "interleaved-ids", "gap-in-index", "nul-in-id", "padded-header",
+            "other-header", "header-only", "header-without-newline",
+            "no-trailing-newline", "runs-across-chunks"])
+    def test_corpus(self, tmp_path, text, taken):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert self.check(path, collection._LONG_CHUNK) is taken
+        for chunk in (1, 5, 64):  # chunk edges inside rows, cells and CRLF line ends
+            self.check(path, chunk)
+
+    def test_written_collection_taken(self, tmp_path):
+        # write_collection ends its lines with CRLF; these runs cross many chunk edges
+        path = tmp_path / "c.csv"
+        ts.write_collection(_grid(n_series=5), path, "long-csv")
+        assert path.read_bytes().startswith(b"series_id,index,value\r\n")
+        assert self.check(path, collection._LONG_CHUNK)
+
+    @given(long_csv_texts(), st.sampled_from([5, 64, 1 << 15]))
+    @settings(max_examples=400, deadline=None)
+    def test_generated_texts(self, text, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.csv"
+            path.write_bytes(text.encode("utf-8"))
+            self.check(path, chunk)
 
 
 def _grid(seed=7, n_series=40, length=3000):
@@ -449,6 +566,18 @@ class TestRoundTrip:
         with pytest.raises(ts.ValidationError, match=f"series id {sid!r}"):
             ts.write_collection(c, p, fmt)
         assert not p.exists()
+
+    @pytest.mark.parametrize("fmt", ["long-csv", "json", "wide-csv"])
+    def test_id_starting_with_a_byte_order_mark(self, tmp_path, fmt):
+        # the CSV loaders skip one mark at the start of the file; the wide CSV's
+        # first id comes right after it
+        c = ts.from_dict({"\ufeffa": [1.0, 2.0], "b": [3.0], "\ufeff\ufeffc": [4.0]})
+        p = tmp_path / f"bom.{fmt}"
+        ts.write_collection(c, p, fmt)
+        assert ts.load_collection(p, fmt).ids() == ["\ufeffa", "b", "\ufeff\ufeffc"]
+        c = ts.from_dict({"\ufeff\ufeffa": [1.0], "b": [2.0]})
+        ts.write_collection(c, p, fmt)
+        assert ts.load_collection(p, fmt).ids() == ["\ufeff\ufeffa", "b"]
 
     def test_load_is_deterministic(self, tmp_path):
         p = tmp_path / "c.json"

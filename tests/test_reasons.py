@@ -136,6 +136,21 @@ class TestUsefulness:
         assert useful is True
         assert predicted == pytest.approx([5.0, 6.0, 7.0])
 
+    def test_gap_positions_found_once(self, monkeypatch):
+        # each call checks its match against the gaps of the whole layout;
+        # their positions (two separators and b's missing value) are found on
+        # the first call only, read-only
+        c = ts.SeriesCollection([ts.Series("a", np.array([9.0, 9.5, 1.0, 2.0, 3.0, 4.0, 5.0])),
+                                 ts.Series("b", np.arange(3.0, 19.0, 2.0), missing=(5,))])
+        gaps = c._layout()[3]
+        flatnonzero, calls = np.flatnonzero, []
+        monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(a is gaps) or flatnonzero(a))
+        cfg = ts.ReasonConfig(horizon=3)
+        results = [ts.assess_usefulness(MatchRecord("a", "b", 1, 5, 1.0), c, cfg) for _ in range(2)]
+        assert calls.count(True) == 1
+        assert results == [(True, [None, 7.0, 8.0])] * 2  # b's 13 is missing
+        assert c._gap_positions().tolist() == [7, 13, 16] and not c._gap_positions().flags.writeable
+
     def test_unknown_series_is_consistency_error(self, usage_collection):
         c, _ = usage_collection
         with pytest.raises(ts.ConsistencyError):
