@@ -13,6 +13,12 @@ binds it as an attribute of the package, which would replace the function
 ``tsleakscan.scan`` by the module ``tsleakscan.scan``. ``python -m
 tsleakscan`` imports ``report`` before ``cli``; the other order, with
 argparse compiled first, raises a CLI run's peak RSS by about 0.2 MiB.
+
+Every CLI process enters through ``cli.run``: ``python -m tsleakscan``, the
+``tsleakscan`` script and ``python -m tsleakscan.cli``. After ``main`` it
+calls ``gc.freeze()``, so the interpreter's exit skips its full collections
+over numpy's and the package's objects, about 17 ms of each process. A
+library caller of ``cli.main`` keeps its collector as it was.
 """
 
 import importlib

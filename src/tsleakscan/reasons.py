@@ -107,6 +107,7 @@ class ReasonedMatch:
 
 
 _KINDS = list(ReasonKind)  # a kind code is the position of its kind here
+_KIND_TEXTS = [kind.value for kind in _KINDS]  # the text of each kind code, as reports and stdout write it
 
 # the kind each field of a ReasonedMatch beyond its record must be, and its check
 _FIELDS = {

@@ -55,7 +55,7 @@ import numpy as np
 
 from .collection import SeriesCollection, _is_real
 from .errors import ConfigError, ConsistencyError
-from .reasons import _KINDS, ReasonConfig, ReasonTable, _locate
+from .reasons import _KIND_TEXTS, ReasonConfig, ReasonTable, _locate
 from .scan import ROWS_PER_CHUNK, LeakReport, MatchRecord, ScanConfig
 
 
@@ -120,8 +120,7 @@ _JSON_MATCH = '  {\n   "query_id": %s,\n   "donor_id": %s,\n   "start": %s,\n   
 _JSON_PLAIN = _JSON_MATCH + "\n  }"
 _JSON_EXPLAINED = _JSON_MATCH + ',\n   "kind": %s,\n   "m": %s,\n   "c": %s,\n   "useful": %s\n  }'
 _JSON_USEFUL = 'true,\n   "predicted_test": [\n    %s\n   ]'
-_JSON_KINDS = [encode_basestring_ascii(kind.value) for kind in _KINDS]
-_CSV_KINDS = [kind.value for kind in _KINDS]
+_JSON_KINDS = list(map(encode_basestring_ascii, _KIND_TEXTS))
 
 
 def _json_floats(values) -> list:
@@ -200,7 +199,7 @@ def write_report(report: LeakReport, path, format="json", reasoned=None,
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for rows in _report_rows(tables, tables[0].ids, _csv_floats, _CSV_KINDS, _csv_useful):
+            for rows in _report_rows(tables, tables[0].ids, _csv_floats, _KIND_TEXTS, _csv_useful):
                 writer.writerows(rows)
 
 

@@ -1,5 +1,9 @@
+import csv
 import json
+import math
+import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -22,17 +26,18 @@ from conftest import (
 )
 
 
-def run_cli(*args, env=None, cwd=None):
-    import os
+def run_cli(*args, env=None, cwd=None, module="tsleakscan", **kwargs):
+    """``python -m module *args``; ``kwargs`` go to ``subprocess.run``."""
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     if cwd is not None:  # the child no longer finds the package through a relative path
         full_env["PYTHONPATH"] = os.pathsep.join(
             os.path.abspath(p) for p in full_env.get("PYTHONPATH", "").split(os.pathsep) if p)
+    kwargs.setdefault("capture_output", True)
     return subprocess.run(
-        [sys.executable, "-m", "tsleakscan", *args],
-        capture_output=True, text=True, env=full_env, cwd=cwd,
+        [sys.executable, "-m", module, *args],
+        text=True, env=full_env, cwd=cwd, **kwargs,
     )
 
 
@@ -605,3 +610,187 @@ def test_import_defers_reasons_and_report():
         "[]", "True function", "[]", "[] True", "True",
         "module 'tsleakscan' has no attribute 'no_such_name'",
     ]
+
+
+SMOKE_CSV = ("series_id,index,value\na,1,1\na,2,5\na,3,2\na,4,8\na,5,3\n"
+             "b,1,7\nb,2,2\nb,3,8\nb,4,3\nb,5,1\nb,6,6\n")
+
+
+class TestProcessEntry:
+    """``cli.run``, the entry of every CLI process: ``main``, then the
+    garbage-collected heap frozen so that the exit does not collect it."""
+
+    def test_main_leaves_the_collector_as_it_was(self, usage_csv, capsys):
+        import gc
+        from tsleakscan import cli
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert cli.main(["explain", "--input", usage_csv, "--h", "5"]) == 0
+        with pytest.raises(SystemExit):
+            cli.main(["explain", "--no-such-flag"])
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_output_equals_main_past_a_pipe_buffer(self, tmp_path, capsys):
+        # eight sines of period 12 match one another at many offsets, so the
+        # stdout is several pipe buffers long and is still being drained when
+        # the child reaches its exit
+        from tsleakscan import cli
+        path = tmp_path / "sines.csv"
+        path.write_text("series_id,index,value\n" + "".join(
+            f"s{k},{t + 1},{(k + 1) * math.sin(2 * math.pi * (t + k) / 12) + k!r}\n" for k in range(8) for t in range(120)),
+            encoding="utf-8")
+        args = ["explain", "--input", str(path), "--h", "5", "--cutoff", "0.95"]
+        assert cli.main([*args, "--output", str(tmp_path / "main.json")]) == 0
+        expected = capsys.readouterr().out
+        proc = run_cli(*args, "--output", str(tmp_path / "entry.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.encode()) > 1 << 16
+        assert proc.stdout == expected.replace(str(tmp_path / "main.json"), str(tmp_path / "entry.json"))
+        assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+    @pytest.mark.parametrize("module", ["tsleakscan", "tsleakscan.cli"])
+    def test_exit_codes(self, module, tmp_path):
+        missing = run_cli("scan", "--input", str(tmp_path / "nope.csv"), "--h", "3", module=module)
+        assert (missing.returncode, missing.stderr.startswith("error: ")) == (1, True), missing.stderr
+        bad = run_cli("scan", "--input", str(tmp_path / "nope.csv"), "--h", "3", "--no-such-flag", module=module)
+        assert (bad.returncode, "unrecognized arguments" in bad.stderr) == (2, True), bad.stderr
+        usage = run_cli("--help", module=module)
+        assert (usage.returncode, usage.stdout.startswith("usage: tsleakscan")) == (0, True), usage.stderr
+
+    def test_exit_runs_atexit_handlers_on_a_frozen_heap(self):
+        code = ("import atexit, gc, sys; from tsleakscan import cli; "
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+                "sys.exit(cli.run(['--help']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("frozen True\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_exit_flush_exits_non_zero(self, tmp_path):
+        # a buffered stdout is flushed by the interpreter's exit; when that
+        # fails the exit status says so, as it does without the entry
+        path = tmp_path / "smoke.csv"
+        path.write_text(SMOKE_CSV, encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for args in (["--help"], ["scan", "--input", str(path), "--h", "3"]):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run([sys.executable, "-m", "tsleakscan", *args], stdout=full,
+                                      stderr=subprocess.PIPE, text=True, env=env)
+            assert proc.returncode == 120, (args, proc.stderr)
+            assert "No space left on device" in proc.stderr
+
+    def test_console_script_is_the_main_module_entry(self):
+        import ast
+        import importlib
+        import pathlib
+        from tsleakscan import cli
+        root = pathlib.Path(cli.__file__).parent
+        pyproject = (root.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        target = re.search(r'^\[project\.scripts\]\ntsleakscan = "([\w.]+):(\w+)"$', pyproject, re.M)
+        assert target is not None, pyproject
+        script = getattr(importlib.import_module(target[1]), target[2])
+        tree = ast.parse((root / "__main__.py").read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name: (node.module, alias.name) for node in tree.body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        called = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id in imported]
+        assert [imported[name] for name in called] == [("cli", script.__name__)]
+        assert script is cli.run
+
+
+class TestInstalledScriptScenarios:
+    """The CLI scenarios once run only against the installed package, each
+    through the process entry."""
+
+    def test_viz_draws_one_cell_per_pair(self, tmp_path):
+        # the matrix CSV lands next to the heatmap, so the heatmap may not be smoke.svg
+        import xml.etree.ElementTree as ET
+        (tmp_path / "smoke.csv").write_text(SMOKE_CSV, encoding="utf-8")
+        proc = run_cli("viz", "--input", "smoke.csv", "--h", "3", "--output", "heat.svg", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert sum(e.get("class") == "cell" for e in ET.parse(tmp_path / "heat.svg").iter()) == 4
+
+    def test_wide_interior_gap_run_collapses_into_one_range(self, tmp_path):
+        # the windows of the ramp a at offsets 1-5 match its terminal one and
+        # collapse into one range, 1-7; b's interior gap is skipped
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\n1,3\n2,1\n3,4\n4,1\n5,\n6,9\n7,2\n8,6\n", encoding="utf-8")
+        proc = run_cli("explain", "--input", str(path), "--format", "wide", "--h", "3", "--missing", "skip",
+                       "--collapse-overlaps")
+        assert proc.returncode == 0, proc.stderr
+        assert "a -> a: 1-7" in proc.stdout
+        assert re.search("^1 matches", proc.stdout, re.M), proc.stdout
+
+    def test_json_with_a_null_explained_and_its_reports(self, tmp_path):
+        # a's terminal segment recurs in b past the gap, and b's last three
+        # values are the predicted test
+        path = tmp_path / "smoke.json"
+        path.write_text('{"a": [1, 5, 2, 8, 3, 9, 4], "b": [0, 1, null, 2, 8, 3, 9, 4, 7, 1, 2]}', encoding="utf-8")
+        args = ["--input", str(path), "--format", "json", "--h", "3", "--missing", "skip"]
+        proc = run_cli("explain", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert "a -> b: 6-8, r=1.000, exact-match, useful; predicted test: 7 1 2" in proc.stdout
+        # the explained report as JSON reads back through the package, records
+        # the horizon h = 3 and lists the scan's CSV report's matches
+        explained, scanned = tmp_path / "smoke-report.json", tmp_path / "smoke-report.csv"
+        assert run_cli("explain", *args, "--output", str(explained)).returncode == 0
+        assert run_cli("scan", *args, "--report-format", "csv", "--output", str(scanned)).returncode == 0
+        payload = json.loads(explained.read_text(encoding="utf-8"))
+        assert payload["config"]["horizon"] == 3, payload["config"]
+        report = ts.report_from_payload(payload)
+        with open(scanned, newline="", encoding="utf-8") as fh:
+            rows = [(r["query_id"], r["donor_id"], int(r["start"]), int(r["end"])) for r in csv.DictReader(fh)]
+        matches = [(m.query_id, m.donor_id, m.start, m.end) for m in report.matches]
+        assert matches == rows and ("a", "b", 6, 8) in rows, (matches, rows)
+        # the explained report as CSV: the reason columns follow the match's,
+        # and the match into b past its gap is an exact copy with a usable continuation
+        explained_csv = tmp_path / "smoke-explained.csv"
+        assert run_cli("explain", *args, "--report-format", "csv", "--output", str(explained_csv)).returncode == 0
+        with open(explained_csv, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            by_match = {(r["query_id"], r["donor_id"], r["start"], r["end"]): r for r in reader}
+        assert reader.fieldnames[5:] == ["kind", "m", "c", "useful"], reader.fieldnames
+        row = by_match[("a", "b", "6", "8")]
+        assert (row["kind"], row["useful"]) == ("exact-match", "true"), row
+
+    def test_periodic_collapse_same_bytes_at_one_and_two_workers(self, tmp_path):
+        # three sines of period 12: their matches come in runs of consecutive
+        # offsets, and the scan's pool returns its hits as arrays; the collapsed
+        # explained report, JSON and CSV, and the stdout are the same bytes at
+        # one and two workers
+        path = tmp_path / "periodic.csv"
+        path.write_text("a,b,c\n" + "".join(
+            ",".join(repr(round((k + 1) * math.sin(2 * math.pi * (t + 3 * k) / 12) + k, 6)) for k in range(3)) + "\n"
+            for t in range(50)), encoding="utf-8")
+        args = ["explain", "--input", str(path), "--format", "wide", "--h", "5", "--cutoff", "0.95",
+                "--collapse-overlaps"]
+        outputs = []
+        for workers in ("1", "2"):
+            stdout = run_cli(*args, "--workers", workers)
+            assert stdout.returncode == 0, stdout.stderr
+            files = []
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"periodic-{workers}.{fmt}"
+                assert run_cli(*args, "--workers", workers, "--report-format", fmt, "--output", str(out)).returncode == 0
+                files.append(out.read_bytes())
+            outputs.append((stdout.stdout, *files))
+        assert re.search("^69 matches", outputs[0][0], re.M), outputs[0][0]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_workers_auto_under_one_cpu(self, tmp_path):
+        # --workers auto counts the CPUs the process may run on, not the
+        # host's: one under a one-CPU affinity, with the same output as one worker
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        (tmp_path / "smoke.csv").write_text(SMOKE_CSV, encoding="utf-8")
+        code = "import tsleakscan as ts; print(ts.ScanConfig(h=3, workers='auto').resolved_workers())"
+        resolved = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, preexec_fn=one_cpu)
+        assert (resolved.returncode, resolved.stdout) == (0, "1\n"), resolved.stderr
+        one = run_cli("scan", "--input", "smoke.csv", "--h", "3", cwd=tmp_path)
+        auto = run_cli("scan", "--input", "smoke.csv", "--h", "3", "--workers", "auto", cwd=tmp_path,
+                       preexec_fn=one_cpu)
+        assert (one.returncode, auto.returncode) == (0, 0), auto.stderr
+        assert "a -> b: 2-4" in one.stdout
+        assert auto.stdout == one.stdout
