@@ -4,15 +4,19 @@ Scans a collection of training series for segments that reproduce the
 terminal segment of any series (up to an affine transform), explains each
 hit and judges whether it exposes test-period values.
 
-Importing the package loads ``collection``, ``errors``, ``corr`` and
-``scan``, all that loading and scanning a collection need. The names of
-``reasons`` and ``report``, and the two modules, are imported on first use
-(a PEP 562 module ``__getattr__``), so a process that only loads pays
-nothing for them. ``scan`` stays eager: the first import of a submodule
-binds it as an attribute of the package, which would replace the function
-``tsleakscan.scan`` by the module ``tsleakscan.scan``. ``python -m
-tsleakscan`` imports ``report`` before ``cli``; the other order, with
-argparse compiled first, raises a CLI run's peak RSS by about 0.2 MiB.
+Importing the package loads only ``collection`` and ``errors``, all that
+loading a collection needs. The names of ``corr``, ``scan``, ``reasons`` and
+``report``, and the four modules, are imported on first use (a PEP 562
+module ``__getattr__``), so a process compiles only what its command runs:
+a process that only loads compiles none of them, and ``viz`` never compiles
+``reasons``. The name ``tsleakscan.scan`` is the function, not the module.
+The first import of ``tsleakscan.scan``, by whatever module, binds the
+module as an attribute of the package; the package's class is a
+``types.ModuleType`` subclass whose ``__setattr__`` binds the module's
+function ``scan`` instead (Python reference, "Customizing module attribute
+access"). ``python -m tsleakscan`` imports ``report`` before ``cli``; the
+other order, with argparse compiled first, raises a CLI run's peak RSS by
+about 0.2 MiB.
 
 Every CLI process enters through ``cli.run``: ``python -m tsleakscan``, the
 ``tsleakscan`` script and ``python -m tsleakscan.cli``. After ``main`` it
@@ -22,6 +26,8 @@ library caller of ``cli.main`` keeps its collector as it was.
 """
 
 import importlib
+import sys
+import types
 
 from .collection import (
     MissingPolicy,
@@ -31,7 +37,6 @@ from .collection import (
     load_collection,
     write_collection,
 )
-from .corr import SlidingProfile, pearson, sliding_correlations
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -40,11 +45,12 @@ from .errors import (
     LeakScanError,
     ValidationError,
 )
-from .scan import LeakReport, MatchRecord, ScanConfig, scan
 
 __version__ = "0.1.0"
 
 _DEFERRED = {  # name -> the module that defines it, or is it
+    **dict.fromkeys(["corr", "SlidingProfile", "pearson", "sliding_correlations"], "corr"),
+    **dict.fromkeys(["LeakReport", "MatchRecord", "ScanConfig", "scan"], "scan"),
     **dict.fromkeys(["reasons", "AffineFit", "ReasonConfig", "ReasonedMatch", "ReasonKind", "assess_usefulness",
                      "classify", "collapse_overlaps", "fit_affine", "reason_report", "tally"], "reasons"),
     **dict.fromkeys(["report", "MatchMatrix", "build_matrix", "read_report", "render_heatmap",
@@ -56,8 +62,20 @@ def __getattr__(name):
     if name not in _DEFERRED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module(f"{__name__}.{_DEFERRED[name]}")
-    return module if name == _DEFERRED[name] else getattr(module, name)
+    # a module's own name gives the module, but for ``scan`` the import has bound its function
+    return module if name == _DEFERRED[name] != "scan" else getattr(module, name)
 
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # the import system binds each submodule it loads as an attribute of
+        # its package; ``tsleakscan.scan`` stays the function
+        if name == "scan" and isinstance(value, types.ModuleType):
+            value = value.scan
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "AffineFit",

@@ -18,6 +18,16 @@ return to the exit took 22-26 ms, and takes 6 (2 vCPUs). Atexit handlers
 still run, and a failed flush of stdout still exits non-zero, which
 ``os._exit`` would not do. ``main`` never freezes, so a test or library
 caller may call it many times in one process.
+
+A process compiles only the modules its command runs, as no bytecode cache
+may be there to spare the compile. ``scan`` and ``report`` are imported
+with this module; ``reasons`` is imported when ``main`` runs ``explain`` or
+``scan --collapse-overlaps``, which bind its names as globals of this module
+(``_bind_reasons``), so ``viz`` and a plain ``scan`` never compile it. A
+module ``__getattr__`` resolves each of those names before ``main`` runs,
+and a name already bound stays, so a caller may replace one, such as
+``cli.reason_report``, by a wrapper beforehand (the benchmark's tracer,
+``bench/traced.py``, does): ``cmd_explain`` calls the global.
 """
 
 from __future__ import annotations
@@ -32,11 +42,31 @@ from pathlib import Path
 from . import report as rpt
 from .collection import REJECT, SPLIT_SKIP, MissingPolicy, load_collection
 from .errors import ConfigError, LeakScanError
-from .reasons import _KIND_TEXTS, ReasonConfig, ReasonKind, collapse_overlaps, reason_report, tally
 from .scan import AUTO, ROWS_PER_CHUNK, ScanConfig, scan
 
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
-_FOOTER_LABELS = {ReasonKind.EXACT_MATCH: "exact"}
+_FOOTER_LABELS = {"exact-match": "exact"}  # by kind text; a kind not named here is written as its text
+
+# the names of ``reasons`` that explain and ``scan --collapse-overlaps`` call,
+# bound as globals of this module on first use
+_REASON_NAMES = ("ReasonConfig", "ReasonKind", "collapse_overlaps", "reason_report", "tally")
+
+
+def _bind_reasons():
+    """Import ``reasons`` and bind its names here; a name already bound,
+    such as a wrapper set in its place, stays as it is."""
+    from . import reasons
+
+    for name in _REASON_NAMES:
+        globals().setdefault(name, getattr(reasons, name))
+
+
+def __getattr__(name):
+    # cli.reason_report and the rest resolve before main has bound them
+    if name not in _REASON_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_reasons()
+    return globals()[name]
 
 
 def _workers(text):
@@ -135,6 +165,7 @@ def cmd_scan(args) -> int:
     collection, report = _run_scan(args)
     matches = report.matches
     if args.collapse_overlaps:
+        _bind_reasons()
         matches = collapse_overlaps(matches)
     sys.stdout.writelines("".join([_SCAN_LINE % row for row in zip(*matches.columns(lo, lo + ROWS_PER_CHUNK))])
                           for lo in range(0, len(matches), ROWS_PER_CHUNK))
@@ -159,7 +190,7 @@ def _explain_lines(reasoned):
     a missing predicted value is printed "?"."""
     for lo in range(0, len(reasoned), ROWS_PER_CHUNK):
         hi = lo + ROWS_PER_CHUNK
-        kinds = [_KIND_TEXTS[k] for k in reasoned.kind[lo:hi].tolist()]
+        kinds = reasoned.kind_texts(lo, hi)
         verdicts = ["not useful" if p is None else "useful; predicted test: " + " ".join(p)
                     for p in reasoned.render_predicted(lo, hi, _six_digits, "?")]
         yield "".join([_EXPLAIN_LINE % row for row in zip(*reasoned.base.columns(lo, hi), kinds, verdicts)])
@@ -177,7 +208,7 @@ def cmd_explain(args) -> int:
         print("0 matches")
     else:
         by_kind = ", ".join(
-            f"{kinds[k]} {_FOOTER_LABELS.get(k, k.value)}" for k in ReasonKind if k in kinds
+            f"{kinds[k]} {_FOOTER_LABELS.get(k.value, k.value)}" for k in ReasonKind if k in kinds
         )
         print(f"{len(reasoned)} matches: {by_kind}; {useful} useful")
     if args.output:
@@ -228,6 +259,7 @@ def main(argv=None) -> int:
     try:
         args.cfg = ScanConfig(h=args.h, cutoff=args.cutoff, workers=args.workers)
         if args.command == "explain":
+            _bind_reasons()
             args.reason_cfg = ReasonConfig(horizon=args.horizon)
         _check_outputs(args)
     except ConfigError as exc:

@@ -17,14 +17,16 @@ JSON file that starts with one gets ``json.loads``'s error.
 Collection order always follows input order (it later fixes the row and
 column order of the match matrix). The loaders only parse, reading each
 series as floats, NaN for an empty cell or a ``null``. The wide CSV loader
-fills a float64 buffer a row at a time, so no cell's text outlives its row.
+fills a float64 buffer a row at a time, so no cell's text outlives its row;
+a row is read by ``float`` of each non-empty cell, and read again a cell at a
+time when that fails, as on a whitespace-only cell, which is blank.
 The long CSV loader parses chunks of whole lines with numpy's C reader,
 ``np.loadtxt``, and keeps only their float64 values and one (id, length)
 pair per run of rows; a file it does not take (see ``_long_csv_runs``) is
 read again a row at a time by ``csv.reader``, ``int`` and ``float``, which
 name its first bad row. The JSON loader reads its object a member at a
 time, so each series' Python floats become a float64 array before the next
-series is read.
+series is read. Only the JSON loader and writer import ``json``.
 ``_finish_series`` strips the id and decides what is missing: every
 non-finite value, which it rejects or stores as 0.0. ``SeriesCollection``
 checks ids (distinct str), values (1-D, non-empty, finite) and missing positions,
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import numbers
 import re
@@ -219,8 +220,8 @@ def _load_wide_csv(path, policy):
         for lineno, row in enumerate(reader, start=2):
             if len(row) > len(header):
                 raise FormatError(f"{path}:{lineno}: row has {len(row)} cells, header has {len(header)}")
-            try:
-                cells = [float(c) if c.strip() else _BLANK for c in row]
+            try:  # float reads a number with whitespace around it; a whitespace-only cell raises
+                cells = [float(c) if c else _BLANK for c in row]
             except ValueError:
                 cells = []
                 for j, c in enumerate(row):
@@ -387,6 +388,8 @@ def _json_series(path):
     float64 array, or the FormatError of the first element that is not a
     number. Each series' list of floats lives only until its array is made;
     text that is not one object is left to json.loads, for its error."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     # an object reads as its (key, value) pairs, so a repeated id reaches
@@ -470,6 +473,8 @@ def write_collection(c: SeriesCollection, path, format="long-csv") -> None:
             for i in range(max((len(col) for col in columns), default=0)):
                 writer.writerow([_cell(col[i], "nan") if i < len(col) else "" for col in columns])
     elif format == "json":
+        import json
+
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({s.id: _observed(s) for s in c}, fh, indent=1)
             fh.write("\n")

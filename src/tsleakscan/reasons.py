@@ -9,19 +9,13 @@ window to cover the query's forecast horizon; in that case the donor
 continuation, mapped back through the inverse transform, is the predicted
 test segment of the query series.
 
-``_locate`` checks match records against the collection. It reads the
-query index, donor index, start and end of every match from the columns of a
-``MatchTable`` and checks them all at once, with array comparisons: both ids
-name series of the collection, the window starts at position 1 or later,
-spans at least MIN_WINDOW observations, is no longer than its query series
-and ends within its donor, and neither the donor window nor the query
-segment (the query series' last ``end - start + 1`` observations) covers a
-missing value, a gap of the collection's ``_layout``. The layout and its
-gaps' positions are built once, and ``_locate`` hands the layout on. The
-first record in report order that fails a check raises ConsistencyError,
-with the message of the first check it fails; ``build_matrix`` counts
-through the same checks. ``reason_report`` then raises ConsistencyError for
-the first record, in report order, whose donor window or query segment is
+Every match is first checked by ``scan._locate``, the record check that
+``build_matrix`` shares. It lives in ``scan`` so that ``viz``, which checks
+records but explains none, never compiles this module; nor do importing the
+package, loading a collection or a plain ``scan`` command, which import it
+on the first use of one of its names. ``_locate`` hands the collection's
+``_layout`` on. ``reason_report`` then raises ConsistencyError for the
+first record, in report order, whose donor window or query segment is
 constant, as no scan's is, and fits all matches of one query segment
 together: their donor windows are gathered into a (k, h) block by one fancy
 index into the layout, each row is centred once, and every slope,
@@ -49,9 +43,9 @@ from enum import Enum
 import numpy as np
 
 from .collection import SeriesCollection, _gather, _is_int, _is_real
-from .corr import MIN_WINDOW, centre, scale_of
+from .corr import centre, scale_of
 from .errors import ConfigError, ConsistencyError, ContractViolation
-from .scan import _REAL, LeakReport, MatchRecord, MatchTable, Table, _check_fields
+from .scan import _REAL, LeakReport, MatchRecord, MatchTable, Table, _check_fields, _locate
 
 
 class ReasonKind(str, Enum):
@@ -163,6 +157,10 @@ class ReasonTable(Table):
                 self.c[lo:hi].tolist(), self.max_residual[lo:hi].tolist(), self.useful[lo:hi].tolist(),
                 self.render_predicted(lo, hi, list, None))
 
+    def kind_texts(self, lo, hi) -> list:
+        """The text of the kind of rows lo..hi-1, as reports and stdout write it."""
+        return [_KIND_TEXTS[k] for k in self.kind[lo:hi].tolist()]
+
     def render_predicted(self, lo, hi, convert, missing):
         """The one renderer of the predicted block: per row lo..hi-1, None
         when it is not useful, else a list of its predicted values,
@@ -249,44 +247,6 @@ def assess_usefulness(match: MatchRecord, collection: SeriesCollection, cfg: Rea
         raise ConfigError("horizon not resolved; pass an explicit horizon")
     [reasoned] = _explain(MatchTable.from_rows([match]), collection, cfg.horizon)
     return reasoned.useful, reasoned.predicted_test
-
-
-def _locate(matches: MatchTable, collection: SeriesCollection):
-    """The query index, donor index, start and end of each match as arrays,
-    then the collection's ``_layout``. The first match in report order that
-    fails a record check of the module docstring raises ConsistencyError.
-    """
-    flat, first, lengths, _ = layout = collection._layout()
-    first, lengths = np.r_[first, len(flat)], np.r_[lengths, 0]  # what index -1, an unknown id, picks
-    index = np.array([collection._index.get(sid, -1) for sid in matches.ids], dtype=int)
-    qi, di, start, end = index[matches.qi], index[matches.di], matches.start, matches.end
-    span = end - start + 1
-    # the bounds of each donor window and query segment in ``flat``, clipped for the
-    # records an earlier check fails (only those reach a separator); an int cast, as
-    # an empty match list and ints beyond int64 make float and object arrays
-    query_end = first[qi] + lengths[qi]
-    bounds = np.clip([first[di] + start - 1, first[di] + end, query_end - span, query_end],
-                     0, len(flat)).astype(int)
-    before = np.searchsorted(collection._gap_positions(), bounds)  # gaps before each bound
-    checks = (qi < 0, di < 0, (start < 1) | (span < MIN_WINDOW), span > lengths[qi], end > lengths[di],
-              before[1] > before[0], before[3] > before[2])
-    failing = np.logical_or.reduce(checks)
-    if failing.any():
-        i = int(np.argmax(failing))
-        match = matches[i]
-        pair = f"match {match.query_id!r} -> {match.donor_id!r}"
-        messages = (
-            f"{pair} refers to unknown series {match.query_id!r}",
-            f"{pair} refers to unknown series {match.donor_id!r}",
-            f"{pair} covers {match.start}..{match.end}, not a window of at least {MIN_WINDOW} observations",
-            f"{pair} spans {span[i]} observations, query series has {lengths[qi[i]]}",
-            f"match into {match.donor_id!r} ends at {match.end}, series has {lengths[di[i]]} observations",
-            f"{pair} window {match.start}..{match.end} covers a missing value of {match.donor_id!r}",
-            f"{pair} query segment, the last {span[i]} observations of {match.query_id!r}, "
-            "covers a missing value",
-        )
-        raise ConsistencyError(next(text for text, check in zip(messages, checks) if check[i]))
-    return qi, di, start, end, layout
 
 
 def reason_report(report: LeakReport, collection: SeriesCollection,

@@ -41,22 +41,23 @@ writer ``reference_heatmap`` in the tests, which compare the two. The
 matrix CSV is likewise written from one int cast of the counts, a row at a
 time. Both writers check everything that can fail before they open the
 file.
+
+``json`` is imported by the functions that read or write JSON, and
+``reasons`` only by the writers of an explained report, so a ``viz``
+process, which writes the matrix CSV and the heatmap, compiles neither.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .collection import SeriesCollection, _is_real
 from .errors import ConfigError, ConsistencyError
-from .reasons import _KIND_TEXTS, ReasonConfig, ReasonTable, _locate
-from .scan import ROWS_PER_CHUNK, LeakReport, MatchRecord, ScanConfig
+from .scan import ROWS_PER_CHUNK, LeakReport, MatchRecord, ScanConfig, _locate
 
 
 @dataclass
@@ -75,7 +76,7 @@ def build_matrix(report: LeakReport, collection: SeriesCollection) -> MatchMatri
     """Count matches per (query, donor) cell; zero rows/columns are kept.
 
     Raises ``reason_report``'s ConsistencyError for the first match in
-    report order that fails a record check of ``reasons._locate``.
+    report order that fails a record check of ``scan._locate``.
     """
     qi, di = _locate(report.matches, collection)[:2]
     counts = np.zeros((len(collection),) * 2, dtype=int)
@@ -95,6 +96,8 @@ def _tables(report: LeakReport, reasoned, horizon: int | None):
     """
     if reasoned is None:
         return (report.matches,), None
+    from .reasons import ReasonConfig, ReasonTable
+
     reasoned = ReasonTable.from_rows(reasoned)
     if len(reasoned) != len(report.matches):
         raise ConsistencyError(f"{len(reasoned)} reasoned matches for {len(report.matches)} match records")
@@ -108,6 +111,8 @@ def _tables(report: LeakReport, reasoned, horizon: int | None):
 
 def report_payload(report: LeakReport, reasoned=None, horizon: int | None = None) -> dict:
     """JSON-ready dict for a report, explained or plain: ``json.loads`` of its JSON text."""
+    import json
+
     return json.loads("".join(_json_parts(report, *_tables(report, reasoned, horizon))))
 
 
@@ -115,12 +120,11 @@ _JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # the "matches" items as json.dump(indent=1) lays out their dicts at that
 # depth; predicted_test is never empty, and its values are one level below
-# the entry's keys
+# the entry's keys; a kind's text (lower-case letters and "-") needs no escape
 _JSON_MATCH = '  {\n   "query_id": %s,\n   "donor_id": %s,\n   "start": %s,\n   "end": %s,\n   "r": %s'
 _JSON_PLAIN = _JSON_MATCH + "\n  }"
-_JSON_EXPLAINED = _JSON_MATCH + ',\n   "kind": %s,\n   "m": %s,\n   "c": %s,\n   "useful": %s\n  }'
+_JSON_EXPLAINED = _JSON_MATCH + ',\n   "kind": "%s",\n   "m": %s,\n   "c": %s,\n   "useful": %s\n  }'
 _JSON_USEFUL = 'true,\n   "predicted_test": [\n    %s\n   ]'
-_JSON_KINDS = list(map(encode_basestring_ascii, _KIND_TEXTS))
 
 
 def _json_floats(values) -> list:
@@ -130,18 +134,18 @@ def _json_floats(values) -> list:
     return texts if math.isfinite(sum(values)) else [_JSON_FLOAT_NAMES.get(t, t) for t in texts]
 
 
-def _report_rows(tables, ids, floats, kinds, useful):
+def _report_rows(tables, ids, floats, useful):
     """The rows of a report, ROWS_PER_CHUNK at a time, each a tuple filled
     from the chunk's columns: the text in ``ids`` of each id, start, end and
-    ``floats`` of r, then for an explained report the text in ``kinds`` of
-    each kind code, ``floats`` of m and of c, and ``useful(reasons, lo, hi)``."""
+    ``floats`` of r, then for an explained report the text of each kind,
+    ``floats`` of m and of c, and ``useful(reasons, lo, hi)``."""
     matches = tables[0]
     for lo in range(0, len(matches), ROWS_PER_CHUNK):
         hi = lo + ROWS_PER_CHUNK
         *fields, r = matches.columns(lo, hi, ids)
         fields.append(floats(r))
         for reasons in tables[1:]:
-            fields += ([kinds[k] for k in reasons.kind[lo:hi].tolist()], floats(reasons.m[lo:hi].tolist()),
+            fields += (reasons.kind_texts(lo, hi), floats(reasons.m[lo:hi].tolist()),
                        floats(reasons.c[lo:hi].tolist()), useful(reasons, lo, hi))
         yield zip(*fields)
 
@@ -155,6 +159,9 @@ def _json_useful(reasons, lo, hi) -> list:
 def _json_parts(report: LeakReport, tables, horizon: int | None):
     """The text of a JSON report in parts: the document up to the matches,
     then ROWS_PER_CHUNK entries at a time, then the rest."""
+    import json
+    from json.encoder import encode_basestring_ascii
+
     config = {"h": report.config.h, "cutoff": report.config.cutoff}
     if horizon is not None:
         config["horizon"] = horizon
@@ -164,7 +171,7 @@ def _json_parts(report: LeakReport, tables, horizon: int | None):
     template = _JSON_PLAIN if horizon is None else _JSON_EXPLAINED
     ids = [encode_basestring_ascii(sid) for sid in tables[0].ids]
     sep = "[\n"
-    for rows in _report_rows(tables, ids, _json_floats, _JSON_KINDS, _json_useful):
+    for rows in _report_rows(tables, ids, _json_floats, _json_useful):
         yield sep + ",\n".join([template % row for row in rows])
         sep = ",\n"
     yield "\n ]\n}\n" if len(tables[0]) else "[]\n}\n"
@@ -199,12 +206,14 @@ def write_report(report: LeakReport, path, format="json", reasoned=None,
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for rows in _report_rows(tables, tables[0].ids, _csv_floats, _KIND_TEXTS, _csv_useful):
+            for rows in _report_rows(tables, tables[0].ids, _csv_floats, _csv_useful):
                 writer.writerows(rows)
 
 
 def read_report(path) -> dict:
     """Parse a JSON report back into its payload dict."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 

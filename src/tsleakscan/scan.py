@@ -27,6 +27,25 @@ the query index, donor index, start, end and r of every match, in (query,
 donor, offset) order. It is a sequence of ``MatchRecord`` rows, built only
 when asked for; the writers format its columns a chunk at a time. A
 ``LeakReport`` holds the ``MatchTable`` of whatever records it is given.
+
+``_locate`` checks match records against the collection, for
+``reasons._explain`` and ``report.build_matrix`` alike; it lives here, not
+in ``reasons``, so that ``viz`` never compiles ``reasons``. It reads the
+query index, donor index, start and end of every match from the columns of
+a ``MatchTable`` and checks them all at once, with array comparisons: both
+ids name series of the collection, the window starts at position 1 or
+later, spans at least MIN_WINDOW observations, is no longer than its query
+series and ends within its donor, and neither the donor window nor the
+query segment (the query series' last ``end - start + 1`` observations)
+covers a missing value, a gap of the collection's ``_layout``. The layout
+and its gaps' positions are built once, and ``_locate`` hands the layout
+on. The first record in report order that fails a check raises
+ConsistencyError, with the message of the first check it fails.
+
+Importing the package does not import this module: it is loaded on the
+first use of one of its names, and a process that only loads a collection
+compiles neither it nor ``corr``. The package keeps ``tsleakscan.scan``
+the function, not this module (see the package's docstring).
 """
 
 from __future__ import annotations
@@ -209,6 +228,44 @@ class LeakReport:
         self.matches = MatchTable.from_rows(self.matches)
         for sid, reason in self.skipped_queries:
             _check_fields("skipped query", id=sid, reason=reason)
+
+
+def _locate(matches: MatchTable, collection: SeriesCollection):
+    """The query index, donor index, start and end of each match as arrays,
+    then the collection's ``_layout``. The first match in report order that
+    fails a record check of the module docstring raises ConsistencyError.
+    """
+    flat, first, lengths, _ = layout = collection._layout()
+    first, lengths = np.r_[first, len(flat)], np.r_[lengths, 0]  # what index -1, an unknown id, picks
+    index = np.array([collection._index.get(sid, -1) for sid in matches.ids], dtype=int)
+    qi, di, start, end = index[matches.qi], index[matches.di], matches.start, matches.end
+    span = end - start + 1
+    # the bounds of each donor window and query segment in ``flat``, clipped for the
+    # records an earlier check fails (only those reach a separator); an int cast, as
+    # an empty match list and ints beyond int64 make float and object arrays
+    query_end = first[qi] + lengths[qi]
+    bounds = np.clip([first[di] + start - 1, first[di] + end, query_end - span, query_end],
+                     0, len(flat)).astype(int)
+    before = np.searchsorted(collection._gap_positions(), bounds)  # gaps before each bound
+    checks = (qi < 0, di < 0, (start < 1) | (span < MIN_WINDOW), span > lengths[qi], end > lengths[di],
+              before[1] > before[0], before[3] > before[2])
+    failing = np.logical_or.reduce(checks)
+    if failing.any():
+        i = int(np.argmax(failing))
+        match = matches[i]
+        pair = f"match {match.query_id!r} -> {match.donor_id!r}"
+        messages = (
+            f"{pair} refers to unknown series {match.query_id!r}",
+            f"{pair} refers to unknown series {match.donor_id!r}",
+            f"{pair} covers {match.start}..{match.end}, not a window of at least {MIN_WINDOW} observations",
+            f"{pair} spans {span[i]} observations, query series has {lengths[qi[i]]}",
+            f"match into {match.donor_id!r} ends at {match.end}, series has {lengths[di[i]]} observations",
+            f"{pair} window {match.start}..{match.end} covers a missing value of {match.donor_id!r}",
+            f"{pair} query segment, the last {span[i]} observations of {match.query_id!r}, "
+            "covers a missing value",
+        )
+        raise ConsistencyError(next(text for text, check in zip(messages, checks) if check[i]))
+    return qi, di, start, end, layout
 
 
 def _scan_block(layout, cfg, query_of):

@@ -26,6 +26,9 @@ from conftest import (
 )
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ts.__file__)))  # the directory the package is imported from
+
+
 def run_cli(*args, env=None, cwd=None, module="tsleakscan", **kwargs):
     """``python -m module *args``; ``kwargs`` go to ``subprocess.run``."""
     full_env = dict(os.environ)
@@ -586,16 +589,23 @@ def test_import_loads_no_pool_or_network_modules():
     assert proc.stdout.strip() == "[]"
 
 
-def test_import_defers_reasons_and_report():
-    # a process that only loads a collection compiles neither; every public
-    # name still resolves, and tsleakscan.scan stays the function
-    code = """if True:
+def test_import_defers_reasons_and_report(tmp_path):
+    # a process that only loads a collection, long or wide, compiles none of
+    # the modules it does not run and imports no json; every public name still
+    # resolves, and tsleakscan.scan stays the function
+    long_csv, wide_csv = tmp_path / "long.csv", tmp_path / "wide.csv"
+    long_csv.write_text(SMOKE_CSV, encoding="utf-8")
+    wide_csv.write_text("a,b\n1,7\n5, \n2,8\n", encoding="utf-8")
+    code = f"""if True:
         import sys, tsleakscan
-        print(sorted(m for m in ("tsleakscan.reasons", "tsleakscan.report", "tsleakscan.cli") if m in sys.modules))
+        tsleakscan.load_collection({str(long_csv)!r}, "long-csv")
+        tsleakscan.load_collection({str(wide_csv)!r}, "wide-csv", tsleakscan.MissingPolicy("split-skip"))
+        print(sorted(m for m in ("tsleakscan.corr", "tsleakscan.scan", "tsleakscan.reasons", "tsleakscan.report",
+                                 "tsleakscan.cli", "json") if m in sys.modules))
         import tsleakscan.reasons
         print(callable(tsleakscan.scan), type(tsleakscan.scan).__name__)
         print([name for name in tsleakscan.__all__ if getattr(tsleakscan, name, None) is None])
-        namespace = {}
+        namespace = {{}}
         exec("from tsleakscan import *", namespace)
         print(sorted(set(tsleakscan.__all__) - set(namespace)), namespace["reason_report"] is tsleakscan.reasons.reason_report)
         print(tsleakscan.report.write_report is tsleakscan.write_report)
@@ -612,8 +622,85 @@ def test_import_defers_reasons_and_report():
     ]
 
 
+@pytest.mark.parametrize("first", ["import tsleakscan.cli", "import tsleakscan.scan",
+                                   "from tsleakscan.scan import MatchTable", "import tsleakscan.reasons"])
+def test_package_scan_is_the_function_whatever_imports_it_first(first):
+    # the first import of the module tsleakscan.scan binds it on the package,
+    # which keeps the function; the module is still sys.modules' and pickles by it
+    code = f"""if True:
+        {first}
+        import pickle, sys, tsleakscan
+        module = sys.modules["tsleakscan.scan"]
+        print(tsleakscan.scan is module.scan, tsleakscan.corr is sys.modules["tsleakscan.corr"])
+        print(pickle.loads(pickle.dumps(module._scan_block)) is module._scan_block)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True True", "True"]
+
+
+def test_viz_process_compiles_no_reasons(tmp_path):
+    # viz checks its records with scan._locate and writes no JSON; explain
+    # and a collapsed scan import reasons. Each child runs the package as
+    # python -m does, and names at its exit which of the two it imported.
+    (tmp_path / "smoke.csv").write_text(SMOKE_CSV, encoding="utf-8")
+    code = ("import atexit, runpy, sys; atexit.register(lambda: print(sorted("
+            "{'tsleakscan.reasons', 'json'} & set(sys.modules)), file=sys.stderr)); "
+            "runpy.run_module('tsleakscan', run_name='__main__', alter_sys=True)")
+    args = ["--input", "smoke.csv", "--h", "3"]
+    commands = {"viz": ["viz", *args, "--output", "heat.svg"], "scan": ["scan", *args],
+                "explain": ["explain", *args], "collapsed scan": ["scan", *args, "--collapse-overlaps"]}
+    seen = {}
+    for name, command in commands.items():
+        proc = subprocess.run([sys.executable, "-c", code, *command], capture_output=True, text=True,
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        seen[name] = proc.stderr.splitlines()
+    assert seen == {"viz": ["[]"], "scan": ["[]"], "explain": ["['tsleakscan.reasons']"],
+                    "collapsed scan": ["['tsleakscan.reasons']"]}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_deferred_reasons_at_one_and_two_workers(workers, tmp_path):
+    # the commands that import reasons late print and write what the library gives
+    c = ts.from_dict({"a": np.arange(1.0, 11.0), "b": [4.0, 1.0, 2.0, 3.0, 4.0, 5.0, 9.0]})
+    data = tmp_path / "ramp.csv"
+    ts.write_collection(c, data, "long-csv")
+    args = ["--input", str(data), "--h", "3", "--workers", workers]
+    report = ts.scan(c, ts.ScanConfig(h=3))
+    collapsed = list(ts.collapse_overlaps(report.matches))
+    scanned = run_cli("scan", *args, "--collapse-overlaps")
+    assert scanned.returncode == 0, scanned.stderr
+    assert len(collapsed) == 2
+    assert scanned.stdout == "".join(reference_match_line(m) + "\n" for m in collapsed) + "2 matches\n"
+    explained = run_cli("explain", *args, "--output", str(tmp_path / "r.json"))
+    assert explained.returncode == 0, explained.stderr
+    reasoned = list(ts.reason_report(report, c))
+    assert explained.stdout.startswith("".join(reference_explain_lines(reasoned)))
+    reference_json_report(report, reasoned, 3, tmp_path / "want.json")
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 SMOKE_CSV = ("series_id,index,value\na,1,1\na,2,5\na,3,2\na,4,8\na,5,3\n"
              "b,1,7\nb,2,2\nb,3,8\nb,4,3\nb,5,1\nb,6,6\n")
+
+
+def test_benchmark_tracer_spans_every_layer(tmp_path):
+    # bench/traced.py replaces cli.load_collection, cli.scan, cli.reason_report,
+    # scan's sliding_correlations and report's writers before main runs, so
+    # each must resolve then, and main must call what it replaced
+    tracer = os.path.join(os.path.dirname(SRC), "bench", "traced.py")
+    (tmp_path / "smoke.csv").write_text(SMOKE_CSV, encoding="utf-8")
+    args = ["--input", "smoke.csv", "--h", "3"]
+    spans = {}
+    for command in (["explain", *args, "--output", "report.json"], ["viz", *args, "--output", "heat.svg"]):
+        proc = subprocess.run([sys.executable, tracer, "spans.json", *command], capture_output=True, text=True,
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(*command, cwd=tmp_path).stdout
+        spans[command[0]] = {span[0] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]}
+    assert spans["explain"] >= {"collection.load", "scan", "corr", "reasons", "report.json"}, spans
+    assert spans["viz"] >= {"collection.load", "scan", "corr", "report.matrix", "report.heatmap"}, spans
 
 
 class TestProcessEntry:
