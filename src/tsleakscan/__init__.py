@@ -4,25 +4,21 @@ Scans a collection of training series for segments that reproduce the
 terminal segment of any series (up to an affine transform), explains each
 hit and judges whether it exposes test-period values.
 
-Importing the package loads only ``collection`` and ``errors``, all that
-loading a collection needs. The names of ``corr``, ``scan``, ``reasons`` and
-``report``, and the four modules, are imported on first use (a PEP 562
-module ``__getattr__``), so a process compiles only what its command runs:
-a process that only loads compiles none of them, and ``viz`` never compiles
-``reasons``. The name ``tsleakscan.scan`` is the function, not the module.
-The first import of ``tsleakscan.scan``, by whatever module, binds the
-module as an attribute of the package; the package's class is a
-``types.ModuleType`` subclass whose ``__setattr__`` binds the module's
-function ``scan`` instead (Python reference, "Customizing module attribute
-access"). ``python -m tsleakscan`` imports ``report`` before ``cli``; the
-other order, with argparse compiled first, raises a CLI run's peak RSS by
-about 0.2 MiB.
+A process compiles only what its command runs, as no bytecode cache may
+be there to spare the compile. Importing the package loads only
+``collection`` and ``errors``, all that loading a collection needs. The
+names of ``corr``, ``scan``, ``reasons`` and ``report``, and the four
+modules, are imported on first use (a PEP 562 module ``__getattr__``), and
+``reasons`` and ``json`` are imported only by the functions that run them,
+so ``viz`` and a plain ``scan`` compile neither.
 
-Every CLI process enters through ``cli.run``: ``python -m tsleakscan``, the
-``tsleakscan`` script and ``python -m tsleakscan.cli``. After ``main`` it
-calls ``gc.freeze()``, so the interpreter's exit skips its full collections
-over numpy's and the package's objects, about 17 ms of each process. A
-library caller of ``cli.main`` keeps its collector as it was.
+The name ``tsleakscan.scan`` is the function, not the module. The first
+import of ``tsleakscan.scan``, by whatever module, binds the module as an
+attribute of the package; the package's class is a ``types.ModuleType``
+subclass whose ``__setattr__`` binds the module's function ``scan`` instead
+(Python reference, "Customizing module attribute access"). So ``import
+tsleakscan.scan as m`` binds the function too, and
+``importlib.import_module("tsleakscan.scan")`` reaches the module.
 """
 
 import importlib

@@ -18,16 +18,6 @@ return to the exit took 22-26 ms, and takes 6 (2 vCPUs). Atexit handlers
 still run, and a failed flush of stdout still exits non-zero, which
 ``os._exit`` would not do. ``main`` never freezes, so a test or library
 caller may call it many times in one process.
-
-A process compiles only the modules its command runs, as no bytecode cache
-may be there to spare the compile. ``scan`` and ``report`` are imported
-with this module; ``reasons`` is imported when ``main`` runs ``explain`` or
-``scan --collapse-overlaps``, which bind its names as globals of this module
-(``_bind_reasons``), so ``viz`` and a plain ``scan`` never compile it. A
-module ``__getattr__`` resolves each of those names before ``main`` runs,
-and a name already bound stays, so a caller may replace one, such as
-``cli.reason_report``, by a wrapper beforehand (the benchmark's tracer,
-``bench/traced.py``, does): ``cmd_explain`` calls the global.
 """
 
 from __future__ import annotations
@@ -47,26 +37,12 @@ from .scan import AUTO, ROWS_PER_CHUNK, ScanConfig, scan
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
 _FOOTER_LABELS = {"exact-match": "exact"}  # by kind text; a kind not named here is written as its text
 
-# the names of ``reasons`` that explain and ``scan --collapse-overlaps`` call,
-# bound as globals of this module on first use
-_REASON_NAMES = ("ReasonConfig", "ReasonKind", "collapse_overlaps", "reason_report", "tally")
-
-
-def _bind_reasons():
-    """Import ``reasons`` and bind its names here; a name already bound,
-    such as a wrapper set in its place, stays as it is."""
+def reason_report(report, collection, cfg):
+    """``reasons.reason_report``, the one name of ``reasons`` looked up on
+    this module, where the benchmark's tracer (``bench/traced.py``) wraps it."""
     from . import reasons
 
-    for name in _REASON_NAMES:
-        globals().setdefault(name, getattr(reasons, name))
-
-
-def __getattr__(name):
-    # cli.reason_report and the rest resolve before main has bound them
-    if name not in _REASON_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_reasons()
-    return globals()[name]
+    return reasons.reason_report(report, collection, cfg)
 
 
 def _workers(text):
@@ -165,7 +141,8 @@ def cmd_scan(args) -> int:
     collection, report = _run_scan(args)
     matches = report.matches
     if args.collapse_overlaps:
-        _bind_reasons()
+        from .reasons import collapse_overlaps
+
         matches = collapse_overlaps(matches)
     sys.stdout.writelines("".join([_SCAN_LINE % row for row in zip(*matches.columns(lo, lo + ROWS_PER_CHUNK))])
                           for lo in range(0, len(matches), ROWS_PER_CHUNK))
@@ -197,6 +174,8 @@ def _explain_lines(reasoned):
 
 
 def cmd_explain(args) -> int:
+    from .reasons import ReasonKind, collapse_overlaps, tally
+
     collection, report = _run_scan(args)
     reasoned = reason_report(report, collection, args.reason_cfg)
     if args.collapse_overlaps:
@@ -259,7 +238,8 @@ def main(argv=None) -> int:
     try:
         args.cfg = ScanConfig(h=args.h, cutoff=args.cutoff, workers=args.workers)
         if args.command == "explain":
-            _bind_reasons()
+            from .reasons import ReasonConfig
+
             args.reason_cfg = ReasonConfig(horizon=args.horizon)
         _check_outputs(args)
     except ConfigError as exc:

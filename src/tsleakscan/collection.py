@@ -58,6 +58,10 @@ _BLANK_BITS = 0x7FF8_0000_0000_B1A2
 _BLANK = np.uint64(_BLANK_BITS).view(np.float64).item()
 _FLOAT64 = struct.Struct("d")  # native, as numpy reads a buffer
 
+# the longest a series, a segment or a horizon can be: no float64 series is
+# longer, as its bytes would pass the largest index
+MAX_LENGTH = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class MissingPolicy:
@@ -175,7 +179,8 @@ class SeriesCollection:
 
 def _gather(flat, first, width):
     """The (k, width) block of ``flat[first[i]:first[i] + width]`` rows."""
-    return flat[first[:, None] + np.arange(width)]
+    # no index of width positions for no rows, however wide
+    return flat[first[:, None] + np.arange(width)] if len(first) else np.empty((0, width), flat.dtype)
 
 
 def from_dict(data) -> SeriesCollection:

@@ -10,22 +10,19 @@ continuation, mapped back through the inverse transform, is the predicted
 test segment of the query series.
 
 Every match is first checked by ``scan._locate``, the record check that
-``build_matrix`` shares. It lives in ``scan`` so that ``viz``, which checks
-records but explains none, never compiles this module; nor do importing the
-package, loading a collection or a plain ``scan`` command, which import it
-on the first use of one of its names. ``_locate`` hands the collection's
-``_layout`` on. ``reason_report`` then raises ConsistencyError for the
-first record, in report order, whose donor window or query segment is
-constant, as no scan's is, and fits all matches of one query segment
-together: their donor windows are gathered into a (k, h) block by one fancy
-index into the layout, each row is centred once, and every slope,
-intercept, residual and window scale is an array operation over the block;
-the continuations of every useful match are one more fancy index.
-``assess_usefulness`` is this path run on a one-row table, and
-``fit_affine`` the one-row case of the same fit. Each row gets the bits a
-fit of its match alone would get: the reductions run along the last axis of
-each row, and the cross term is a matmul of each row with the query, which
-gives the bits of the dot product ``qc @ wc``; a row sum would not.
+``build_matrix`` shares, which hands the collection's ``_layout`` on.
+``reason_report`` then raises ConsistencyError for the first record, in
+report order, whose donor window or query segment is constant, as no scan's
+is, and fits all matches of one query segment together: their donor windows
+are gathered into a (k, h) block by one fancy index into the layout, each
+row is centred once, and every slope, intercept, residual and window scale
+is an array operation over the block; the continuations of every useful
+match are one more fancy index. ``assess_usefulness`` is this path run on a
+one-row table, and ``fit_affine`` the one-row case of the same fit. Each
+row gets the bits a fit of its match alone would get: the reductions run
+along the last axis of each row, and the cross term is a matmul of each row
+with the query, which gives the bits of the dot product ``qc @ wc``; a row
+sum would not.
 
 The result is a ``ReasonTable`` of arrays: each fit, its kind code (from
 ``classify``'s comparisons on the arrays) and useful flag, and one block of
@@ -42,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .collection import SeriesCollection, _gather, _is_int, _is_real
+from .collection import MAX_LENGTH, SeriesCollection, _gather, _is_int, _is_real
 from .corr import centre, scale_of
 from .errors import ConfigError, ConsistencyError, ContractViolation
 from .scan import _REAL, LeakReport, MatchRecord, MatchTable, Table, _check_fields, _locate
@@ -88,6 +85,8 @@ class ReasonConfig:
         if self.horizon is not None:
             if not _is_int(self.horizon) or self.horizon < 1:
                 raise ConfigError(f"horizon must be >= 1 and an integer, got {self.horizon!r}")
+            if self.horizon > MAX_LENGTH:
+                raise ConfigError(f"horizon must be at most {MAX_LENGTH}, got {self.horizon!r}")
             object.__setattr__(self, "horizon", int(self.horizon))  # a numpy integer is written as an int
 
 

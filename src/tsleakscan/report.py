@@ -41,10 +41,6 @@ writer ``reference_heatmap`` in the tests, which compare the two. The
 matrix CSV is likewise written from one int cast of the counts, a row at a
 time. Both writers check everything that can fail before they open the
 file.
-
-``json`` is imported by the functions that read or write JSON, and
-``reasons`` only by the writers of an explained report, so a ``viz``
-process, which writes the matrix CSV and the heatmap, compiles neither.
 """
 
 from __future__ import annotations

@@ -41,11 +41,6 @@ covers a missing value, a gap of the collection's ``_layout``. The layout
 and its gaps' positions are built once, and ``_locate`` hands the layout
 on. The first record in report order that fails a check raises
 ConsistencyError, with the message of the first check it fails.
-
-Importing the package does not import this module: it is loaded on the
-first use of one of its names, and a process that only loads a collection
-compiles neither it nor ``corr``. The package keeps ``tsleakscan.scan``
-the function, not this module (see the package's docstring).
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .collection import SeriesCollection, _gather, _is_int, _is_real
+from .collection import MAX_LENGTH, SeriesCollection, _gather, _is_int, _is_real
 from .corr import MIN_WINDOW, query_block, sliding_correlations
 from .errors import ConfigError, ConsistencyError, ContractViolation
 
@@ -96,6 +91,8 @@ class ScanConfig:
     def __post_init__(self):
         if not _is_int(self.h) or self.h < MIN_WINDOW:
             raise ConfigError(f"h must be an integer >= {MIN_WINDOW}, got {self.h!r}")
+        if self.h > MAX_LENGTH:
+            raise ConfigError(f"h must be at most {MAX_LENGTH}, got {self.h!r}")
         object.__setattr__(self, "h", int(self.h))  # a numpy integer is written as an int
         if not _is_real(self.cutoff):
             raise ConfigError(f"cutoff must be a real number, got {self.cutoff!r}")

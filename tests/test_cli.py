@@ -195,6 +195,17 @@ class TestExplainCommand:
         proc = run_cli("explain", "--input", usage_csv, "--h", "5", "--horizon", "11")
         assert "0 useful" in proc.stdout
 
+    def test_horizon_or_h_longer_than_any_series_exits_2(self, tmp_path):
+        # end + horizon wrapped in int64, and the match was printed useful with no predicted values
+        (tmp_path / "smoke.csv").write_text(SMOKE_CSV, encoding="utf-8")
+        smoke, absent = str(tmp_path / "smoke.csv"), str(tmp_path / "nope.csv")
+        assert_exits_2("horizon must be at most",
+                       (("explain", "--input", smoke, "--h", "3", "--horizon", str(2**63 - 1)), None),
+                       (("explain", "--input", absent, "--h", "3", "--horizon", str(2**62)), None))
+        assert_exits_2("h must be at most",
+                       (("scan", "--input", smoke, "--h", str(10**23)), None),
+                       (("viz", "--input", absent, "--h", str(2**62)), None))
+
     def test_explained_report_file(self, usage_csv, tmp_path):
         out = tmp_path / "explained.json"
         run_cli("explain", "--input", usage_csv, "--h", "5", "--output", str(out))
@@ -701,6 +712,23 @@ def test_benchmark_tracer_spans_every_layer(tmp_path):
         spans[command[0]] = {span[0] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]}
     assert spans["explain"] >= {"collection.load", "scan", "corr", "reasons", "report.json"}, spans
     assert spans["viz"] >= {"collection.load", "scan", "corr", "report.matrix", "report.heatmap"}, spans
+
+
+def test_traced_viz_process_compiles_no_reasons(tmp_path):
+    # the tracer looks up cli.reason_report to wrap it, which imports nothing;
+    # each child names at its exit whether it imported reasons
+    tracer = os.path.join(os.path.dirname(SRC), "bench", "traced.py")
+    (tmp_path / "smoke.csv").write_text(SMOKE_CSV, encoding="utf-8")
+    code = ("import atexit, runpy, sys; atexit.register(lambda: print('tsleakscan.reasons' in sys.modules, "
+            f"file=sys.stderr)); runpy.run_path({tracer!r}, run_name='__main__')")
+    args = ["--input", "smoke.csv", "--h", "3"]
+    seen = {}
+    for command in (["viz", *args, "--output", "heat.svg"], ["explain", *args]):
+        proc = subprocess.run([sys.executable, "-c", code, "spans.json", *command], capture_output=True,
+                              text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        seen[command[0]] = proc.stderr.splitlines()
+    assert seen == {"viz": ["False"], "explain": ["True"]}
 
 
 class TestProcessEntry:

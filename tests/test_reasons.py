@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsleakscan as ts
+from tsleakscan.collection import MAX_LENGTH
 from tsleakscan.reasons import ReasonKind, scale_of
 from tsleakscan.scan import MatchRecord
 
@@ -166,6 +167,11 @@ class TestUsefulness:
             with pytest.raises(ts.ConfigError, match="horizon must be >= 1"):
                 ts.ReasonConfig(horizon=horizon)
         assert ts.ReasonConfig(horizon=np.int64(3)).horizon == 3
+        # no float64 series is longer, and end + horizon must not wrap
+        assert ts.ReasonConfig(horizon=MAX_LENGTH).horizon == MAX_LENGTH
+        for horizon in (MAX_LENGTH + 1, np.int64(2**62), 2**63 - 1):
+            with pytest.raises(ts.ConfigError, match=f"horizon must be at most {MAX_LENGTH}"):
+                ts.ReasonConfig(horizon=horizon)
 
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=10))
     @settings(max_examples=80)
@@ -293,6 +299,20 @@ class TestReasonMemory:
         assert [(rm.base.donor_id, rm.base.start, rm.kind) for rm in reasoned] == [
             (f"s{i:02d}", 601, ReasonKind.AFFINE_TRANSFORM) for i in range(1, 20, 4)]
         assert peak / sum(len(s) for s in c) < self.BUDGET
+
+    def test_traced_peak_of_a_horizon_past_every_donor(self):
+        # no match is useful, so no continuation of horizon values is indexed
+        c = ts.from_dict({"a": [1.0, 5.0, 2.0, 8.0, 3.0], "b": [7.0, 2.0, 8.0, 3.0, 1.0, 6.0]})
+        report = ts.scan(c, ts.ScanConfig(h=3))
+        ts.reason_report(report, c)  # reasons is imported before tracing
+        tracemalloc.start()
+        try:
+            reasoned = ts.reason_report(report, c, ts.ReasonConfig(horizon=10**7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(rm.base.donor_id, rm.base.start, rm.useful) for rm in reasoned] == [("b", 2, False)]
+        assert peak < 2**20
 
 
 class TestForwardConsistency:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tsleakscan as ts
-from tsleakscan.collection import SPLIT_SKIP
+from tsleakscan.collection import MAX_LENGTH, SPLIT_SKIP
 from tsleakscan.scan import CUTOFF_TOLERANCE, MISSING_IN_QUERY, TOO_SHORT, ZERO_VARIANCE_QUERY
 
 from conftest import brute_pearson, brute_scan, random_collection, reference_query_skip
@@ -21,6 +21,13 @@ class TestScanConfig:
     def test_h_minimum(self):
         with pytest.raises(ts.ConfigError):
             ts.ScanConfig(h=2)
+
+    def test_h_maximum(self):
+        # no float64 series is longer, and a longer h overflows the index arithmetic
+        assert ts.ScanConfig(h=MAX_LENGTH).h == MAX_LENGTH
+        for h in (MAX_LENGTH + 1, np.int64(2**62), 10**23):
+            with pytest.raises(ts.ConfigError, match=f"h must be at most {MAX_LENGTH}"):
+                ts.ScanConfig(h=h)
 
     def test_cutoff_range(self):
         with pytest.raises(ts.ConfigError, match=r"cutoff must be in \(0,1\]"):
@@ -266,6 +273,19 @@ class TestDonorGroups:
             tracemalloc.stop()
         assert len(report.matches) > 10_000
         assert peak < 20 * 2**20
+
+    def test_traced_peak_of_an_h_above_every_series(self):
+        # every query is too short, so no window of h values is indexed
+        c = ts.from_dict({"a": [1.0, 5.0, 2.0, 8.0], "b": [7.0, 2.0, 8.0, 3.0, 1.0]})
+        ts.scan(c, ts.ScanConfig(h=3))  # the scan's modules are imported before tracing
+        tracemalloc.start()
+        try:
+            report = ts.scan(c, ts.ScanConfig(h=10**7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.skipped_queries == [("a", TOO_SHORT), ("b", TOO_SHORT)]
+        assert peak < 2**20
 
 
 @st.composite
