@@ -4,21 +4,13 @@ Scans a collection of training series for segments that reproduce the
 terminal segment of any series (up to an affine transform), explains each
 hit and judges whether it exposes test-period values.
 
-A process compiles only what its command runs, as no bytecode cache may
-be there to spare the compile. Importing the package loads only
-``collection`` and ``errors``, all that loading a collection needs. The
-names of ``corr``, ``scan``, ``reasons`` and ``report``, and the four
-modules, are imported on first use (a PEP 562 module ``__getattr__``), and
-``reasons`` and ``json`` are imported only by the functions that run them,
-so ``viz`` and a plain ``scan`` compile neither.
-
-The name ``tsleakscan.scan`` is the function, not the module. The first
-import of ``tsleakscan.scan``, by whatever module, binds the module as an
-attribute of the package; the package's class is a ``types.ModuleType``
-subclass whose ``__setattr__`` binds the module's function ``scan`` instead
-(Python reference, "Customizing module attribute access"). So ``import
-tsleakscan.scan as m`` binds the function too, and
-``importlib.import_module("tsleakscan.scan")`` reaches the module.
+A process compiles only what its command runs, as no bytecode cache may be
+there to spare the compile: importing the package loads only ``collection``
+and ``errors``, and the other modules load on first use of one of their
+names. ``tsleakscan.scan`` stays the function, not the module, even once
+the module is imported (``_Package``): ``import tsleakscan.scan as m`` binds
+the function, and ``importlib.import_module("tsleakscan.scan")`` reaches
+the module.
 """
 
 import importlib
@@ -64,8 +56,7 @@ def __getattr__(name):
 
 class _Package(types.ModuleType):
     def __setattr__(self, name, value):
-        # the import system binds each submodule it loads as an attribute of
-        # its package; ``tsleakscan.scan`` stays the function
+        # the import system binds each submodule it loads as an attribute of its package
         if name == "scan" and isinstance(value, types.ModuleType):
             value = value.scan
         super().__setattr__(name, value)

@@ -4,20 +4,10 @@
 verdict per leak, ``viz`` renders the match matrix as CSV plus an SVG
 heatmap. Exit codes: 0 success (also when no leaks are found), 1 input or
 I/O error, 2 a bad flag, a limit broken in ``ScanConfig``/``ReasonConfig``,
-a bad ``TSLEAKSCAN_WORKERS``, or an output path that would overwrite the
-input or another output of the same command (viz writes its matrix CSV
-next to the heatmap, with the suffix ``.csv``), all checked before any
-input is read.
-
-``run`` is the process entry: ``python -m tsleakscan``, ``python -m
-tsleakscan.cli`` and the ``tsleakscan`` console script all call it. It runs
-``main`` and then, on a return or a ``SystemExit`` alike, ``gc.freeze()``,
-so the interpreter's exit skips its full collections over the tens of
-thousands of objects that numpy and the package hold: from ``main``'s
-return to the exit took 22-26 ms, and takes 6 (2 vCPUs). Atexit handlers
-still run, and a failed flush of stdout still exits non-zero, which
-``os._exit`` would not do. ``main`` never freezes, so a test or library
-caller may call it many times in one process.
+a bad ``TSLEAKSCAN_WORKERS``, or an output path that is a directory or
+would overwrite the input or another output of the same command (viz
+writes its matrix CSV next to the heatmap, with the suffix ``.csv``), all
+checked before any input is read.
 """
 
 from __future__ import annotations
@@ -32,7 +22,7 @@ from pathlib import Path
 from . import report as rpt
 from .collection import REJECT, SPLIT_SKIP, MissingPolicy, load_collection
 from .errors import ConfigError, LeakScanError
-from .scan import AUTO, ROWS_PER_CHUNK, ScanConfig, scan
+from .scan import AUTO, ScanConfig, scan
 
 _FORMATS = {"wide": "wide-csv", "long": "long-csv", "json": "json"}
 _FOOTER_LABELS = {"exact-match": "exact"}  # by kind text; a kind not named here is written as its text
@@ -144,8 +134,8 @@ def cmd_scan(args) -> int:
         from .reasons import collapse_overlaps
 
         matches = collapse_overlaps(matches)
-    sys.stdout.writelines("".join([_SCAN_LINE % row for row in zip(*matches.columns(lo, lo + ROWS_PER_CHUNK))])
-                          for lo in range(0, len(matches), ROWS_PER_CHUNK))
+    sys.stdout.writelines("".join([_SCAN_LINE % row for row in zip(*matches.columns(lo, hi))])
+                          for lo, hi in matches.chunks())
     _print_skips(report)
     if not matches:
         print("no leaks detected")
@@ -163,10 +153,9 @@ def _six_digits(values) -> list:
 
 
 def _explain_lines(reasoned):
-    """The stdout lines of the explained matches, ROWS_PER_CHUNK at a time;
-    a missing predicted value is printed "?"."""
-    for lo in range(0, len(reasoned), ROWS_PER_CHUNK):
-        hi = lo + ROWS_PER_CHUNK
+    """The stdout lines of the explained matches, a chunk at a time; a
+    missing predicted value is printed "?"."""
+    for lo, hi in reasoned.chunks():
         kinds = reasoned.kind_texts(lo, hi)
         verdicts = ["not useful" if p is None else "useful; predicted test: " + " ".join(p)
                     for p in reasoned.render_predicted(lo, hi, _six_digits, "?")]
@@ -210,9 +199,11 @@ def _outputs(args):
 
 
 def _check_outputs(args):
-    """Reject an output path that is the input's or another output's file."""
+    """Reject an output path that is a directory, the input's or another output's file."""
     written = {Path(args.input).resolve(): "input"}
     for what, path in _outputs(args):
+        if path.is_dir():
+            raise ConfigError(f"the {what} {str(path)!r} is a directory")
         key = path.resolve()
         if key in written:
             raise ConfigError(f"the {what} {str(path)!r} would overwrite the {written[key]}")
@@ -252,8 +243,11 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """``main`` for a process that exits after it: its objects are frozen
-    out of the garbage collector, so the exit does not collect them."""
+    """``main`` for a process that exits after it, the entry of ``python -m
+    tsleakscan``, ``python -m tsleakscan.cli`` and the console script: its
+    objects are frozen out of the garbage collector, so the exit does not
+    collect them, yet it runs atexit handlers and fails on a failed flush of
+    stdout, as ``os._exit`` would not. ``main`` never freezes."""
     try:
         return main(argv)
     finally:

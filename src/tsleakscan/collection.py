@@ -11,26 +11,10 @@ Three on-disk formats are supported:
 * ``json``: object mapping id -> array of numbers, ``null`` marking a
   missing value.
 
-The CSV loaders skip a UTF-8 byte-order mark, which Excel and R write; a
-JSON file that starts with one gets ``json.loads``'s error.
-
-Collection order always follows input order (it later fixes the row and
-column order of the match matrix). The loaders only parse, reading each
-series as floats, NaN for an empty cell or a ``null``. The wide CSV loader
-fills a float64 buffer a row at a time, so no cell's text outlives its row;
-a row is read by ``float`` of each non-empty cell, and read again a cell at a
-time when that fails, as on a whitespace-only cell, which is blank.
-The long CSV loader parses chunks of whole lines with numpy's C reader,
-``np.loadtxt``, and keeps only their float64 values and one (id, length)
-pair per run of rows; a file it does not take (see ``_long_csv_runs``) is
-read again a row at a time by ``csv.reader``, ``int`` and ``float``, which
-name its first bad row. The JSON loader reads its object a member at a
-time, so each series' Python floats become a float64 array before the next
-series is read. Only the JSON loader and writer import ``json``.
-``_finish_series`` strips the id and decides what is missing: every
-non-finite value, which it rejects or stores as 0.0. ``SeriesCollection``
-checks ids (distinct str), values (1-D, non-empty, finite) and missing positions,
-and lays its series out once, read-only (``_layout``), for the scan, its workers and the match checks.
+Every non-finite value is missing. The CSV loaders skip a UTF-8 byte-order
+mark, which Excel and R write; a JSON file that starts with one gets
+``json.loads``'s error. Collection order follows input order, and fixes
+the row and column order of the match matrix.
 """
 
 from __future__ import annotations
@@ -198,7 +182,7 @@ def _parse_cell(text, where):
 
 
 def _finish_series(sid, values, policy, where):
-    """The series ``sid`` of ``values``, every non-finite one missing (see the module docstring)."""
+    """The series ``sid`` of ``values``, every non-finite one missing: rejected, or 0.0 at a listed position."""
     sid = sid.strip()
     if sid == "":
         raise FormatError(f"{where}: empty series id")
@@ -391,8 +375,7 @@ def _json_members(text, decoder, convert):
 def _json_series(path):
     """(id, values) per member of the JSON object in ``path``: the values'
     float64 array, or the FormatError of the first element that is not a
-    number. Each series' list of floats lives only until its array is made;
-    text that is not one object is left to json.loads, for its error."""
+    number; text that is not one object is left to json.loads, for its error."""
     import json
 
     with open(path, encoding="utf-8") as fh:
@@ -430,16 +413,19 @@ _LOADERS = {"wide-csv": _load_wide_csv, "long-csv": _load_long_csv, "json": _loa
 def load_collection(path, format="long-csv", policy=MissingPolicy()) -> SeriesCollection:
     """Load a series collection from ``path`` in the declared ``format``.
 
-    Raises FormatError on unparsable input (naming the first offending
-    row/record) and ValidationError on duplicate ids, empty series or -
-    under the reject policy - missing values.
+    Raises FormatError on unparsable input, naming the first offending
+    row/record or the cause, and ValidationError on duplicate ids, empty
+    series or - under the reject policy - missing values.
     """
     if format not in _LOADERS:
         raise ValidationError(f"unknown format {format!r}; expected one of {', '.join(_LOADERS)}")
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
-    entries = _LOADERS[format](path, policy)
+    try:
+        entries = _LOADERS[format](path, policy)
+    except (UnicodeDecodeError, csv.Error, RecursionError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return SeriesCollection(entries)
 
 

@@ -1,27 +1,14 @@
 """Pearson correlation kernel and the sliding-correlation sweep.
 
-``sliding_correlations`` correlates k query segments, prepared once by
-``query_block``, with every window of a target (the AB-join of the matrix
-profile), so a scan makes one O(n*h*k) call per chunk of windows of all
-series laid end to end. Each window and query is centred on its own mean
-after an exact power-of-two scaling (see ``centre``), so r stays accurate
-for a low-variance window inside a high-variance series and at any finite
-scale; only an exactly constant window has no r. The sweep copies no
-window: it reads the target through a read-only view whose row i is
-``x[i:i + h]``, and gathers the valid windows a block at a time, never an
-(m, h) array of floats. A window is constant, or overlaps a gap, when a
-running count of changes between neighbouring values, or of gaps, does not
-change, or does, across it: O(m) memory, whatever h.
-
-Given a ``threshold``, the sweep first rules windows out with an
-approximate r~ that provably lies within ``prefilter_slack(h)`` of the
-kernel's r (a lower-bound pruning in the style of the UCR suite). The
-prefilter reads a block of windows lag-major, as an (h, b) view whose row j
-is the contiguous slice ``x[s + j:s + j + b]``: it centres all b windows
-with ``centre`` along axis 0, normalises them, and takes each window's
-largest |r~| over chunks of queries, one BLAS product each. Only the
-windows it keeps are gathered and centred row by row; they give the
-exact r, bit for bit the r of a sweep without a threshold.
+``sliding_correlations`` correlates k query segments with every window of a
+target (the AB-join of the matrix profile), copying no window of h values.
+Each window and query is centred after an exact power-of-two scaling
+(``centre``), so r stays accurate for a low-variance window inside a
+high-variance series and at any finite scale. Given a ``threshold``, a BLAS
+prefilter first rules out windows by an approximate r~ that provably lies
+within ``prefilter_slack(h)`` of r (lower-bound pruning, as in the UCR
+suite); the windows it keeps get the exact r, bit for bit the r of a sweep
+without a threshold.
 """
 
 from __future__ import annotations
@@ -42,9 +29,7 @@ MISSING_OVERLAP = "missing-overlap"
 # or a block of windows centred together, whose temporaries then stay in cache
 _BLOCK_VALUES = 1 << 14
 
-# multiply-adds per prefilter matrix product, (queries, h) @ (h, windows): a
-# block of _BLOCK_VALUES // h windows meets about 16 queries at a time, and a
-# target with fewer windows more.
+# multiply-adds per prefilter matrix product, (queries, h) @ (h, windows).
 # OpenBLAS, the BLAS of numpy's wheels, runs a product this small on the
 # calling thread; a larger one wakes its worker threads, which then spin on
 # the CPUs that scan workers need: on 2 CPUs, 1428 random walks scanned in
@@ -96,8 +81,7 @@ def centre(x, axis=-1):
     into [0.5, 1), so sums of products of ``xc`` neither overflow nor, for a
     non-constant window, vanish. The mean is subtracted twice, in place,
     because, when the spread is a few ulps of the mean, the rounding of the
-    first mean is as large as the spread. Every window and query is centred
-    here, the prefilter's lag-major blocks along axis 0.
+    first mean is as large as the spread.
     """
     _, exp = np.frexp(scale_of(x, axis))
     x = np.ldexp(x, -np.expand_dims(exp, axis))
@@ -132,11 +116,9 @@ def _largest_r(x, unit, per):
     """Each window's largest |r~| against the unit query rows ``unit``.
 
     ``x`` is lag-major, an (h, b) view whose column i is window i, so
-    ``centre`` scales and centres each window along axis 0, with reductions
-    across rows of b contiguous values. Each chunk of ``per`` queries is one
-    product with the centred windows, whose largest |entries| per window
-    are divided by its norm at the end. A constant window gets a stand-in
-    norm of 1, not a division by 0; the caller drops it as invalid.
+    ``centre`` reduces across rows of b contiguous values. A constant window
+    gets a stand-in norm of 1, not a division by 0; the caller drops it as
+    invalid.
     """
     x, _ = centre(x, axis=0)
     norm = np.sqrt(np.einsum("ij,ij->j", x, x))
@@ -150,8 +132,7 @@ def _largest_r(x, unit, per):
 
 def _exact_r(rows, queries: QueryBlock):
     """The Pearson r, before clipping, of each row (none of them constant)
-    against every query, in chunks of ``_BLOCK_VALUES`` products: each sum
-    of products a last-axis reduction."""
+    against every query, in chunks of ``_BLOCK_VALUES`` products."""
     w, _ = centre(rows)
     css_w = (w * w).sum(axis=1)
     q = queries.rows
@@ -164,13 +145,11 @@ def _correlate(windows, valid, queries: QueryBlock, bound=None):
     """``(keep, r)``: which windows (rows) are kept, and the Pearson r of
     each kept window against every query (row).
 
-    Given a ``bound``, a valid window is kept when its |r~| (``_largest_r``,
-    a block of ``_BLOCK_VALUES`` values at a time) is >= bound against some
-    query; without one, every valid window is. The kept rows are then
-    gathered a block at a time and give r (``_exact_r``), each sum of
-    products a last-axis reduction in one order, so a window equal to a
-    query gets r == 1.0 exactly (a BLAS product would not), and a row's r
-    does not depend on its block.
+    Given a ``bound``, a valid window is kept when its |r~| is >= bound
+    against some query; without one, every valid window is. Each sum of
+    products of r is a last-axis reduction in one order, so a window equal
+    to a query gets r == 1.0 exactly (a BLAS product would not), and a
+    row's r does not depend on its block.
     """
     h = windows.shape[1]
     step = max(1, _BLOCK_VALUES // h)

@@ -1,34 +1,11 @@
 """Explain matches and judge whether they can be exploited.
 
 Each match gets a least-squares affine fit of the donor window against the
-query segment; the (slope, intercept, residual) triple classifies the leak
-as an exact copy, an added constant, a scaling, a general affine image, a
-negative-slope image, or merely high correlation. A match is exploitable
-("useful") exactly when the donor continues far enough past the matched
-window to cover the query's forecast horizon; in that case the donor
-continuation, mapped back through the inverse transform, is the predicted
-test segment of the query series.
-
-Every match is first checked by ``scan._locate``, the record check that
-``build_matrix`` shares, which hands the collection's ``_layout`` on.
-``reason_report`` then raises ConsistencyError for the first record, in
-report order, whose donor window or query segment is constant, as no scan's
-is, and fits all matches of one query segment together: their donor windows
-are gathered into a (k, h) block by one fancy index into the layout, each
-row is centred once, and every slope, intercept, residual and window scale
-is an array operation over the block; the continuations of every useful
-match are one more fancy index. ``assess_usefulness`` is this path run on a
-one-row table, and ``fit_affine`` the one-row case of the same fit. Each
-row gets the bits a fit of its match alone would get: the reductions run
-along the last axis of each row, and the cross term is a matmul of each row
-with the query, which gives the bits of the dot product ``qc @ wc``; a row
-sum would not.
-
-The result is a ``ReasonTable`` of arrays: each fit, its kind code (from
-``classify``'s comparisons on the arrays) and useful flag, and one block of
-the useful matches' predicted values. Like the scan's ``MatchTable`` it is
-a sequence of rows (``ReasonedMatch``) built only when asked for. Its rows
-and every writer render the predicted block through ``render_predicted``.
+query segment, whose slope, intercept and residual classify the leak
+(``ReasonKind``). A match is exploitable ("useful") exactly when the donor
+continues past the matched window for the query's forecast horizon; the
+continuation, mapped back through the inverse transform, is then the
+predicted test segment of the query series.
 """
 
 from __future__ import annotations
@@ -189,7 +166,11 @@ class ReasonTable(Table):
 def _fit_rows(q, windows):
     """Fit each row w of the (k, h) block ``windows`` as w ~ m*q + c.
 
-    Returns the arrays (m, c, max_residual), one value per row.
+    Returns the arrays (m, c, max_residual), one value per row, each with
+    the bits a fit of its row alone would get: the reductions run along the
+    last axis of each row, and the cross term is a matmul of each row with
+    the query, which gives the bits of the dot product ``qc @ wc``; a row
+    sum would not.
     """
     q = np.asarray(q, dtype=np.float64)
     if len(q) < 2 or np.all(q == q[0]):
@@ -253,8 +234,9 @@ def reason_report(report: LeakReport, collection: SeriesCollection,
     """Explain every match in the report, preserving report order.
 
     Raises ``_locate``'s ConsistencyError for the first malformed match in
-    report order. The matches of each query segment, keyed by query id and
-    span, are fitted as one block (see the module docstring).
+    report order, and ConsistencyError for the first whose donor window or
+    query segment is constant, as no scan's is. The matches of each query
+    segment, keyed by query id and span, are fitted as one block.
     """
     # ReasonConfig rejects a horizon of 0, so ``or`` only replaces None
     return _explain(report.matches, collection, cfg.horizon or report.config.h)

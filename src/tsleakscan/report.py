@@ -9,38 +9,14 @@ The JSON schema is fixed (key order as written)::
                    "predicted_test": [..]}, ..] }
 
 The reason fields (horizon, kind, m, c, useful, predicted_test) appear only
-in explained reports, and predicted_test only on useful matches.
-
-A JSON report holds exactly the bytes of ``json.dump(payload, fh,
-indent=1)`` and one trailing newline: every item on a line of its own,
-indented by one space per level and followed by "," when another item
-follows; ": " between key and value; strings ASCII-escaped, with
-``\\uXXXX`` for non-ASCII and control characters; floats as ``repr``
+in explained reports, and predicted_test only on useful matches, with null
+for a missing value. A JSON report holds exactly the bytes of
+``json.dump(payload, fh, indent=1)`` and one trailing newline: every item on
+a line of its own, indented by one space per level and followed by "," when
+another item follows; ": " between key and value; strings ASCII-escaped,
+with ``\\uXXXX`` for non-ASCII and control characters; floats as ``repr``
 writes them, with json's NaN and Infinity; ``[]`` and ``{}`` when empty.
-
-The JSON and CSV writers read the report's ``MatchTable`` and, when it is
-explained, its ``ReasonTable`` (a list of reasoned matches is made one).
-``_report_rows`` fills their rows from one ROWS_PER_CHUNK chunk at a time
-of the columns each writes, as Python values, and each chunk is written as
-soon as it is built: no payload dict, row object or list of the report's
-size is made. The CSV writer reads no other column; the JSON writer reads
-the predicted block through ``ReasonTable.render_predicted`` and fills one
-``%`` template per entry, with the ids encoded once per table and each
-float column repr'd by one ``_json_floats`` call per chunk. r, m, c and
-each predicted value are written as the float64 they are stored as, a
-missing one as null. The document up to the matches is ``json.dumps`` of
-the payload without them, so the config's numbers are written, or
-rejected, as ``json.dump`` would. ``_json_parts`` is the one layout:
-``report_payload`` is ``json.loads`` of its text.
-
-The SVG heatmap is written a row at a time: each row of cells is one join
-of strings formatted once per column, once per row and once per distinct
-count, and goes to the file as soon as it is built, so neither the cells
-nor the document are held in memory. Its bytes are those of the per-cell
-writer ``reference_heatmap`` in the tests, which compare the two. The
-matrix CSV is likewise written from one int cast of the counts, a row at a
-time. Both writers check everything that can fail before they open the
-file.
+The writers hold no payload of the report's size.
 """
 
 from __future__ import annotations
@@ -53,7 +29,7 @@ import numpy as np
 
 from .collection import SeriesCollection, _is_real
 from .errors import ConfigError, ConsistencyError
-from .scan import ROWS_PER_CHUNK, LeakReport, MatchRecord, ScanConfig, _locate
+from .scan import LeakReport, MatchRecord, ScanConfig, _locate
 
 
 @dataclass
@@ -83,12 +59,10 @@ def build_matrix(report: LeakReport, collection: SeriesCollection) -> MatchMatri
 def _tables(report: LeakReport, reasoned, horizon: int | None):
     """The tables a report is written from, the matches' and, for an
     explained report, the reasons', and the horizon it records (None for a
-    plain report): ``horizon``, or h when it is None.
-
-    ``ReasonConfig`` checks the horizon. Raises ConsistencyError when the
-    reasons do not pair up with the matches or state another horizon: the
-    width of their predicted block, which is ``reason_report``'s horizon
-    even when no match is useful.
+    plain report): ``horizon``, or h when it is None. Raises
+    ConsistencyError when the reasons do not pair up with the matches or
+    state another horizon: the width of their predicted block, which is
+    ``reason_report``'s horizon even when no match is useful.
     """
     if reasoned is None:
         return (report.matches,), None
@@ -131,13 +105,12 @@ def _json_floats(values) -> list:
 
 
 def _report_rows(tables, ids, floats, useful):
-    """The rows of a report, ROWS_PER_CHUNK at a time, each a tuple filled
-    from the chunk's columns: the text in ``ids`` of each id, start, end and
-    ``floats`` of r, then for an explained report the text of each kind,
-    ``floats`` of m and of c, and ``useful(reasons, lo, hi)``."""
+    """The rows of a report, a chunk of the match table at a time, each a
+    tuple filled from the chunk's columns: the text in ``ids`` of each id,
+    start, end and ``floats`` of r, then for an explained report the text
+    of each kind, ``floats`` of m and of c, and ``useful(reasons, lo, hi)``."""
     matches = tables[0]
-    for lo in range(0, len(matches), ROWS_PER_CHUNK):
-        hi = lo + ROWS_PER_CHUNK
+    for lo, hi in matches.chunks():
         *fields, r = matches.columns(lo, hi, ids)
         fields.append(floats(r))
         for reasons in tables[1:]:
@@ -154,7 +127,7 @@ def _json_useful(reasons, lo, hi) -> list:
 
 def _json_parts(report: LeakReport, tables, horizon: int | None):
     """The text of a JSON report in parts: the document up to the matches,
-    then ROWS_PER_CHUNK entries at a time, then the rest."""
+    then a chunk of entries at a time, then the rest."""
     import json
     from json.encoder import encode_basestring_ascii
 
@@ -236,10 +209,9 @@ def report_from_payload(payload: dict) -> LeakReport:
 def _int_counts(matrix: MatchMatrix) -> np.ndarray:
     """The counts as an int array, each count what ``int()`` makes of it.
 
-    One cast, not a call per count. Raises ConsistencyError when the ids do
-    not match the counts' shape, or for a float count that int() rejects
-    (NaN, an infinity) or that int64 cannot hold, which the cast would not
-    convert as int() does.
+    Raises ConsistencyError when the ids do not match the counts' shape, or
+    for a float count that int() rejects (NaN, an infinity) or that int64
+    cannot hold, which the cast would not convert as int() does.
     """
     counts = matrix.counts
     shape = (len(matrix.row_ids), len(matrix.col_ids))
@@ -286,10 +258,7 @@ def render_heatmap(matrix: MatchMatrix, path, label_angle: float = 90.0) -> None
     series a side, each cell holds a ``<title>`` naming its pair and count.
     Column labels are rotated by ``label_angle`` degrees, which must be a
     real number, not a bool, with a finite float (ConfigError otherwise).
-
-    The cells are written a row at a time, each row one join of strings
-    formatted once per column, once per row and once per distinct count, so
-    memory does not grow with the number of cells. Everything that can
+    Memory does not grow with the number of cells, and everything that can
     raise runs before the file is opened.
     """
     try:  # a Fraction is drawn as its float; an int past float's range overflows

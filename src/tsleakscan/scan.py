@@ -6,41 +6,13 @@ taken as the query and swept across every series in the collection
 absolute correlation clears the cutoff become matches; the single trivial
 hit of a query against its own terminal position is removed.
 
-The scan reads every series' values laid end to end by
-``SeriesCollection._layout``. It first skips each query that the sweep would
-rule out as a window, one overlapping a gap or with all values equal, from
-the query's h values and gap flags gathered from the layout. The rest are
-centred once, as one block. The layout's windows are swept in chunks of
-consecutive starts, each one ``sliding_correlations`` call against all the
-queries with the layout's gaps as missing, so no window spans two series;
-one ``searchsorted`` maps the hits back to (donor, start). The call passes
-the threshold, so the sweep returns only the windows its BLAS prefilter
-cannot rule out, each with its whole row of exact r, one value per query. A
-chunk holds at most min(``GROUP_WINDOWS``, ``GROUP_VALUES`` // queries)
-windows, a strict bound on each sweep's windows and windows x queries,
-however long a series. The match set and every r are those of an exhaustive
-sweep of each donor on its own. Each worker process gets the layout's
-arrays, not the series, and scans one contiguous block of queries.
-
-The hits stay arrays from the sweep to the writers: a ``MatchTable`` holds
-the query index, donor index, start, end and r of every match, in (query,
-donor, offset) order. It is a sequence of ``MatchRecord`` rows, built only
-when asked for; the writers format its columns a chunk at a time. A
-``LeakReport`` holds the ``MatchTable`` of whatever records it is given.
-
-``_locate`` checks match records against the collection, for
-``reasons._explain`` and ``report.build_matrix`` alike; it lives here, not
-in ``reasons``, so that ``viz`` never compiles ``reasons``. It reads the
-query index, donor index, start and end of every match from the columns of
-a ``MatchTable`` and checks them all at once, with array comparisons: both
-ids name series of the collection, the window starts at position 1 or
-later, spans at least MIN_WINDOW observations, is no longer than its query
-series and ends within its donor, and neither the donor window nor the
-query segment (the query series' last ``end - start + 1`` observations)
-covers a missing value, a gap of the collection's ``_layout``. The layout
-and its gaps' positions are built once, and ``_locate`` hands the layout
-on. The first record in report order that fails a check raises
-ConsistencyError, with the message of the first check it fails.
+The sweep reads all series laid end to end, in chunks of consecutive
+windows, and returns the r of each kept window against every query; so a
+chunk holds at most min(GROUP_WINDOWS, GROUP_VALUES // queries) windows,
+which bounds its memory however long a series. The match set and every r
+are those of an exhaustive sweep of each donor on its own. ``_locate``, the
+record check of ``reasons`` and ``report.build_matrix``, is here so that
+``viz`` never compiles ``reasons``.
 """
 
 from __future__ import annotations
@@ -70,8 +42,6 @@ CUTOFF_TOLERANCE = 1e-10
 # the columns of no hits, which seed each concatenation of hits
 _NO_HITS = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)
 
-# a sweep returns the r of each window it keeps against every query, so each
-# sweep takes a chunk of windows bounded in windows and in windows x queries
 GROUP_WINDOWS = 1 << 14
 GROUP_VALUES = 1 << 20
 
@@ -149,8 +119,8 @@ ROWS_PER_CHUNK = 256  # rows a table builds, and a writer formats, at a time
 class Table(Sequence):
     """A read-only sequence of rows kept as equal-length columns, which
     ``columns(lo, hi)`` gives as Python lists for rows lo..hi-1. Rows are
-    built only when asked for, ROWS_PER_CHUNK at a time. A table compares,
-    adds and slices as the list of its rows."""
+    built only when asked for, a chunk at a time. A table compares, adds
+    and slices as the list of its rows."""
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -159,8 +129,12 @@ class Table(Sequence):
         return self._rows(i, i + 1)[0]
 
     def __iter__(self):
-        for lo in range(0, len(self), ROWS_PER_CHUNK):
-            yield from self._rows(lo, lo + ROWS_PER_CHUNK)
+        for lo, hi in self.chunks():
+            yield from self._rows(lo, hi)
+
+    def chunks(self):
+        """The (lo, hi) bounds of the chunks of rows built and written at a time."""
+        return ((lo, min(lo + ROWS_PER_CHUNK, len(self))) for lo in range(0, len(self), ROWS_PER_CHUNK))
 
     def __eq__(self, other):
         return list(self) == other
@@ -229,8 +203,11 @@ class LeakReport:
 
 def _locate(matches: MatchTable, collection: SeriesCollection):
     """The query index, donor index, start and end of each match as arrays,
-    then the collection's ``_layout``. The first match in report order that
-    fails a record check of the module docstring raises ConsistencyError.
+    then the collection's ``_layout``. Each match must name a window of at
+    least MIN_WINDOW values of its donor and, as long, the last values of
+    its query, both series of the collection, with no missing value in
+    either. The first in report order that does not raises ConsistencyError
+    with the message of its first failed check.
     """
     flat, first, lengths, _ = layout = collection._layout()
     first, lengths = np.r_[first, len(flat)], np.r_[lengths, 0]  # what index -1, an unknown id, picks
@@ -293,10 +270,10 @@ def _scan_block(layout, cfg, query_of):
 def scan(collection: SeriesCollection, cfg: ScanConfig) -> LeakReport:
     """Run the leak scan over the whole collection.
 
-    The skipped queries are found first. The rest are split into
-    min(workers, scannable) contiguous blocks, each scanned by a worker
-    process when there are two or more; the output is identical for every
-    worker count because the blocks are merged back in collection order.
+    The scannable queries are split into min(workers, scannable) contiguous
+    blocks, each scanned by a worker process when there are two or more;
+    the output is identical for every worker count because the blocks are
+    merged back in collection order.
     """
     if len(collection) == 0:
         raise ContractViolation("empty collection")

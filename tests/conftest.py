@@ -527,3 +527,22 @@ def random_collection(rng, n_series=None, length_range=(20, 120)):
 @pytest.fixture
 def usage_collection():
     return usage_style_collection()
+
+
+# a field one character past the csv module's default limit
+_OVERLONG = "1" * 131073
+_LONG_HEAD = "series_id,index,value\na,1,1\na,2,5\na,3,2\n"
+
+# name -> (format, file bytes, what the FormatError names) of inputs no
+# loader can read at all: text that is not UTF-8, a CSV field longer than
+# csv.field_size_limit() (quoted, so the long CSV reaches csv.reader) and
+# JSON nested past the decoder's recursion limit
+UNREADABLE_INPUTS = {
+    "long-latin-1": ("long-csv", (_LONG_HEAD + "bé,1,7\n").encode("latin-1"), "can't decode byte 0xe9"),
+    "wide-latin-1": ("wide-csv", "a,bé\n1,2\n3,4\n".encode("latin-1"), "can't decode byte 0xe9"),
+    "json-latin-1": ("json", '{"aé": [1, 2, 3]}'.encode("latin-1"), "can't decode byte 0xe9"),
+    "wide-overlong-field": ("wide-csv", f"a,b\n1,{_OVERLONG}\n3,4\n".encode(), "field larger than field limit"),
+    "long-overlong-field": ("long-csv", (_LONG_HEAD + f'"b",1,{_OVERLONG}\n').encode(),
+                            "field larger than field limit"),
+    "json-deep": ("json", ('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(), "maximum recursion depth"),
+}

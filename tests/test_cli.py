@@ -16,6 +16,7 @@ from tsleakscan.collection import SPLIT_SKIP
 from tsleakscan.reasons import ReasonKind
 
 from conftest import (
+    UNREADABLE_INPUTS,
     block_fit_collection,
     reason_oracle,
     reference_collapse,
@@ -110,6 +111,16 @@ class TestScanCommand:
         skip = run_cli("scan", "--input", str(data), "--format", "json", "--h", "3",
                        "--missing", "skip")
         assert skip.returncode == 0, skip.stderr
+
+    @pytest.mark.parametrize("name", UNREADABLE_INPUTS)
+    def test_unreadable_input_exits_1_with_one_error_line(self, tmp_path, name):
+        fmt, data, cause = UNREADABLE_INPUTS[name]
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        proc = run_cli("scan", "--input", str(path), "--format", fmt.split("-")[0], "--h", "3")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {path}: ") and cause in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_missing_input_exits_1(self, tmp_path):
         proc = run_cli("scan", "--input", str(tmp_path / "nope.csv"), "--h", "5")
@@ -441,6 +452,22 @@ class TestOutputCollisions:
         assert message.format(tmp=tmp_path) in proc.stderr
         assert data.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["leaks.csv"]
+
+    @pytest.mark.parametrize("command, output, directory, what", [
+        ("viz", "out", "out", "heatmap"),
+        ("viz", "out.svg", "out.csv", "matrix CSV"),
+        ("scan", "out", "out", "report"),
+        ("explain", "out", "out", "report"),
+    ])
+    def test_directory_as_output_exits_2_and_writes_nothing(self, usage_csv, tmp_path, command, output,
+                                                            directory, what):
+        (tmp_path / directory).mkdir()
+        proc = run_cli(command, "--input", usage_csv, "--h", "5", "--output", output, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stdout == ""
+        assert f"the {what} {directory!r} is a directory" in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+        assert not any((tmp_path / directory).iterdir())
 
 
 class TestVizCommand:

@@ -14,7 +14,7 @@ import tsleakscan as ts
 from tsleakscan import collection
 from tsleakscan.collection import REJECT, SPLIT_SKIP, _load_long_csv, _load_wide_csv, _long_csv_runs
 
-from conftest import reference_layout, reference_wide_csv
+from conftest import UNREADABLE_INPUTS, reference_layout, reference_wide_csv
 
 
 def write(path, text):
@@ -379,6 +379,16 @@ class TestLoaderMemory:
         n_values = sum(len(s) for s in c)
         assert [s.values.tobytes() for s in loaded] == [s.values.tobytes() for s in c]
         assert peak / n_values < self.BUDGET[fmt]
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("name", UNREADABLE_INPUTS)
+    def test_format_error_names_path_and_cause(self, tmp_path, name):
+        fmt, data, cause = UNREADABLE_INPUTS[name]
+        p = tmp_path / "input"
+        p.write_bytes(data)
+        with pytest.raises(ts.FormatError, match=f"^{re.escape(str(p))}: .*{cause}"):
+            ts.load_collection(p, fmt)
 
 
 class TestJson:
