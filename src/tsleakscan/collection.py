@@ -77,7 +77,8 @@ class Series:
 
     ``values`` is a finite float vector; positions listed in ``missing``
     hold a neutral filler (0.0) and are only ever used to decide which
-    windows to skip, never as data.
+    windows to skip, never as data. A collection copies the values once and
+    makes ``values`` a read-only view of its layout.
     """
 
     id: str
@@ -90,15 +91,16 @@ class Series:
 
 @dataclass
 class SeriesCollection:
-    """Ordered, immutable set of named series loaded from one source."""
+    """Ordered, immutable set of named series loaded from one source. It copies
+    their values once, into ``_layout``, and each ``values`` is a read-only view of it."""
 
     entries: list[Series]
     _index: dict[str, int] = field(init=False, repr=False)
-    _laid_out: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _gaps_at: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _laid_out: tuple = field(init=False, repr=False, compare=False)
+    _gaps_at: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._index = {}
+        self._index, arrays = {}, []
         for pos, s in enumerate(self.entries):
             if not isinstance(s.id, str):
                 raise ValidationError(f"series id {s.id!r} is not a string")
@@ -113,10 +115,21 @@ class SeriesCollection:
                 raise ValidationError(f"series {s.id!r} contains non-finite values")
             if not all(_is_int(p) and 0 <= p < len(arr) for p in s.missing):
                 raise ValidationError(f"series {s.id!r} has a missing position not in 0..{len(arr) - 1}")
-            arr.flags.writeable = False
-            object.__setattr__(s, "values", arr)
+            arrays.append(arr)
             object.__setattr__(s, "missing", tuple(sorted({int(p) for p in s.missing})))
             self._index[s.id] = pos
+        lengths = np.array([len(arr) for arr in arrays], dtype=int)
+        first = np.cumsum(lengths + 1) - lengths - 1
+        flat = np.zeros(lengths.sum() + len(lengths))
+        for arr, at in zip(arrays, first.tolist()):
+            flat[at:at + len(arr)] = arr
+        gaps = np.zeros(len(flat), dtype=bool)
+        gaps[[at + p for s, at in zip(self.entries, first.tolist()) for p in (*s.missing, len(s))]] = True
+        self._laid_out, self._gaps_at = (flat, first, lengths, gaps), np.flatnonzero(gaps)
+        for part in (*self._laid_out, self._gaps_at):
+            part.flags.writeable = False
+        for s, at in zip(self.entries, first.tolist()):
+            object.__setattr__(s, "values", flat[at:at + len(s)])
 
     def __len__(self):
         return len(self.entries)
@@ -137,27 +150,13 @@ class SeriesCollection:
             raise KeyError(f"no series named {series_id!r}") from None
 
     def _layout(self):
-        """``(flat, first, lengths, gaps)``, read-only and built once: series i at
+        """``(flat, first, lengths, gaps)``, read-only: series i at
         ``flat[first[i]:][:lengths[i]]``, each followed by a separator (0.0); ``gaps`` marks
         the missing values and the separators, so a window of ``flat`` free of gaps lies in one series."""
-        if self._laid_out is None:
-            lengths = np.array([len(s.values) for s in self.entries], dtype=int)
-            first = np.cumsum(lengths + 1) - lengths - 1
-            flat = np.zeros(lengths.sum() + len(lengths))
-            gaps = np.zeros(len(flat), dtype=bool)
-            for s, at in zip(self.entries, first.tolist()):
-                flat[at:at + len(s.values)] = s.values
-            gaps[[at + p for s, at in zip(self.entries, first.tolist()) for p in (*s.missing, len(s))]] = True
-            self._laid_out = flat, first, lengths, gaps
-            for part in self._laid_out:
-                part.flags.writeable = False
         return self._laid_out
 
     def _gap_positions(self):
-        """The positions of the gaps of ``_layout``, read-only and found once."""
-        if self._gaps_at is None:
-            self._gaps_at = np.flatnonzero(self._layout()[3])
-            self._gaps_at.flags.writeable = False
+        """The positions of the gaps of ``_layout``, read-only."""
         return self._gaps_at
 
 
@@ -186,7 +185,7 @@ def _finish_series(sid, values, policy, where):
     sid = sid.strip()
     if sid == "":
         raise FormatError(f"{where}: empty series id")
-    values = np.array(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     gaps = ~np.isfinite(values)
     missing = np.flatnonzero(gaps).tolist()
     if policy.mode == REJECT and missing:
@@ -272,7 +271,8 @@ def _add_long_rows(text, values, runs):
     """Parse the whole lines ``text`` with np.loadtxt onto ``values`` (float64s)
     and ``runs`` (id -> rows, in file order); False where the row loop may read
     them otherwise (see ``_long_csv_runs``)."""
-    if '"' in text or "\0" in text:  # csv.reader reads quotes, and Python < 3.11 rejects a NUL
+    # csv.reader reads quotes and rejects a field over its limit; Python < 3.11 rejects a NUL
+    if '"' in text or "\0" in text or len(text) > csv.field_size_limit():
         return False
     rows = np.loadtxt(io.StringIO(text), dtype=_LONG_ROW, delimiter=",", comments=None, ndmin=1)
     ids = rows["id"]
@@ -297,13 +297,13 @@ def _add_long_rows(text, values, runs):
 
 
 def _long_csv_runs(path):
-    """(id, values) per series of the long CSV ``path``, parsed by np.loadtxt a
-    chunk of whole lines at a time; None for a file that ``_long_csv_rows`` may
-    read otherwise: one with a header not written as is, a quote, a lone CR, a
-    NUL, a whitespace-only, short or long row, an id not stripped or empty, a
-    cell that numpy does not parse (an empty value, ``1_0``, a digit outside
-    ASCII, ``1.0`` as an index, ...), an index out of order or an id in two
-    runs of rows. The row loop reads such a file, or names its first bad row."""
+    """(id, values) per series of the long CSV ``path``, parsed by np.loadtxt a chunk of
+    whole lines at a time; None for a file that ``_long_csv_rows`` may read otherwise: one
+    with a header not written as is, a quote, a lone CR, a NUL, a whitespace-only, short or
+    long row, lines read at once longer than csv's field limit, an id not stripped or empty,
+    a cell that numpy does not parse (an empty value, ``1_0``, a digit outside ASCII, ``1.0``
+    as an index, ...), an index out of order or an id in two runs of rows. The row loop reads
+    such a file, or names its first bad row."""
     values, runs = bytearray(), {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():

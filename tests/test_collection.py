@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import tempfile
@@ -276,6 +277,7 @@ class TestLongCsvFastPath:
         assert fast == rows, (path.read_bytes()[:200], chunk)
         return taken
 
+    OVERLONG = "1" * (csv.field_size_limit() + 1)  # a field the row loop rejects
     STRADDLE = long_rows(*[(sid, np.linspace(-1, 1, 2500) * 10.0 ** k) for k, sid in enumerate("abc")])
 
     @pytest.mark.parametrize("text, taken", [
@@ -305,12 +307,14 @@ class TestLongCsvFastPath:
         ("series_id,index,value", True),
         (LONG_HEADER + "a,1,1\na,2,2", True),
         (LONG_HEADER + STRADDLE, True),
+        (LONG_HEADER + f"{OVERLONG},1,1\nb,1,2\n", False),
+        (LONG_HEADER + f"a,1,{OVERLONG}\nb,1,2\n", False),
     ], ids=["byte-order-mark", "crlf", "lone-cr", "quoted-id", "padded-id", "empty-id", "blank-rows",
             "whitespace-row", "short-and-long-rows", "underscore-index", "unicode-digit-index",
             "signed-and-padded-index", "float-index", "empty-value", "nan-and-inf", "huge-integers",
             "id-in-two-runs", "interleaved-ids", "gap-in-index", "nul-in-id", "padded-header",
             "other-header", "header-only", "header-without-newline",
-            "no-trailing-newline", "runs-across-chunks"])
+            "no-trailing-newline", "runs-across-chunks", "overlong-id", "overlong-value"])
     def test_corpus(self, tmp_path, text, taken):
         path = tmp_path / "c.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -379,6 +383,23 @@ class TestLoaderMemory:
         n_values = sum(len(s) for s in c)
         assert [s.values.tobytes() for s in loaded] == [s.values.tobytes() for s in c]
         assert peak / n_values < self.BUDGET[fmt]
+
+    @pytest.mark.parametrize("fmt", sorted(BUDGET))
+    def test_held_after_scan_per_value(self, tmp_path, fmt):
+        # the values' one copy (8 B each), their gap flags (1 B) and the
+        # separators; a second copy of the values would be 17 B
+        c = _grid()
+        path = tmp_path / "c.data"
+        ts.write_collection(c, path, fmt)
+        tracemalloc.start()
+        try:
+            loaded = ts.load_collection(path, fmt)
+            report = ts.scan(loaded, ts.ScanConfig(h=6, cutoff=1))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.matches) == 0 and len(loaded) == len(c)
+        assert held / sum(len(s) for s in c) < 12
 
 
 class TestUnreadableInput:
@@ -651,6 +672,40 @@ class TestLayout:
 
     def test_empty_collection(self):
         assert [len(part) for part in ts.SeriesCollection([])._layout()] == [0, 0, 0, 0]
+
+
+class TestOneCopy:
+    """A collection copies every value once, into its layout, and each
+    ``Series.values`` is a read-only view of that copy."""
+
+    def test_caller_array_left_writable(self):
+        v = np.arange(5.0)
+        c = ts.from_dict({"a": v})
+        assert v.flags.writeable
+        v[0] = 9.0
+        assert c.get("a").values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_values_are_read_only_views_of_layout(self):
+        c = TestLayout.collection()
+        flat = c._layout()[0]
+        for s in c:
+            assert not s.values.flags.writeable and np.shares_memory(s.values, flat)
+            with pytest.raises(ValueError):
+                s.values[0] = 1.0
+
+    def test_caller_buffer_written_after_scan(self):
+        # q's first window is its tail times -1 plus 9, so it predicts q's
+        # continuation [8, 5, 7] mapped back: [1, 4, 2]
+        buf = np.array([1, 4, 2, 8, 5, 7, 3, 2, 8, 5, 6, 1], dtype=float)
+        c = ts.from_dict({"q": buf[:6], "d": buf[6:]})
+        report = ts.scan(c, ts.ScanConfig(h=3, cutoff=1))
+        buf[4] = 50.0
+        buf[7] = np.nan
+        assert [s.values.tolist() for s in c] == [[1, 4, 2, 8, 5, 7], [3, 2, 8, 5, 6, 1]]
+        assert [(m.query_id, m.donor_id, m.start, m.end, m.r) for m in report.matches] == [("q", "q", 1, 3, -1.0)]
+        [reasoned] = ts.reason_report(report, c)
+        assert reasoned.kind == ts.ReasonKind.NEGATIVE_AFFINE
+        assert reasoned.predicted_test == [1.0, 4.0, 2.0]
 
 
 class TestInvariants:
